@@ -19,9 +19,9 @@ from .errors import (DataError, DegenerateDenominatorError,
                      PrevRatioError, RankDeficientError)
 from .glm import FitResult, fit_glm, predict_prevalence, separation_check
 from .linalg import spd_inverse, spd_solve, weighted_cross_product
-from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_pr, conditional_pr,
-                     log_binomial_pr, marginal_pr, prevalence_odds_ratio,
-                     robust_poisson_pr)
+from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_pr, bootstrap_prs,
+                     conditional_pr, log_binomial_pr, marginal_pr,
+                     prevalence_odds_ratio, robust_poisson_pr)
 from .simulate import (DEFAULT_STUDY_METHODS, MethodSummary, StudyReport,
                        ToyConfig, dgp_coefficients, replication_study,
                        simulate_toy, true_conditional_pr, true_marginal_pr)
@@ -52,6 +52,7 @@ __all__ = [
     "StudyReport",
     "ToyConfig",
     "bootstrap_pr",
+    "bootstrap_prs",
     "conditional_pr",
     "covariate_means",
     "crude_pr",

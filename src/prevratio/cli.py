@@ -26,8 +26,9 @@ from .classical import (StratifiedTable, crude_pr, crude_table,
 from .data import Dataset, ModelSpec, load_csv
 from .errors import PrevRatioError
 from .glm import fit_glm, separation_check
-from .ratios import (bootstrap_pr, conditional_pr, log_binomial_pr,
-                     marginal_pr, prevalence_odds_ratio, robust_poisson_pr)
+from .ratios import (BOOTSTRAP_ESTIMATORS, bootstrap_prs, conditional_pr,
+                     log_binomial_pr, marginal_pr, prevalence_odds_ratio,
+                     robust_poisson_pr)
 from .simulate import ToyConfig, replication_study
 
 DEFAULT_ESTIMATE_METHODS = ("RobustPoisson", "LogBinomial", "POR",
@@ -61,6 +62,7 @@ class RunConfig:
     outcome: str | None = None
     exposure: str | None = None
     covariates: tuple[str, ...] = ()
+    # empty for ``simulate`` means the study's default set
     methods: tuple[str, ...] = DEFAULT_ESTIMATE_METHODS
     level: float = 0.95
     boot: int = 0
@@ -74,7 +76,7 @@ class RunConfig:
     def __post_init__(self):
         if not 0.5 < self.level < 1.0:
             raise ValueError(f"level must be in (0.5, 1), got {self.level}")
-        if not self.methods:
+        if not self.methods and self.subcommand != "simulate":
             raise ValueError("methods must be non-empty")
         if self.out_format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
@@ -185,9 +187,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             level=args.level,
             out_format=args.format,
             out=args.out,
+            methods=_parse_methods(args.methods) if args.methods else (),
         )
-        if args.methods:
-            kwargs["methods"] = _parse_methods(args.methods)
     else:
         kwargs.update(input=args.input, level=args.level, out_format=args.format)
     return RunConfig(**kwargs)
@@ -195,12 +196,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _run_method(method: str, ds: Dataset, cfg: RunConfig, cache: dict):
     if method in ("CPR", "MPR", "POR"):
-        if method == "CPR" and cfg.boot:
-            return bootstrap_pr(ds, "CPR", cfg.boot, seed=cfg.seed,
-                                level=cfg.level, at=cfg.at or None)
-        if method == "MPR" and cfg.boot:
-            return bootstrap_pr(ds, "MPR", cfg.boot, seed=cfg.seed,
-                                level=cfg.level)
+        if method in BOOTSTRAP_ESTIMATORS and cfg.boot:
+            if "bootstrap" not in cache:
+                wanted = [m for m in cfg.methods if m in BOOTSTRAP_ESTIMATORS]
+                cache["bootstrap"] = bootstrap_prs(
+                    ds, wanted, cfg.boot, seed=cfg.seed, level=cfg.level,
+                    at=cfg.at or None)
+            result = cache["bootstrap"][method]
+            if isinstance(result, Exception):
+                raise result
+            return result
         if "logistic" not in cache:
             cache["logistic"] = fit_glm(ds, "binomial-logit")
         fit = cache["logistic"]
@@ -353,8 +358,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     toy = ToyConfig(n=cfg.n, seed=cfg.seed)
-    methods = None if cfg.methods == DEFAULT_ESTIMATE_METHODS else cfg.methods
-    report = replication_study(toy, cfg.reps, methods=methods, level=cfg.level)
+    report = replication_study(toy, cfg.reps, methods=cfg.methods or None,
+                               level=cfg.level)
     if cfg.out is not None:
         with open(cfg.out, "w") as fh:
             fh.write(report.to_json() + "\n")

@@ -84,14 +84,19 @@ class Dataset:
             raise DataError(f"weights length {weights.shape[0]} does not match n={len(y)}")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise DataError("outcome values must all be 0 or 1")
-        if not np.all(X[:, 0] == 1.0):
-            raise DataError("design column 0 must be the all-ones intercept")
-        if not np.all(weights > 0):
-            raise DataError("prior weights must be strictly positive")
         if len(names) != X.shape[1]:
             raise DataError(
                 f"{len(names)} column names for {X.shape[1]} design columns"
             )
+        if not np.isfinite(X).all():
+            bad = int(np.flatnonzero(~np.isfinite(X).all(axis=0))[0])
+            raise DataError(f"design column {names[bad]!r} has non-finite values")
+        if not np.all(X[:, 0] == 1.0):
+            raise DataError("design column 0 must be the all-ones intercept")
+        if not np.isfinite(weights).all():
+            raise DataError("prior weights must be finite")
+        if not np.all(weights > 0):
+            raise DataError("prior weights must be strictly positive")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "weights", weights)
@@ -114,6 +119,16 @@ class Dataset:
     def take_rows(self, idx: np.ndarray) -> "Dataset":
         """New Dataset from the given row indices (used by resampling)."""
         return replace(self, y=self.y[idx], X=self.X[idx], weights=self.weights[idx])
+
+    def frequency_weighted(self, counts: np.ndarray) -> "Dataset":
+        """Rows with a nonzero count, each prior weight multiplied by its count.
+
+        The weighted likelihood equals that of the dataset with row i
+        repeated counts[i] times, without copying the repeats.
+        """
+        keep = np.flatnonzero(counts)
+        return replace(self, y=self.y[keep], X=self.X[keep],
+                       weights=self.weights[keep] * counts[keep])
 
 
 def set_exposure_value(ds: Dataset, value: float) -> Dataset:
@@ -152,12 +167,12 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
             indices[name] = header.index(name)
 
         rows: list[list[float]] = []
-        n_dropped = 0
+        dropped_lines: list[int] = []
         for line_no, record in enumerate(reader, start=2):
             fields = [record[indices[name]].strip() if indices[name] < len(record) else ""
                       for name in wanted]
             if any(f == "" for f in fields):
-                n_dropped += 1
+                dropped_lines.append(line_no)
                 continue
             try:
                 values = [float(f) for f in fields]
@@ -170,10 +185,21 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
                 )
             rows.append(values)
 
+    n_dropped = len(dropped_lines)
     if not rows:
         raise DataError(f"{path}: no complete rows after dropping {n_dropped} with missing values")
 
     data = np.array(rows)
+    if not np.isfinite(data).all():
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(data))[0])
+        line_no = row + 2
+        for dropped in dropped_lines:  # ascending; each one shifts the row down
+            if dropped <= line_no:
+                line_no += 1
+        raise DataError(
+            f"{path}, line {line_no}: column {wanted[col]!r} is "
+            f"{float(data[row, col])!r}, not a finite number"
+        )
     y = data[:, 0]
     n_predictors = 1 + len(spec.covariates)
     X = np.column_stack([np.ones(len(rows)), data[:, 1:1 + n_predictors]])

@@ -129,8 +129,14 @@ def _feasible(eta: np.ndarray, fam: _Family) -> bool:
 
 
 def fit_glm(ds: Dataset, family_link: str, *, tol: float = DEVIANCE_TOL,
-            max_iter: int = MAX_ITERATIONS) -> FitResult:
+            max_iter: int = MAX_ITERATIONS,
+            beta0: np.ndarray | None = None) -> FitResult:
     """Maximum-likelihood fit of ``family_link`` to ``ds`` via IRLS.
+
+    ``beta0`` starts the iteration from given coefficients instead of the
+    intercept-only start; resampling loops pass the full-data estimate,
+    which is close to every replicate's optimum. Its linear predictor must
+    be feasible for the family.
 
     Raises NonIdentifiableError for collinear designs and
     NonConvergenceError when the iteration limit is hit or no feasible
@@ -147,9 +153,19 @@ def fit_glm(ds: Dataset, family_link: str, *, tol: float = DEVIANCE_TOL,
         raise NonConvergenceError(
             f"outcome has no variation (weighted mean {ybar:g}); coefficients diverge"
         )
-    beta = np.zeros(p)
-    beta[0] = fam.start_intercept(ybar)
-    eta = X @ beta
+    if beta0 is None:
+        beta = np.zeros(p)
+        beta[0] = fam.start_intercept(ybar)
+        eta = X @ beta
+    else:
+        beta = np.array(beta0, dtype=float)
+        if beta.shape != (p,) or not np.all(np.isfinite(beta)):
+            raise ValueError(
+                f"beta0 must be {p} finite coefficients, got shape {beta.shape}"
+            )
+        eta = X @ beta
+        if not _feasible(eta, fam):
+            raise ValueError(f"beta0 is not a feasible start for {family_link}")
     dev = fam.deviance(y, eta, pw)
     path = [dev]
 

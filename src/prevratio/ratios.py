@@ -17,8 +17,9 @@ that reads as a one-unit increase from zero.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -33,6 +34,9 @@ METHOD_LABELS = (
     "POR", "CPR", "MPR", "LogBinomial", "RobustPoisson",
     "MantelHaenszel", "Schouten", "Crude",
 )
+
+#: estimators that bootstrap_prs can resample
+BOOTSTRAP_ESTIMATORS = ("CPR", "MPR")
 
 _MIN_DENOMINATOR = 1e-12
 
@@ -266,54 +270,109 @@ def _percentile_interval(point: float, draws: np.ndarray,
                             upper=float(upper), level=level)
 
 
-def bootstrap_pr(ds: Dataset, estimator: str, reps: int, *, seed: int,
-                 level: float = 0.95,
-                 at: Mapping[str, float] | None = None) -> PrEstimate:
-    """Case-resampling percentile bootstrap for the CPR or MPR.
+def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
+                  seed: int, level: float = 0.95,
+                  at: Mapping[str, float] | None = None
+                  ) -> dict[str, PrEstimate | Exception]:
+    """Case-resampling percentile bootstrap for the CPR and/or MPR.
 
     The point estimate stays the full-data estimate; the interval comes
     from the percentiles of the replicate estimates. Replicate r draws its
     resample from an independent substream derived from (seed, r), so the
-    result does not depend on execution order. Replicates whose refit
-    fails are dropped and counted; more than 20% failures is an error.
+    result does not depend on execution order. Each resample is refitted
+    once, as the drawn rows weighted by how often they were drawn and
+    starting from the full-data coefficients, and every requested
+    estimator is read off that one fit.
+
+    A failed refit counts against every estimator; an estimator that fails
+    on its own counts against itself only. Each estimator maps to its
+    estimate, or to the error that stopped it: its full-data estimate
+    failed (a PrevRatioError, or ValueError for an unusable ``at``), or
+    more than 20% of its replicates failed (NonConvergenceError). One
+    estimator's failure leaves the others' results intact.
     """
-    if estimator not in ("CPR", "MPR"):
-        raise ValueError(f"estimator must be 'CPR' or 'MPR', got {estimator!r}")
+    estimators = tuple(dict.fromkeys(estimators))
+    if not estimators or any(e not in BOOTSTRAP_ESTIMATORS for e in estimators):
+        raise ValueError(
+            f"estimators must be 'CPR' and/or 'MPR', got {estimators!r}"
+        )
     if reps < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {reps}")
 
-    def estimate(data: Dataset) -> float:
-        f = fit_glm(data, "binomial-logit")
-        if estimator == "CPR":
-            return conditional_pr(f, data, level, at=at).point
-        return marginal_pr(f, data, level).point
+    def estimate(name: str, fit: FitResult, data: Dataset) -> float:
+        if name == "CPR":
+            return conditional_pr(fit, data, level, at=at).point
+        return marginal_pr(fit, data, level).point
 
-    full = estimate(ds)
+    try:
+        full_fit = fit_glm(ds, "binomial-logit")
+    except PrevRatioError as exc:
+        return dict.fromkeys(estimators, exc)
+    results: dict[str, PrEstimate | Exception] = {}
+    full: dict[str, float] = {}
+    for name in estimators:
+        try:
+            full[name] = estimate(name, full_fit, ds)
+        except (PrevRatioError, ValueError) as exc:
+            results[name] = exc
+    if not full:
+        return results
+
     n = ds.n
-    draws = []
-    failures = 0
+    draws: dict[str, list[float]] = {name: [] for name in full}
+    failures: dict[str, Counter] = {name: Counter() for name in full}
     for r in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        idx = rng.integers(0, n, size=n)
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        data = ds.frequency_weighted(counts)
         try:
-            draws.append(estimate(ds.take_rows(idx)))
-        except PrevRatioError:
-            failures += 1
-    if failures > 0.2 * reps:
-        raise NonConvergenceError(
-            f"{failures} of {reps} bootstrap replicates failed to converge; "
-            "resampling is unstable on this dataset"
+            fit = fit_glm(data, "binomial-logit", beta0=full_fit.beta)
+        except PrevRatioError as exc:
+            for name in full:
+                failures[name][type(exc).__name__] += 1
+            continue
+        for name in full:
+            try:
+                draws[name].append(estimate(name, fit, data))
+            except PrevRatioError as exc:
+                failures[name][type(exc).__name__] += 1
+
+    for name, point in full.items():
+        n_failed = sum(failures[name].values())
+        reasons = dict(sorted(failures[name].items()))
+        if n_failed > 0.2 * reps:
+            results[name] = NonConvergenceError(
+                f"{n_failed} of {reps} bootstrap replicates failed "
+                f"({', '.join(f'{k}: {v}' for k, v in reasons.items())}); "
+                "resampling is unstable on this dataset"
+            )
+            continue
+        results[name] = PrEstimate(
+            method=name,
+            interval=_percentile_interval(point, np.array(draws[name]), level),
+            exposure=ds.exposure_name,
+            metadata={
+                "se_scale": "ratio",
+                "interval_type": "percentile bootstrap",
+                "replicates": reps,
+                "failed_replicates": n_failed,
+                "failure_reasons": reasons,
+                "seed": seed,
+            },
         )
-    interval = _percentile_interval(full, np.array(draws), level)
-    return PrEstimate(
-        method=estimator,
-        interval=interval,
-        exposure=ds.exposure_name,
-        metadata={
-            "se_scale": "ratio",
-            "interval_type": "percentile bootstrap",
-            "replicates": reps,
-            "failed_replicates": failures,
-            "seed": seed,
-        },
-    )
+    return {name: results[name] for name in estimators}
+
+
+def bootstrap_pr(ds: Dataset, estimator: str, reps: int, *, seed: int,
+                 level: float = 0.95,
+                 at: Mapping[str, float] | None = None) -> PrEstimate:
+    """Percentile bootstrap for one estimator, 'CPR' or 'MPR'.
+
+    Same as :func:`bootstrap_prs` for that estimator alone, except that
+    the error that stopped it is raised.
+    """
+    result = bootstrap_prs(ds, (estimator,), reps, seed=seed, level=level,
+                           at=at)[estimator]
+    if isinstance(result, Exception):
+        raise result
+    return result

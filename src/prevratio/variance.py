@@ -22,7 +22,7 @@ _STD_NORMAL = NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Standard-normal inverse CDF (rational approximation, |err| << 1e-9)."""
+    """Standard-normal inverse CDF, from ``statistics.NormalDist``."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile probability must be in (0, 1), got {p}")
     return _STD_NORMAL.inv_cdf(p)

@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import pytest
 
-from prevratio import ToyConfig, simulate_toy, write_csv
+from prevratio import ToyConfig, cli, fit_glm, ratios, simulate_toy, write_csv
 from prevratio.cli import (DEFAULT_ESTIMATE_METHODS, RunConfig, main,
                            render_payload)
 
@@ -112,6 +113,45 @@ class TestEstimate:
         assert first == second
         assert "percentile bootstrap, 150 reps, seed 3" in first
 
+    def test_boot_fits_each_resample_once(self, capsys, toy_csv, monkeypatch):
+        families = []
+
+        def counting_fit(ds, family_link, **kwargs):
+            families.append(family_link)
+            return fit_glm(ds, family_link, **kwargs)
+        monkeypatch.setattr(ratios, "fit_glm", counting_fit)
+        monkeypatch.setattr(cli, "fit_glm", counting_fit)
+        boot = ("--boot", "150", "--format", "json")
+        _, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
+        assert families.count("binomial-logit") == 151
+        rows = json.loads(out)["rows"]
+        for row, method in zip(rows, ("cpr", "mpr")):
+            _, alone, _ = run_estimate(capsys, toy_csv, "--methods", method, *boot)
+            (single,) = json.loads(alone)["rows"]
+            assert row["status"] == single["status"] == "ok"
+            for key in ("pr", "lower", "upper", "se"):
+                assert row[key] == pytest.approx(single[key], rel=1e-9)
+
+    @pytest.mark.parametrize("at", ["z=-1000", "x=1"])
+    def test_boot_failure_of_one_estimator_keeps_the_other(self, capsys,
+                                                           toy_csv, at):
+        code, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr",
+                                    "--boot", "100", "--at", at,
+                                    "--format", "json")
+        assert code == 0
+        statuses = [r["status"] for r in json.loads(out)["rows"]]
+        assert statuses == ["failed", "ok"]
+
+    def test_non_finite_covariate_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("y,x,z\n1,1,0.5\n0,0,nan\n1,0,1.5\n0,1,2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(ESTIMATE_ARGS + ["--input", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3: column 'z'" in err
+
     def test_boot_below_floor_rejected(self, capsys, toy_csv):
         with pytest.raises(SystemExit) as exc:
             run_estimate(capsys, toy_csv, "--boot", "50")
@@ -165,6 +205,14 @@ class TestSimulate:
         second = capsys.readouterr().out
         assert first == second
         assert "CPR" in first and "coverage" in first
+
+    def test_explicit_methods_keep_given_order(self, capsys):
+        main(["simulate", "--reps", "100", "--n", "250", "--seed", "6",
+              "--methods", "robustpoisson,logbinomial,por,cpr,mpr,schouten",
+              "--format", "json"])
+        blob = json.loads(capsys.readouterr().out)
+        assert [m["method"] for m in blob["methods"]] == [
+            "RobustPoisson", "LogBinomial", "POR", "CPR", "MPR", "Schouten"]
 
     def test_json_format_parses(self, capsys):
         main(["simulate", "--reps", "100", "--n", "250", "--seed", "6",

@@ -54,6 +54,26 @@ class TestDataset:
         with pytest.raises(DataError):
             self.make(weights=np.array([1.0, 0.0, 1.0]))
 
+    def test_non_finite_design_names_column(self):
+        z = np.array([0.5, np.nan, 1.0])
+        with pytest.raises(DataError, match="'z'"):
+            self.make(X=np.column_stack([np.ones(3), [1.0, 0.0, 1.0], z]),
+                      column_names=(INTERCEPT_NAME, "x", "z"))
+        with pytest.raises(DataError, match="'x'"):
+            self.make(X=np.column_stack([np.ones(3), [1.0, np.inf, 1.0]]))
+
+    def test_weights_must_be_finite(self):
+        with pytest.raises(DataError, match="finite"):
+            self.make(weights=np.array([1.0, np.inf, 1.0]))
+
+    def test_frequency_weighted_keeps_drawn_rows(self):
+        ds = self.make(weights=np.array([1.0, 2.0, 3.0]))
+        sub = ds.frequency_weighted(np.array([2, 0, 1]))
+        assert np.array_equal(sub.y, [1.0, 1.0])
+        assert np.array_equal(sub.X, ds.X[[0, 2]])
+        assert np.array_equal(sub.weights, [2.0, 3.0])
+        assert sub.column_names == ds.column_names
+
     def test_name_count_must_match(self):
         with pytest.raises(DataError):
             self.make(column_names=(INTERCEPT_NAME, "x", "extra"))
@@ -130,6 +150,19 @@ class TestCsv:
         path = self.write(tmp_path, "y,x,z\n1,1,0.5\n0,oops,1.0\n")
         with pytest.raises(DataError, match="line 3"):
             load_csv(path, toy_spec)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cites_column_and_line(self, tmp_path, toy_spec, value):
+        # the dropped line 3 shifts the bad row to line 5
+        path = self.write(tmp_path,
+                          f"y,x,z\n1,1,0.5\n0,,1.0\n1,0,2.0\n0,1,{value}\n")
+        with pytest.raises(DataError, match=r"line 5: column 'z'"):
+            load_csv(path, toy_spec)
+
+    def test_non_finite_weight_cites_column(self, tmp_path, toy_spec):
+        path = self.write(tmp_path, "y,x,z,w\n1,1,0.5,nan\n0,0,1.0,3\n")
+        with pytest.raises(DataError, match=r"line 2: column 'w'"):
+            load_csv(path, toy_spec, weight_column="w")
 
     def test_non_binary_outcome_cites_line(self, tmp_path, toy_spec):
         path = self.write(tmp_path, "y,x,z\n1,1,0.5\n2,0,1.0\n")

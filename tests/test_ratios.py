@@ -5,10 +5,12 @@ import pytest
 from scipy.special import expit
 
 from prevratio import (Dataset, DegenerateDenominatorError, FitResult,
-                       INTERCEPT_NAME, NonConvergenceError, StratifiedTable,
-                       ToyConfig, bootstrap_pr, conditional_pr, crude_pr,
-                       fit_glm, log_binomial_pr, marginal_pr,
-                       prevalence_odds_ratio, robust_poisson_pr, simulate_toy)
+                       INTERCEPT_NAME, NonConvergenceError, PrEstimate,
+                       StratifiedTable, ToyConfig, bootstrap_pr, bootstrap_prs,
+                       conditional_pr, crude_pr, fit_glm, log_binomial_pr,
+                       marginal_pr, prevalence_odds_ratio, robust_poisson_pr,
+                       simulate_toy)
+from prevratio import ratios
 from prevratio.ratios import _percentile_interval
 from conftest import table_dataset, random_logistic_dataset
 
@@ -274,6 +276,109 @@ class TestBootstrap:
         iv = _percentile_interval(2.0, np.full(150, 2.0), 0.95)
         assert (iv.lower, iv.point, iv.upper) == (2.0, 2.0, 2.0)
         assert iv.se == 0.0
+
+
+def row_copy_bootstrap(ds, estimator, reps, seed, level=0.95):
+    """Reference loop: copy each resample's rows, refit cold, one estimator."""
+    def estimate(data):
+        fit = fit_glm(data, "binomial-logit")
+        if estimator == "CPR":
+            return conditional_pr(fit, data, level).point
+        return marginal_pr(fit, data, level).point
+
+    draws = []
+    for r in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        draws.append(estimate(ds.take_rows(rng.integers(0, ds.n, size=ds.n))))
+    alpha = (1.0 - level) / 2.0
+    lower, upper = np.quantile(draws, [alpha, 1.0 - alpha])
+    return estimate(ds), float(np.std(draws, ddof=1)), lower, upper
+
+
+def failing_after(fn, fail_calls):
+    """``fn`` raising DegenerateDenominatorError on the given 1-based calls."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) in fail_calls:
+            raise DegenerateDenominatorError("forced failure")
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestSharedBootstrap:
+    @pytest.mark.parametrize("seed", [2, 11])
+    def test_matches_row_copy_refits(self, toy_ds, seed):
+        shared = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=seed)
+        for name in ("CPR", "MPR"):
+            iv = shared[name].interval
+            point, se, lower, upper = row_copy_bootstrap(toy_ds, name, 100, seed)
+            assert iv.point == pytest.approx(point, rel=1e-9)
+            assert iv.se == pytest.approx(se, rel=1e-9)
+            assert iv.lower == pytest.approx(lower, rel=1e-9)
+            assert iv.upper == pytest.approx(upper, rel=1e-9)
+
+    def test_same_seed_bit_identical(self, toy_ds):
+        a = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=9)
+        b = bootstrap_prs(toy_ds, ("MPR", "CPR"), 100, seed=9)
+        assert a["CPR"].interval == b["CPR"].interval
+        assert a["MPR"].interval == b["MPR"].interval
+        assert bootstrap_pr(toy_ds, "MPR", 100, seed=9).interval == a["MPR"].interval
+
+    def test_estimator_failure_counts_against_itself_only(self, toy_ds,
+                                                          monkeypatch):
+        alone = bootstrap_prs(toy_ds, ("MPR",), 100, seed=4)["MPR"]
+        # call 1 is the full-data estimate; calls 3 and 8 are replicates
+        monkeypatch.setattr(ratios, "conditional_pr",
+                            failing_after(conditional_pr, {3, 8}))
+        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        assert out["CPR"].metadata["failed_replicates"] == 2
+        assert out["CPR"].metadata["failure_reasons"] == {
+            "DegenerateDenominatorError": 2}
+        assert out["MPR"].metadata["failed_replicates"] == 0
+        assert out["MPR"].metadata["failure_reasons"] == {}
+        assert out["MPR"].interval == alone.interval
+
+    def test_failed_refit_counts_against_every_estimator(self, toy_ds,
+                                                         monkeypatch):
+        calls = []
+
+        def flaky_fit(ds, family_link, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise NonConvergenceError("forced failure")
+            return fit_glm(ds, family_link, **kwargs)
+        monkeypatch.setattr(ratios, "fit_glm", flaky_fit)
+        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        assert len(calls) == 101
+        for est in out.values():
+            assert est.metadata["failed_replicates"] == 1
+            assert est.metadata["failure_reasons"] == {"NonConvergenceError": 1}
+
+    def test_unstable_estimator_fails_alone(self, toy_ds, monkeypatch):
+        def patch():
+            monkeypatch.setattr(ratios, "conditional_pr", failing_after(
+                conditional_pr, set(range(2, 102))))
+        patch()
+        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        assert isinstance(out["CPR"], NonConvergenceError)
+        assert "DegenerateDenominatorError: 100" in str(out["CPR"])
+        assert isinstance(out["MPR"], PrEstimate)
+        patch()
+        with pytest.raises(NonConvergenceError):
+            bootstrap_pr(toy_ds, "CPR", 100, seed=4)
+
+    def test_full_data_failure_is_per_estimator(self, toy_ds):
+        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4,
+                            at={"z": -1000.0})
+        assert isinstance(out["CPR"], DegenerateDenominatorError)
+        assert isinstance(out["MPR"], PrEstimate)
+
+    def test_rejects_bad_estimators(self, toy_ds):
+        for bad in ((), ("CPR", "POR")):
+            with pytest.raises(ValueError):
+                bootstrap_prs(toy_ds, bad, 100, seed=1)
 
 
 class TestCrudeReference:
