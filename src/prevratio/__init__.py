@@ -12,8 +12,7 @@ from .classical import (StratifiedTable, crude_pr, crude_table,
                         mantel_haenszel_pr, schouten_expand, schouten_pr,
                         stratified_from_dataset)
 from .data import (Dataset, EXPOSURE_COL, FAMILY_LINKS, INTERCEPT_NAME,
-                   ModelSpec, covariate_means, load_csv, set_exposure_value,
-                   write_csv)
+                   ModelSpec, covariate_means, load_csv, write_csv)
 from .errors import (DataError, DegenerateDenominatorError,
                      NonConvergenceError, NonIdentifiableError,
                      PrevRatioError, RankDeficientError)
@@ -73,7 +72,6 @@ __all__ = [
     "schouten_expand",
     "schouten_pr",
     "separation_check",
-    "set_exposure_value",
     "simulate_toy",
     "spd_inverse",
     "spd_solve",

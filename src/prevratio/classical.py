@@ -235,14 +235,17 @@ def stratified_from_dataset(ds: Dataset) -> StratifiedTable:
         raise DataError(
             "stratified pooling requires all-binary exposure and covariates"
         )
-    patterns = {}
-    for i in range(ds.n):
-        key = tuple(covs[i])
-        cells = patterns.setdefault(key, [0.0, 0.0, 0.0, 0.0])
-        w = float(ds.weights[i])
-        if exposure[i] == 1.0:
-            cells[0 if ds.y[i] == 1.0 else 1] += w
-        else:
-            cells[2 if ds.y[i] == 1.0 else 3] += w
-    strata = tuple(tuple(patterns[key]) for key in sorted(patterns))
+    # strata numbered in the order sorted() gives the pattern tuples: a
+    # stable sort on the last column, then on each earlier one
+    order = np.lexsort(covs.T[::-1]) if covs.shape[1] else np.arange(ds.n)
+    ranked = covs[order]
+    starts = np.ones(ds.n, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    stratum = np.empty(ds.n, dtype=np.intp)
+    stratum[order] = np.cumsum(starts) - 1
+    cell = np.where(exposure == 1.0, 0, 2) + (ds.y != 1.0)
+    # bincount adds the weights in row order, as a per-row loop would
+    sums = np.bincount(4 * stratum + cell, weights=ds.weights,
+                       minlength=4 * int(starts.sum()))
+    strata = tuple(tuple(row) for row in sums.reshape(-1, 4).tolist())
     return StratifiedTable(strata=strata)

@@ -9,7 +9,9 @@ across concurrent estimator runs.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -131,13 +133,6 @@ class Dataset:
                        weights=self.weights[keep] * counts[keep])
 
 
-def set_exposure_value(ds: Dataset, value: float) -> Dataset:
-    """Copy of ``ds`` with the exposure column overwritten by a constant."""
-    X = np.array(ds.X)
-    X[:, EXPOSURE_COL] = float(value)
-    return replace(ds, X=X)
-
-
 def covariate_means(ds: Dataset) -> np.ndarray:
     """Weighted mean of every design column (element 0 is exactly 1)."""
     w = ds.weights
@@ -150,10 +145,109 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
     The file must have a header row; referenced columns must exist. Empty
     fields are treated as missing and rows with any missing value in a
     referenced column are dropped (the count lands in ``n_dropped``).
+
+    numpy's C parser reads the referenced columns. Files it cannot read
+    exactly as the csv module would (quotes, short rows, whitespace-only,
+    non-numeric or non-finite fields, a non-0/1 outcome, a blank first
+    data line, a letter n in a file with empty fields) are read row by row
+    instead, which gives the same arrays and the errors that cite the file
+    line.
     """
     wanted = [spec.outcome, spec.exposure, *spec.covariates]
     if weight_column is not None:
         wanted.append(weight_column)
+    parsed = _parse_columns(path, wanted)
+    data, n_dropped = parsed if parsed is not None else _parse_rows(path, spec, wanted)
+
+    y = data[:, 0]
+    n_predictors = 1 + len(spec.covariates)
+    X = np.column_stack([np.ones(len(data)), data[:, 1:1 + n_predictors]])
+    weights = data[:, -1] if weight_column is not None else None
+    names = (INTERCEPT_NAME, spec.exposure, *spec.covariates)
+    return Dataset(y=y, X=X, column_names=names, weights=weights,
+                   n_dropped=n_dropped, spec=spec)
+
+
+_SCAN_CHARS = 1 << 20
+
+
+def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
+    """The ``wanted`` columns via ``np.loadtxt``, or None to defer to the row loop.
+
+    Returns ``(data, n_dropped)`` only when it equals what ``_parse_rows``
+    returns. The file is read once in chunks to count its records and look
+    for quotes, then parsed from disk, so a file without empty fields is
+    never held in memory whole.
+    """
+    with open(path) as handle:  # universal newlines, as np.loadtxt reads the file
+        first = handle.readline()
+        if not first or '"' in first:
+            return None
+        header = next(csv.reader([first]), [])
+        if any(name not in header for name in wanted):
+            return None
+        chunk = handle.read(_SCAN_CHARS)
+        # no records, or a blank first one (np.loadtxt warns on all-blank input)
+        if not chunk or chunk[0] == "\n":
+            return None
+        n_records, quoted = 0, False
+        while chunk:
+            n_records += chunk.count("\n")
+            quoted = quoted or '"' in chunk
+            last = chunk[-1]
+            chunk = handle.read(_SCAN_CHARS)
+    n_records += last != "\n"
+    if quoted:
+        return None
+
+    read = partial(np.loadtxt, delimiter=",", usecols=[header.index(name) for name in wanted],
+                   comments=None, ndmin=2)
+    try:
+        data = read(path, skiprows=1)
+    except ValueError:  # an empty field, or input only the row loop can judge
+        with open(path) as handle:
+            handle.readline()
+            body = _spell_missing_as_nan(handle.read())
+        if body is None:
+            return None
+        try:
+            data = read(io.StringIO(body))
+        except ValueError:
+            return None
+        data = data[~np.isnan(data).any(axis=1)]
+    y = data[:, 0]
+    if len(data) == 0 or not np.isfinite(data).all() or not np.all((y == 0.0) | (y == 1.0)):
+        return None
+    # every record the row loop keeps is a row here; np.loadtxt skips blank
+    # lines, which the row loop drops, so they count as dropped either way
+    return data, n_records - len(data)
+
+
+def _spell_missing_as_nan(body: str) -> str | None:
+    """``body`` with every empty field written as ``nan``.
+
+    None when ``body`` has an n or N: its own nan or inf would then be
+    taken for a missing field rather than rejected.
+    """
+    if "n" in body or "N" in body:
+        return None
+    # ",," twice: replace() does not rescan the comma it just wrote, so ",,,"
+    # keeps one empty field after the first pass
+    for old, new in ((",,", ",nan,"), (",,", ",nan,"), ("\n,", "\nnan,"), (",\n", ",nan\n")):
+        body = body.replace(old, new)
+    if body.startswith(","):
+        body = "nan" + body
+    if body.endswith(","):
+        body += "nan"
+    return body
+
+
+def _parse_rows(path, spec: ModelSpec, wanted: list[str]) -> tuple[np.ndarray, int]:
+    """The ``wanted`` columns read record by record with the csv module.
+
+    Returns ``(data, n_dropped)``; raises DataError citing the file line
+    for a non-numeric or non-finite field and for a non-0/1 outcome.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -200,13 +294,7 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
             f"{path}, line {line_no}: column {wanted[col]!r} is "
             f"{float(data[row, col])!r}, not a finite number"
         )
-    y = data[:, 0]
-    n_predictors = 1 + len(spec.covariates)
-    X = np.column_stack([np.ones(len(rows)), data[:, 1:1 + n_predictors]])
-    weights = data[:, -1] if weight_column is not None else None
-    names = (INTERCEPT_NAME, spec.exposure, *spec.covariates)
-    return Dataset(y=y, X=X, column_names=names, weights=weights,
-                   n_dropped=n_dropped, spec=spec)
+    return data, n_dropped
 
 
 def write_csv(ds: Dataset, path, *, weight_column: str = "weight") -> None:

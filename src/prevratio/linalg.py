@@ -1,14 +1,15 @@
 """Dense symmetric positive-definite helpers used by the model fitters.
 
-Matrices are plain 2-D float numpy arrays (row-major). The solver is a
-small unblocked Cholesky: problems here are tiny (p <= ~30), and owning
-the factorization gives exact control over the rank-deficiency check.
+Matrices are plain 2-D float numpy arrays (row-major). The solver is
+LAPACK's Cholesky (dpotrf/dpotrs); the rank-deficiency check reads the
+pivots off the factor, so it names the column a column-by-column
+factorization would stop at.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import RankDeficientError
 
@@ -16,6 +17,8 @@ from .errors import RankDeficientError
 _SYM_TOL = 1e-10
 # pivot <= _PIVOT_REL * max diagonal flags a rank-deficient column
 _PIVOT_REL = 1e-12
+# the text of scipy's own finiteness checks
+_NOT_FINITE = "array must not contain infs or NaNs"
 
 
 def weighted_cross_product(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -46,18 +49,24 @@ def _require_symmetric(A: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L' = A; raises RankDeficientError on bad pivots."""
+    """Lower-triangular L with L L' = A; raises RankDeficientError on bad pivots.
+
+    The bad column is the first whose squared pivot is at most the
+    threshold, or else the one at which LAPACK found A not positive
+    definite.
+    """
     A = _require_symmetric(A)
-    n = A.shape[0]
-    threshold = _PIVOT_REL * max(float(np.max(np.diag(A))) if n else 0.0, 0.0)
-    L = np.zeros_like(A)
-    for j in range(n):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= threshold:
-            raise RankDeficientError(j)
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    if np.isnan(A).any():
+        raise ValueError(_NOT_FINITE)
+    threshold = _PIVOT_REL * max(float(np.max(np.diag(A))) if A.size else 0.0, 0.0)
+    L, info = dpotrf(A, lower=1)
+    factored = L.shape[0] if info == 0 else info - 1
+    # not (> threshold) also catches a NaN pivot from an infinite entry
+    bad = np.flatnonzero(~(np.diag(L)[:factored] ** 2 > threshold))
+    if bad.size:
+        raise RankDeficientError(int(bad[0]))
+    if info != 0:
+        raise RankDeficientError(info - 1)
     return L
 
 
@@ -67,14 +76,14 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     L = _cholesky(A)
     if b.shape[0] != L.shape[0]:
         raise ValueError(f"right-hand side has length {b.shape[0]}, expected {L.shape[0]}")
-    y = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, y, lower=False)
+    if not np.isfinite(b).all():
+        raise ValueError(_NOT_FINITE)
+    x, _ = dpotrs(L, b, lower=1)
+    return x
 
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix, returned symmetric."""
     L = _cholesky(A)
-    eye = np.eye(L.shape[0])
-    y = solve_triangular(L, eye, lower=True)
-    inv = solve_triangular(L.T, y, lower=False)
+    inv, _ = dpotrs(L, np.eye(L.shape[0]), lower=1)
     return (inv + inv.T) / 2.0

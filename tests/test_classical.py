@@ -10,6 +10,20 @@ from prevratio import (DataError, Dataset, DegenerateDenominatorError,
 from conftest import table_dataset
 
 
+def stratify_by_row_loop(ds):
+    """Reference cross-tabulation: one dict entry per covariate pattern."""
+    exposure, covs = ds.X[:, 1], ds.X[:, 2:]
+    patterns = {}
+    for i in range(ds.n):
+        cells = patterns.setdefault(tuple(covs[i]), [0.0, 0.0, 0.0, 0.0])
+        w = float(ds.weights[i])
+        if exposure[i] == 1.0:
+            cells[0 if ds.y[i] == 1.0 else 1] += w
+        else:
+            cells[2 if ds.y[i] == 1.0 else 3] += w
+    return tuple(tuple(patterns[key]) for key in sorted(patterns))
+
+
 class TestStratifiedTable:
     def test_requires_a_stratum(self):
         with pytest.raises(DataError):
@@ -217,6 +231,18 @@ class TestDatasetTabulation:
         t = stratified_from_dataset(ds)
         assert t.strata == ((10.0, 90.0, 5.0, 95.0), (30.0, 20.0, 15.0, 35.0))
         assert mantel_haenszel_pr(t).point == pytest.approx(2.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n_covariates", [0, 1, 3])
+    def test_stratified_matches_row_loop(self, n_covariates):
+        rng = np.random.default_rng(21 + n_covariates)
+        n = 500
+        covs = (rng.random((n, n_covariates)) < 0.4).astype(float)
+        covs[(rng.random(covs.shape) < 0.1) & (covs == 0.0)] = -0.0  # same pattern as 0.0
+        X = np.column_stack([np.ones(n), (rng.random(n) < 0.5).astype(float), covs])
+        names = (INTERCEPT_NAME, "x") + tuple(f"c{j}" for j in range(n_covariates))
+        ds = Dataset(y=(rng.random(n) < 0.3).astype(float), X=X, column_names=names,
+                     weights=rng.uniform(0.1, 3.0, n))
+        assert stratified_from_dataset(ds).strata == stratify_by_row_loop(ds)
 
     def test_stratified_requires_binary_covariates(self, toy_ds):
         with pytest.raises(DataError, match="binary"):

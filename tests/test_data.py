@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from prevratio import (DataError, Dataset, EXPOSURE_COL, INTERCEPT_NAME,
-                       ModelSpec, covariate_means, load_csv,
-                       set_exposure_value, write_csv)
+                       ModelSpec, covariate_means, load_csv, write_csv)
 
 
 class TestModelSpec:
@@ -100,15 +99,6 @@ class TestDataset:
 
 
 class TestHelpers:
-    def test_set_exposure_value(self):
-        y = np.array([1.0, 0.0])
-        X = np.column_stack([np.ones(2), np.array([1.0, 0.0]), np.array([3.0, 4.0])])
-        ds = Dataset(y=y, X=X, column_names=(INTERCEPT_NAME, "x", "z"))
-        one = set_exposure_value(ds, 1.0)
-        assert np.array_equal(one.X[:, EXPOSURE_COL], [1.0, 1.0])
-        assert np.array_equal(one.X[:, 2], ds.X[:, 2])
-        assert np.array_equal(ds.X[:, EXPOSURE_COL], [1.0, 0.0])
-
     def test_covariate_means_weighted(self):
         # values (0, 4) with weights (1, 3): mean (0*1 + 4*3)/4 = 3
         y = np.array([1.0, 0.0])

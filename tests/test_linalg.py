@@ -3,7 +3,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevratio import RankDeficientError, spd_inverse, spd_solve, weighted_cross_product
+from prevratio import (Dataset, INTERCEPT_NAME, NonIdentifiableError, RankDeficientError,
+                       fit_glm, spd_inverse, spd_solve, weighted_cross_product)
+
+
+def loop_cholesky_bad_column(A):
+    """Column at which a column-by-column Cholesky meets a bad pivot, or None."""
+    n = A.shape[0]
+    threshold = 1e-12 * max(float(np.max(np.diag(A))), 0.0)
+    L = np.zeros_like(A)
+    for j in range(n):
+        pivot = A[j, j] - L[j, :j] @ L[j, :j]
+        if pivot <= threshold:
+            return j
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return None
+
+
+def degenerate_design(kind):
+    """Intercept, exposure, two covariates, and one broken column at index 3."""
+    rng = np.random.default_rng(17)
+    n = 60
+    x = (rng.random(n) < 0.5).astype(float)
+    z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
+    broken = {
+        "zero": np.zeros(n),
+        "duplicate": z1.copy(),
+        "near-collinear": z1 + 1e-7 * rng.standard_normal(n),
+    }[kind]
+    X = np.column_stack([np.ones(n), x, z1, broken, z2])
+    y = (rng.random(n) < 0.4).astype(float)
+    return Dataset(y=y, X=X, column_names=(INTERCEPT_NAME, "x", "z1", "bad", "z2"))
 
 
 class TestWeightedCrossProduct:
@@ -95,3 +126,29 @@ class TestSpdInverse:
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(RankDeficientError):
             spd_inverse(A)
+
+
+@pytest.mark.parametrize("kind", ["zero", "duplicate", "near-collinear"])
+class TestRankDeficiencyMatchesLoop:
+    def test_same_column_as_loop(self, kind):
+        ds = degenerate_design(kind)
+        A = weighted_cross_product(ds.X, np.full(ds.n, 0.2))
+        assert loop_cholesky_bad_column(A) == 3
+        with pytest.raises(RankDeficientError) as err:
+            spd_solve(A, np.ones(A.shape[0]))
+        assert err.value.column == 3
+        with pytest.raises(RankDeficientError) as err:
+            spd_inverse(A)
+        assert err.value.column == 3
+
+    def test_fit_names_the_column(self, kind):
+        with pytest.raises(NonIdentifiableError) as err:
+            fit_glm(degenerate_design(kind), "binomial-logit")
+        assert str(err.value) == "design matrix is collinear (column 3, 'bad')"
+
+
+def test_non_finite_right_hand_side_is_value_error():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spd_solve(np.eye(2), np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spd_solve(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
