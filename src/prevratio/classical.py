@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, EXPOSURE_COL
 from .errors import DataError, DegenerateDenominatorError
-from .glm import fit_glm
+from .glm import FitResult, fit_glm
 from .ratios import PrEstimate
 from .variance import interval_from_log_scale, sandwich_vcov
 
@@ -184,7 +184,11 @@ def schouten_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     heuristic rather than exact.
     """
     expanded = schouten_expand(ds)
-    fit = fit_glm(expanded, "binomial-logit")
+    return _schouten_from_fit(fit_glm(expanded, "binomial-logit"), expanded, level)
+
+
+def _schouten_from_fit(fit: FitResult, expanded: Dataset, level: float) -> PrEstimate:
+    """Schouten estimate from the logistic fit to ``schouten_expand``'s output."""
     robust = sandwich_vcov(fit, expanded)
     k = EXPOSURE_COL
     b = float(fit.beta[k])
@@ -193,7 +197,7 @@ def schouten_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     return PrEstimate(
         method="Schouten",
         interval=interval,
-        exposure=ds.exposure_name,
+        exposure=expanded.exposure_name,
         metadata={
             "se_scale": "log",
             "expanded_rows": expanded.n,

@@ -1,15 +1,16 @@
 """Dense symmetric positive-definite helpers used by the model fitters.
 
-Matrices are plain 2-D float numpy arrays (row-major). The solver is
-LAPACK's Cholesky (dpotrf/dpotrs); the rank-deficiency check reads the
-pivots off the factor, so it names the column a column-by-column
-factorization would stop at.
+Matrices are plain float numpy arrays: 2-D for
+``weighted_cross_product``, ``spd_solve`` and ``spd_inverse``, and stacks
+of shape (R, p, p) for the helpers the batched IRLS kernel uses. The
+factorization is numpy's Cholesky, one call per stack. The
+rank-deficiency check reads the pivots off the factor, so it names the
+column a column-by-column factorization would stop at.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import RankDeficientError
 
@@ -17,8 +18,24 @@ from .errors import RankDeficientError
 _SYM_TOL = 1e-10
 # pivot <= _PIVOT_REL * max diagonal flags a rank-deficient column
 _PIVOT_REL = 1e-12
-# the text of scipy's own finiteness checks
+# the message for a NaN matrix or a non-finite right-hand side
 _NOT_FINITE = "array must not contain infs or NaNs"
+# rows of X per chunk of X'WX; fixed, so no problem's sum depends on its stack
+_GRAM_ROWS = 1 << 14
+
+
+def gram_stack(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X'WX for every problem of a stack: X (R, n, p), w (R, n) -> (R, p, p).
+
+    Rows are summed in chunks of a fixed length, so a single long design
+    is never copied whole. Each result is made exactly symmetric.
+    """
+    R, n, p = X.shape
+    A = np.zeros((R, p, p))
+    for start in range(0, n, _GRAM_ROWS):
+        chunk = X[:, start:start + _GRAM_ROWS]
+        A += np.matmul(chunk.transpose(0, 2, 1), w[:, start:start + _GRAM_ROWS, None] * chunk)
+    return (A + A.transpose(0, 2, 1)) / 2.0
 
 
 def weighted_cross_product(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -34,8 +51,7 @@ def weighted_cross_product(X: np.ndarray, w: np.ndarray) -> np.ndarray:
         )
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    A = X.T @ (w[:, None] * X)
-    return (A + A.T) / 2.0
+    return gram_stack(X[None], w[None])[0]
 
 
 def _require_symmetric(A: np.ndarray) -> np.ndarray:
@@ -48,26 +64,59 @@ def _require_symmetric(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L' = A; raises RankDeficientError on bad pivots.
+def _leading_factor(A: np.ndarray) -> np.ndarray:
+    """Cholesky factor of ``A``, or of its largest leading block that has one.
 
-    The bad column is the first whose squared pivot is at most the
-    threshold, or else the one at which LAPACK found A not positive
-    definite.
+    The block stops before the first leading minor that is not positive
+    definite (LAPACK's ``info``); the columns past it are zero.
     """
+    L = np.zeros_like(A)
+    for k in range(len(A), 0, -1):
+        try:
+            L[:k, :k] = np.linalg.cholesky(A[:k, :k])
+            return L
+        except np.linalg.LinAlgError:
+            continue
+    return L
+
+
+def cholesky_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a (R, p, p) stack and each matrix's bad column.
+
+    ``bad[i]`` is -1 when A[i] is positive definite with every squared
+    pivot above the threshold. Otherwise it is the first column whose
+    squared pivot is at most the threshold, or else the column at which
+    A[i] stops being positive definite; the factor of such a matrix is not
+    usable. The whole stack is factored in one call; only when that fails
+    are the matrices factored one by one.
+    """
+    threshold = _PIVOT_REL * np.max(np.diagonal(A, axis1=1, axis2=2), axis=1, initial=0.0)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        L = np.stack([_leading_factor(a) for a in A])
+    # unfactored columns have a zero pivot; not (> threshold) also catches
+    # a NaN pivot from an infinite entry
+    weak = ~(np.diagonal(L, axis1=1, axis2=2) ** 2 > threshold[:, None])
+    return L, np.where(weak.any(axis=1), np.argmax(weak, axis=1), -1)
+
+
+def inverse_from_factor(L: np.ndarray) -> np.ndarray:
+    """(L L')^-1 for a stack of lower Cholesky factors, made exactly symmetric."""
+    L_inv = np.linalg.inv(L)
+    inv = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
+    return (inv + inv.transpose(0, 2, 1)) / 2.0
+
+
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L' = A; raises RankDeficientError on bad pivots."""
     A = _require_symmetric(A)
     if np.isnan(A).any():
         raise ValueError(_NOT_FINITE)
-    threshold = _PIVOT_REL * max(float(np.max(np.diag(A))) if A.size else 0.0, 0.0)
-    L, info = dpotrf(A, lower=1)
-    factored = L.shape[0] if info == 0 else info - 1
-    # not (> threshold) also catches a NaN pivot from an infinite entry
-    bad = np.flatnonzero(~(np.diag(L)[:factored] ** 2 > threshold))
-    if bad.size:
+    L, bad = cholesky_stack(A[None])
+    if bad[0] >= 0:
         raise RankDeficientError(int(bad[0]))
-    if info != 0:
-        raise RankDeficientError(info - 1)
-    return L
+    return L[0]
 
 
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,12 +127,9 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"right-hand side has length {b.shape[0]}, expected {L.shape[0]}")
     if not np.isfinite(b).all():
         raise ValueError(_NOT_FINITE)
-    x, _ = dpotrs(L, b, lower=1)
-    return x
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix, returned symmetric."""
-    L = _cholesky(A)
-    inv, _ = dpotrs(L, np.eye(L.shape[0]), lower=1)
-    return (inv + inv.T) / 2.0
+    return inverse_from_factor(_cholesky(A)[None])[0]

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, EXPOSURE_COL, INTERCEPT_NAME, covariate_means
 from .errors import DegenerateDenominatorError, NonConvergenceError, PrevRatioError
-from .glm import FitResult, fit_glm
+from .glm import FitResult, expit, fit_glm
 from .variance import (IntervalEstimate, interval_from_log_scale,
                        normal_quantile, sandwich_vcov, wald_ci_log_scale)
 
@@ -167,14 +166,17 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     beta = fit.beta
     w = ds.weights
     wsum = float(w.sum())
+    eta = ds.X @ beta
+    shift = ds.X[:, k] * beta[k]
 
     def arm(value: float) -> tuple[float, np.ndarray]:
-        X = np.array(ds.X)
-        X[:, k] = value
-        p = expit(X @ beta)
+        # every row's predictor with column k set to value, without copying X
+        p = expit(eta + (value * beta[k] - shift))
         avg = float((w * p).sum() / wsum)
-        grad = (X * (w * p * (1.0 - p))[:, None]).sum(axis=0) / wsum
-        return avg, grad
+        slope = w * p * (1.0 - p)
+        grad = ds.X.T @ slope
+        grad[k] = value * slope.sum()
+        return avg, grad / wsum
 
     p1, grad_p1 = arm(1.0)
     p0, grad_p0 = arm(0.0)
@@ -227,7 +229,10 @@ def log_binomial_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     Wald interval. This is the estimator that can fail to converge when
     fitted prevalences are pushed toward 1; failures propagate.
     """
-    fit = fit_glm(ds, "binomial-log")
+    return _log_binomial_from_fit(fit_glm(ds, "binomial-log"), level)
+
+
+def _log_binomial_from_fit(fit: FitResult, level: float) -> PrEstimate:
     k = EXPOSURE_COL
     b = float(fit.beta[k])
     se_log = math.sqrt(float(fit.vcov[k, k]))
@@ -235,7 +240,7 @@ def log_binomial_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     return PrEstimate(
         method="LogBinomial",
         interval=interval,
-        exposure=ds.exposure_name,
+        exposure=fit.column_names[k],
         metadata={"se_scale": "log", "iterations": fit.iterations},
     )
 
@@ -247,7 +252,10 @@ def robust_poisson_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     model-based covariance is replaced by the HC0 sandwich before the
     Wald interval is built.
     """
-    fit = fit_glm(ds, "poisson-log")
+    return _robust_poisson_from_fit(fit_glm(ds, "poisson-log"), ds, level)
+
+
+def _robust_poisson_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
     robust = sandwich_vcov(fit, ds)
     k = EXPOSURE_COL
     b = float(fit.beta[k])

@@ -221,6 +221,16 @@ class TestSimulate:
         assert blob["study"]["replicates"] == 100
         assert blob["methods"][0]["method"] == "CPR"
 
+    def test_json_failure_reasons_top_level(self, capsys):
+        main(["simulate", "--reps", "100", "--n", "250", "--seed", "6",
+              "--methods", "cpr,logbinomial", "--format", "json"])
+        blob = json.loads(capsys.readouterr().out)
+        assert set(blob) == {"study", "truth", "methods", "replicate_estimates",
+                             "replicate_true_cpr", "failure_reasons"}
+        for summary in blob["methods"]:
+            reasons = blob["failure_reasons"][summary["method"]]
+            assert sum(reasons.values()) == summary["n_failed"]
+
     def test_out_writes_json_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["simulate", "--reps", "100", "--n", "250", "--seed", "6",

@@ -135,6 +135,39 @@ class TestMarginalPr:
         assert mw.point == pytest.approx(me.point, rel=1e-14)
         assert mw.interval.se == pytest.approx(me.interval.se, rel=1e-12)
 
+    @staticmethod
+    def copied_arms(fit, ds, k):
+        """Both arms from explicit copies of X with column k set (the old formula)."""
+        beta, w = fit.beta, ds.weights
+        out = []
+        for value in (1.0, 0.0):
+            X = np.array(ds.X)
+            X[:, k] = value
+            p = expit(X @ beta)
+            out.append((float((w * p).sum() / w.sum()),
+                        (X * (w * p * (1.0 - p))[:, None]).sum(axis=0) / w.sum()))
+        (p1, g1), (p0, g0) = out
+        return p1 / p0, (g1 * p0 - g0 * p1) / p0**2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_copied_design(self, seed):
+        # non-unit weights and a continuous contrasted predictor
+        rng = np.random.default_rng(seed)
+        n = 400
+        X = np.column_stack([np.ones(n), rng.standard_normal(n), rng.random(n) < 0.5,
+                             rng.standard_normal(n)])
+        y = (rng.random(n) < expit(X @ [-0.7, 0.4, 0.6, -0.3])).astype(float)
+        ds = Dataset(y=y, X=X, column_names=(INTERCEPT_NAME, "u", "x", "z"),
+                     weights=rng.uniform(0.2, 3.0, n))
+        fit = fit_glm(ds, "binomial-logit")
+        for name, k in (("u", 1), ("x", 2)):
+            est = marginal_pr(fit, ds, predictor=name)
+            pr, grad = self.copied_arms(fit, ds, k)
+            assert est.point == pytest.approx(pr, rel=1e-12)
+            assert est.metadata["gradient"] == pytest.approx(grad, rel=1e-12, abs=1e-15)
+            assert est.interval.se == pytest.approx(math.sqrt(grad @ fit.vcov @ grad),
+                                                    rel=1e-10)
+
     def test_cpr_equals_mpr_when_covariates_constant(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
         n = 8
