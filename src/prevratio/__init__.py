@@ -14,8 +14,8 @@ from .classical import (StratifiedTable, crude_pr, crude_table,
 from .data import (Dataset, EXPOSURE_COL, FAMILY_LINKS, INTERCEPT_NAME,
                    ModelSpec, covariate_means, load_csv, write_csv)
 from .errors import (DataError, DegenerateDenominatorError,
-                     NonConvergenceError, NonIdentifiableError,
-                     PrevRatioError, RankDeficientError)
+                     InvalidArgumentError, NonConvergenceError,
+                     NonIdentifiableError, PrevRatioError, RankDeficientError)
 from .glm import FitResult, fit_glm, predict_prevalence, separation_check
 from .linalg import spd_inverse, spd_solve, weighted_cross_product
 from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_pr, bootstrap_prs,
@@ -39,6 +39,7 @@ __all__ = [
     "FitResult",
     "INTERCEPT_NAME",
     "IntervalEstimate",
+    "InvalidArgumentError",
     "METHOD_LABELS",
     "MethodSummary",
     "ModelSpec",

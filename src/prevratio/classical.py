@@ -4,6 +4,10 @@ Covers the crude ratio from a single 2x2 table, the Mantel-Haenszel
 pooled ratio over strata with the Greenland-Robins variance, and the
 Schouten data-duplication trick that turns a logistic odds ratio into a
 risk ratio by copying every event row with the outcome flipped to 0.
+The Schouten fit never builds the copies: an event row and its copy act
+as one row with outcome 1/2 and twice the weight, which has the same
+likelihood, score and information, so the model is fitted on the
+original rows with the same numbers.
 
 No continuity corrections are applied anywhere: a zero cell that makes a
 ratio undefined or infinite is reported as an error, not patched.
@@ -18,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, EXPOSURE_COL
-from .errors import DataError, DegenerateDenominatorError
-from .glm import FitResult, fit_glm
+from .errors import DataError, DegenerateDenominatorError, PrevRatioError
+from .glm import FitResult, fit_stack, predict_prevalence
 from .ratios import PrEstimate
-from .variance import interval_from_log_scale, sandwich_vcov
+from .variance import _sandwich, interval_from_log_scale
 
 _TABLE_COLUMNS = ("stratum", "a", "b", "c", "d")
 
@@ -174,22 +178,48 @@ def schouten_expand(ds: Dataset) -> Dataset:
     )
 
 
+def _schouten_response(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome and prior weights of the Schouten fit on the original rows.
+
+    An event row with weight w and its copy with outcome 0 together act
+    as one row with outcome 1/2 and weight 2w. Works elementwise, so on
+    stacks of problems too.
+    """
+    return y / (1.0 + y), weights * (1.0 + y)
+
+
 def schouten_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     """Prevalence ratio via logistic regression on duplicated event rows.
 
     exp(beta) for the exposure on the expanded data estimates the ratio
-    directly. Duplicated rows are correlated, so the model-based variance
-    is wrong; a sandwich variance on the expanded data is used instead and
-    the estimate is tagged with a caveat, since that correction is
-    heuristic rather than exact.
+    directly. The model is fitted on the original rows, each event row
+    with outcome 1/2 and twice its prior weight, which gives the same
+    coefficients as fitting :func:`schouten_expand`'s output without
+    copying a row. Duplicated rows are correlated, so the model-based
+    variance is wrong; the row-level HC0 sandwich of the expanded data,
+    also formed on the original rows, is used instead and the estimate is
+    tagged with a caveat, since that correction is heuristic rather than
+    exact. ``expanded_rows`` in the metadata counts the rows of the
+    expanded data.
     """
-    expanded = schouten_expand(ds)
-    return _schouten_from_fit(fit_glm(expanded, "binomial-logit"), expanded, level)
+    y, w = _schouten_response(ds.y, ds.weights)
+    fit = fit_stack(ds.X[None], y[None], w[None], "binomial-logit", ds.column_names,
+                    spec=ds.spec)[0]
+    if isinstance(fit, PrevRatioError):
+        raise fit
+    return _schouten_from_fit(fit, ds, level)
 
 
-def _schouten_from_fit(fit: FitResult, expanded: Dataset, level: float) -> PrEstimate:
-    """Schouten estimate from the logistic fit to ``schouten_expand``'s output."""
-    robust = sandwich_vcov(fit, expanded)
+def _schouten_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
+    """Schouten estimate from the logistic fit to ``ds`` with ``_schouten_response``.
+
+    The expanded data's row-level HC0 meat adds (y - mu)^2 for an event
+    row and mu^2 for its copy, both with weight w^2, so it is the meat of
+    the original rows with squared scores w^2 ((y - mu)^2 + y mu^2).
+    """
+    mu = predict_prevalence(fit, ds.X)
+    y, w = ds.y, ds.weights
+    robust = _sandwich(fit.vcov, ds.X, w**2 * ((y - mu) ** 2 + y * mu**2))
     k = EXPOSURE_COL
     b = float(fit.beta[k])
     se_log = math.sqrt(float(robust[k, k]))
@@ -197,10 +227,10 @@ def _schouten_from_fit(fit: FitResult, expanded: Dataset, level: float) -> PrEst
     return PrEstimate(
         method="Schouten",
         interval=interval,
-        exposure=expanded.exposure_name,
+        exposure=ds.exposure_name,
         metadata={
             "se_scale": "log",
-            "expanded_rows": expanded.n,
+            "expanded_rows": ds.n + int(np.count_nonzero(y == 1.0)),
             "caveat": "sandwich variance on duplicated rows; the exact "
                       "duplication-aware correction is not implemented",
         },

@@ -335,7 +335,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     for method in cfg.methods:
         try:
             rows.append(_row_ok(_run_method(method, ds, cfg, cache)))
-        except (PrevRatioError, ValueError) as err:
+        except PrevRatioError as err:
             rows.append(_row_failed(method, err))
     if "logistic" in cache:
         for warning in separation_check(cache["logistic"]):

@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DataError
+from .linalg import rmatvec_stack
 
 FAMILY_LINKS = ("binomial-logit", "binomial-log", "poisson-log")
 
@@ -135,8 +136,8 @@ class Dataset:
 
 def covariate_means(ds: Dataset) -> np.ndarray:
     """Weighted mean of every design column (element 0 is exactly 1)."""
-    w = ds.weights
-    return (ds.X * w[:, None]).sum(axis=0) / w.sum()
+    totals = rmatvec_stack(ds.X, ds.weights)
+    return totals / totals[0]  # column 0 is all ones, so totals[0] is the weight sum
 
 
 def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Dataset:

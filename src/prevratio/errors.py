@@ -9,6 +9,14 @@ class DataError(PrevRatioError):
     """Invalid or unusable input data (CSV parsing, validation)."""
 
 
+class InvalidArgumentError(PrevRatioError, ValueError):
+    """An argument the data make unusable: a conditioning value the contrast
+    sets, or an interval whose bounds are not representable.
+
+    It is also a ValueError, so code that catches ValueError still catches it.
+    """
+
+
 class RankDeficientError(PrevRatioError):
     """An SPD factorization hit a non-positive pivot.
 

@@ -32,7 +32,8 @@ import numpy as np
 from .data import Dataset, ModelSpec
 from .errors import (NonConvergenceError, NonIdentifiableError, PrevRatioError,
                      RankDeficientError)
-from .linalg import cholesky_stack, gram_stack, inverse_from_factor
+from .linalg import (cholesky_stack, gram_stack, inverse_from_factor, matvec_stack,
+                     rmatvec_stack)
 
 MAX_ITERATIONS = 100
 DEVIANCE_TOL = 1e-8
@@ -147,11 +148,6 @@ class FitResult:
         return float(self.beta[self.column_names.index(name)])
 
 
-def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """X @ beta for each problem: (R, n, p), (R, p) -> (R, n)."""
-    return np.matmul(X, beta[..., None])[..., 0]
-
-
 def _feasible(eta: np.ndarray, fam: _Family) -> np.ndarray:
     return np.isfinite(eta).all(axis=-1) & (eta <= fam.eta_max).all(axis=-1)
 
@@ -186,7 +182,7 @@ def _newton_direction(fam: _Family, X, y, w, eta) -> tuple[np.ndarray, np.ndarra
     score *= w
     if fam.score_scale is not None:
         score *= fam.score_scale(mu)
-    rhs = np.matmul(X.transpose(0, 2, 1), score[..., None])
+    rhs = rmatvec_stack(X, score)[..., None]
     L, status = cholesky_stack(gram_stack(X, w * fam.irls_weight(mu)))
     if (status >= 0).any():
         L[status >= 0] = np.eye(L.shape[-1])  # a stand-in, so the stack solves
@@ -210,7 +206,7 @@ def _newton_step(fam: _Family, X, y, w, beta, eta, dev):
         if not todo.size:
             break
         sub = slice(None) if todo.size == len(eta) else todo
-        eta_c = _matvec(X[sub], cand[sub])
+        eta_c = matvec_stack(X[sub], cand[sub])
         dev_c = _deviance(fam, y[sub], eta_c, w[sub], _feasible(eta_c, fam))
         ok = dev_c <= dev[sub] + _DEV_SLACK * (1.0 + np.abs(dev[sub]))
         won = todo[ok]
@@ -257,7 +253,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
             raise ValueError(
                 f"beta0 must be {p} finite coefficients per problem, got shape {beta.shape}"
             )
-    eta = _matvec(X, beta)
+    eta = matvec_stack(X, beta)
     feasible = _feasible(eta, fam)
     if not feasible[~done].all():
         raise ValueError(f"beta0 is not a feasible start for {family_link}")
@@ -375,7 +371,7 @@ def predict_prevalence(fit: FitResult, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"design has shape {X.shape}, expected (*, {len(fit.beta)})"
         )
-    eta = X @ fit.beta
+    eta = matvec_stack(X, fit.beta)
     if fit.family_link == "binomial-logit":
         return expit(eta)
     mu = np.exp(eta)

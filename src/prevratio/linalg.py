@@ -1,4 +1,10 @@
-"""Dense symmetric positive-definite helpers used by the model fitters.
+"""Row-blocked design products and dense symmetric positive-definite helpers.
+
+Every product over the n rows of a design (X'WX, X beta and X'v) runs
+block by block over a fixed number of rows, small enough that a block
+and its weighted copy stay in a core's cache. The blocks are the same
+for every problem of a stack, so no problem's sums depend on the rest
+of its stack, and no product copies a long design whole.
 
 Matrices are plain float numpy arrays: 2-D for
 ``weighted_cross_product``, ``spd_solve`` and ``spd_inverse``, and stacks
@@ -20,22 +26,40 @@ _SYM_TOL = 1e-10
 _PIVOT_REL = 1e-12
 # the message for a NaN matrix or a non-finite right-hand side
 _NOT_FINITE = "array must not contain infs or NaNs"
-# rows of X per chunk of X'WX; fixed, so no problem's sum depends on its stack
-_GRAM_ROWS = 1 << 14
+# rows per block of every n-row product: fixed, so no problem's sums depend on
+# its stack; at p = 11 a block and its weighted copy (0.7 MB) fit in L2
+_BLOCK_ROWS = 4096
 
 
 def gram_stack(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """X'WX for every problem of a stack: X (R, n, p), w (R, n) -> (R, p, p).
 
-    Rows are summed in chunks of a fixed length, so a single long design
-    is never copied whole. Each result is made exactly symmetric.
+    Each result is made exactly symmetric.
     """
     R, n, p = X.shape
     A = np.zeros((R, p, p))
-    for start in range(0, n, _GRAM_ROWS):
-        chunk = X[:, start:start + _GRAM_ROWS]
-        A += np.matmul(chunk.transpose(0, 2, 1), w[:, start:start + _GRAM_ROWS, None] * chunk)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = X[:, start:start + _BLOCK_ROWS]
+        A += np.matmul(block.transpose(0, 2, 1), w[:, start:start + _BLOCK_ROWS, None] * block)
     return (A + A.transpose(0, 2, 1)) / 2.0
+
+
+def matvec_stack(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """X beta: X (n, p), beta (p,) -> (n,), or per problem (R, n, p), (R, p) -> (R, n)."""
+    out = np.empty(X.shape[:-1])
+    for start in range(0, X.shape[-2], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        out[..., rows] = np.matmul(X[..., rows, :], beta[..., None])[..., 0]
+    return out
+
+
+def rmatvec_stack(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X'v: X (n, p), v (n,) -> (p,), or per problem (R, n, p), (R, n) -> (R, p)."""
+    out = np.zeros(X.shape[:-2] + X.shape[-1:])
+    for start in range(0, X.shape[-2], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        out += np.matmul(v[..., None, rows], X[..., rows, :])[..., 0, :]
+    return out
 
 
 def weighted_cross_product(X: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -24,8 +24,10 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, EXPOSURE_COL, INTERCEPT_NAME, covariate_means
-from .errors import DegenerateDenominatorError, NonConvergenceError, PrevRatioError
+from .errors import (DegenerateDenominatorError, InvalidArgumentError,
+                     NonConvergenceError, PrevRatioError)
 from .glm import FitResult, expit, fit_glm
+from .linalg import matvec_stack, rmatvec_stack
 from .variance import (IntervalEstimate, interval_from_log_scale,
                        normal_quantile, sandwich_vcov, wald_ci_log_scale)
 
@@ -83,9 +85,9 @@ def _conditioning_point(ds: Dataset, k: int,
         for name, value in at.items():
             j = ds.column_index(name)
             if j == 0:
-                raise ValueError("cannot condition on the intercept")
+                raise InvalidArgumentError("cannot condition on the intercept")
             if j == k:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"{name!r} is the contrasted predictor; its value is set "
                     "by the 1-vs-0 contrast"
                 )
@@ -108,6 +110,22 @@ def _delta_interval(pr: float, grad: np.ndarray, vcov: np.ndarray,
     return wald_ci_log_scale(pr, se, level), se
 
 
+def _cpr_point(beta: np.ndarray, ds: Dataset, k: int, at: Mapping[str, float] | None
+               ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The conditioning point with predictor k at 1 and at 0, and the prevalences there."""
+    x1 = _conditioning_point(ds, k, at)
+    x0 = x1.copy()
+    x1[k] = 1.0
+    x0[k] = 0.0
+    p1 = float(expit(x1 @ beta))
+    p0 = float(expit(x0 @ beta))
+    if p0 < _MIN_DENOMINATOR:
+        raise DegenerateDenominatorError(
+            f"unexposed prevalence at the conditioning point is {p0:g}"
+        )
+    return x1, x0, p1, p0
+
+
 def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
                    predictor: str | None = None,
                    at: Mapping[str, float] | None = None) -> PrEstimate:
@@ -118,25 +136,13 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     """
     _require_logistic(fit)
     k = _predictor_index(ds, predictor)
-    beta = fit.beta
-    xbar = _conditioning_point(ds, k, at)
-
-    x1 = xbar.copy()
-    x1[k] = 1.0
-    x0 = xbar.copy()
-    x0[k] = 0.0
-    p1 = float(expit(x1 @ beta))
-    p0 = float(expit(x0 @ beta))
-    if p0 < _MIN_DENOMINATOR:
-        raise DegenerateDenominatorError(
-            f"unexposed prevalence at the conditioning point is {p0:g}"
-        )
+    x1, x0, p1, p0 = _cpr_point(fit.beta, ds, k, at)
     pr = p1 / p0
     grad_p1 = x1 * (p1 * (1.0 - p1))
     grad_p0 = x0 * (p0 * (1.0 - p0))
     grad = (grad_p1 * p0 - grad_p0 * p1) / p0**2
     interval, se = _delta_interval(pr, grad, fit.vcov, level)
-    conditioning = {name: float(v) for name, v in zip(ds.column_names, xbar)
+    conditioning = {name: float(v) for name, v in zip(ds.column_names, x0)
                     if name != INTERCEPT_NAME}
     conditioning.pop(ds.column_names[k], None)
     return PrEstimate(
@@ -154,6 +160,28 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     )
 
 
+def _mpr_point(beta: np.ndarray, ds: Dataset,
+               k: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Average prevalences with predictor k at 1 and at 0, and each row's in both arms.
+
+    A row's linear predictor with column k set to a value is X beta
+    shifted by that column's term, so X is not copied.
+    """
+    w = ds.weights
+    wsum = float(w.sum())
+    eta = matvec_stack(ds.X, beta)
+    shift = ds.X[:, k] * beta[k]
+    rows1 = expit(eta + (beta[k] - shift))
+    rows0 = expit(eta - shift)
+    p1 = float((w * rows1).sum() / wsum)
+    p0 = float((w * rows0).sum() / wsum)
+    if p0 < _MIN_DENOMINATOR:
+        raise DegenerateDenominatorError(
+            f"average unexposed prevalence is {p0:g}"
+        )
+    return p1, p0, rows1, rows0
+
+
 def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
                 predictor: str | None = None) -> PrEstimate:
     """Ratio of average predicted prevalences with the exposure toggled.
@@ -163,29 +191,18 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     """
     _require_logistic(fit)
     k = _predictor_index(ds, predictor)
-    beta = fit.beta
+    p1, p0, rows1, rows0 = _mpr_point(fit.beta, ds, k)
     w = ds.weights
     wsum = float(w.sum())
-    eta = ds.X @ beta
-    shift = ds.X[:, k] * beta[k]
 
-    def arm(value: float) -> tuple[float, np.ndarray]:
-        # every row's predictor with column k set to value, without copying X
-        p = expit(eta + (value * beta[k] - shift))
-        avg = float((w * p).sum() / wsum)
+    def gradient(value: float, p: np.ndarray) -> np.ndarray:
         slope = w * p * (1.0 - p)
-        grad = ds.X.T @ slope
+        grad = rmatvec_stack(ds.X, slope)
         grad[k] = value * slope.sum()
-        return avg, grad / wsum
+        return grad / wsum
 
-    p1, grad_p1 = arm(1.0)
-    p0, grad_p0 = arm(0.0)
-    if p0 < _MIN_DENOMINATOR:
-        raise DegenerateDenominatorError(
-            f"average unexposed prevalence is {p0:g}"
-        )
     pr = p1 / p0
-    grad = (grad_p1 * p0 - grad_p0 * p1) / p0**2
+    grad = (gradient(1.0, rows1) * p0 - gradient(0.0, rows0) * p1) / p0**2
     interval, se = _delta_interval(pr, grad, fit.vcov, level)
     return PrEstimate(
         method="MPR",
@@ -292,12 +309,15 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
     starting from the full-data coefficients, and every requested
     estimator is read off that one fit.
 
-    A failed refit counts against every estimator; an estimator that fails
+    Every estimate is the point alone, computed as the public estimator
+    computes it, so none fails on a delta-method SE it does not use. A
+    failed refit counts against every estimator; an estimator that fails
     on its own counts against itself only. Each estimator maps to its
     estimate, or to the error that stopped it: its full-data estimate
-    failed (a PrevRatioError, or ValueError for an unusable ``at``), or
-    more than 20% of its replicates failed (NonConvergenceError). One
-    estimator's failure leaves the others' results intact.
+    failed (a PrevRatioError, such as InvalidArgumentError for an
+    unusable ``at``), or more than 20% of its replicates failed
+    (NonConvergenceError). One estimator's failure leaves the others'
+    results intact.
     """
     estimators = tuple(dict.fromkeys(estimators))
     if not estimators or any(e not in BOOTSTRAP_ESTIMATORS for e in estimators):
@@ -308,9 +328,12 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
         raise ValueError(f"need at least 100 bootstrap replicates, got {reps}")
 
     def estimate(name: str, fit: FitResult, data: Dataset) -> float:
+        # the point alone; the delta-method SE is of no use here
         if name == "CPR":
-            return conditional_pr(fit, data, level, at=at).point
-        return marginal_pr(fit, data, level).point
+            _, _, p1, p0 = _cpr_point(fit.beta, data, EXPOSURE_COL, at)
+        else:
+            p1, p0, _, _ = _mpr_point(fit.beta, data, EXPOSURE_COL)
+        return p1 / p0
 
     try:
         full_fit = fit_glm(ds, "binomial-logit")
@@ -321,7 +344,7 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
     for name in estimators:
         try:
             full[name] = estimate(name, full_fit, ds)
-        except (PrevRatioError, ValueError) as exc:
+        except PrevRatioError as exc:
             results[name] = exc
     if not full:
         return results

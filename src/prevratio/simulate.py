@@ -19,10 +19,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .classical import _schouten_from_fit, crude_pr, crude_table, schouten_expand
+from .classical import _schouten_from_fit, _schouten_response, crude_pr, crude_table
 from .data import Dataset, INTERCEPT_NAME, ModelSpec
 from .errors import PrevRatioError
-from .glm import FitResult, expit, fit_stack
+from .glm import expit, fit_stack
 from .ratios import (PrEstimate, _log_binomial_from_fit, _robust_poisson_from_fit,
                      conditional_pr, marginal_pr, prevalence_odds_ratio)
 from .variance import ndtri
@@ -111,6 +111,34 @@ def true_marginal_pr(coeffs: Sequence[float], nodes: int = 80) -> float:
     return num / den
 
 
+def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> list[Dataset]:
+    """Draw one dataset per replicate from the toy process.
+
+    Each replicate draws its three uniform vectors from its own substream;
+    the normal quantiles and the outcome probabilities are then computed
+    for the whole block at once, element by element, so a replicate's
+    data do not depend on the rest of its block.
+    """
+    b0, b1, b2 = dgp_coefficients(cfg)
+    u = np.empty((3, len(replicates), cfg.n))
+    for i, r in enumerate(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,)))
+        for draw in u[:, i]:
+            rng.random(out=draw)
+    x = (u[0] < cfg.p_exposure).astype(float)
+    z = ndtri(np.maximum(u[1], _U_FLOOR))
+    y = (u[2] < expit(b0 + b1 * x + b2 * z)).astype(float)
+    return [
+        Dataset(
+            y=y[i],
+            X=np.column_stack([np.ones(cfg.n), x[i], z[i]]),
+            column_names=(INTERCEPT_NAME, "x", "z"),
+            spec=ModelSpec(outcome="y", exposure="x", covariates=("z",)),
+        )
+        for i in range(len(replicates))
+    ]
+
+
 def simulate_toy(cfg: ToyConfig, replicate: int = 0) -> Dataset:
     """Draw one dataset from the toy process.
 
@@ -119,21 +147,7 @@ def simulate_toy(cfg: ToyConfig, replicate: int = 0) -> Dataset:
     matches serial. Normals come from the inverse CDF of uniform draws,
     keeping the stream portable across BLAS/platform variation.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replicate,))
-    )
-    b0, b1, b2 = dgp_coefficients(cfg)
-    x = (rng.random(cfg.n) < cfg.p_exposure).astype(float)
-    z = ndtri(np.maximum(rng.random(cfg.n), _U_FLOOR))
-    prob = expit(b0 + b1 * x + b2 * z)
-    y = (rng.random(cfg.n) < prob).astype(float)
-    design = np.column_stack([np.ones(cfg.n), x, z])
-    return Dataset(
-        y=y,
-        X=design,
-        column_names=(INTERCEPT_NAME, "x", "z"),
-        spec=ModelSpec(outcome="y", exposure="x", covariates=("z",)),
-    )
+    return _simulate_block(cfg, [replicate])[0]
 
 
 @dataclass(frozen=True)
@@ -241,40 +255,30 @@ class StudyReport:
 
 
 def _stack(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X, y and weights of same-width datasets as (R, n, p), (R, n), (R, n) stacks.
+    """X, y and weights of same-shape datasets as (R, n, p), (R, n), (R, n) stacks.
 
-    Datasets shorter than the longest are padded with zero-weight copies
-    of their first row, which leave their fits unchanged. Each design is
-    stored column by column, which halves the time of X'WX on thin stacks.
+    Each design is stored column by column, which halves the time of X'WX
+    on thin stacks.
     """
-    n = max(ds.n for ds in datasets)
-    X = np.empty((len(datasets), datasets[0].X.shape[1], n)).transpose(0, 2, 1)
-    y = np.empty((len(datasets), n))
-    w = np.zeros((len(datasets), n))
+    n, p = datasets[0].X.shape
+    X = np.empty((len(datasets), p, n)).transpose(0, 2, 1)
     for i, ds in enumerate(datasets):
-        X[i, :ds.n], X[i, ds.n:] = ds.X, ds.X[0]
-        y[i, :ds.n], y[i, ds.n:] = ds.y, ds.y[0]
-        w[i, :ds.n] = ds.weights
-    return X, y, w
-
-
-def _fit_block(datasets: Sequence[Dataset],
-               family_link: str) -> list[FitResult | PrevRatioError]:
-    first = datasets[0]
-    return fit_stack(*_stack(datasets), family_link, first.column_names, spec=first.spec)
+        X[i] = ds.X
+    return X, np.stack([ds.y for ds in datasets]), np.stack([ds.weights for ds in datasets])
 
 
 def _block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
     """Every fit the methods need for a block of replicates, one stack per family.
 
-    Maps each family to one result per replicate, and "Schouten" to
-    (expanded dataset, result) pairs.
+    Maps each family, and "Schouten", to one result per replicate.
     """
+    X, y, w = _stack(block)
+    names, spec = block[0].column_names, block[0].spec
     families = dict.fromkeys(_METHOD_FAMILY[m] for m in methods if m in _METHOD_FAMILY)
-    fits: dict = {family: _fit_block(block, family) for family in families}
+    fits = {family: fit_stack(X, y, w, family, names, spec=spec) for family in families}
     if "Schouten" in methods:
-        expanded = [schouten_expand(ds) for ds in block]
-        fits["Schouten"] = list(zip(expanded, _fit_block(expanded, "binomial-logit")))
+        fits["Schouten"] = fit_stack(X, *_schouten_response(y, w), "binomial-logit", names,
+                                     spec=spec)
     return fits
 
 
@@ -284,7 +288,7 @@ def _block_estimates(cfg: ToyConfig, replicates: range, methods: Sequence[str],
 
     The block's fits are dropped on return, before the next block is drawn.
     """
-    block = [simulate_toy(cfg, replicate=r) for r in replicates]
+    block = _simulate_block(cfg, replicates)
     fits = _block_fits(block, methods)
     results = []
     for j, ds in enumerate(block):
@@ -303,10 +307,7 @@ def _estimate_one(method: str, ds: Dataset, level: float, fits: dict,
     """Replicate ``j``'s estimate by ``method``, raising the error that stopped it."""
     if method == "Crude":
         return crude_pr(crude_table(ds), level)
-    if method == "Schouten":
-        expanded, fit = fits["Schouten"][j]
-    else:
-        fit = fits[_METHOD_FAMILY[method]][j]
+    fit = fits[_METHOD_FAMILY.get(method, method)][j]
     if isinstance(fit, PrevRatioError):
         raise fit
     if method == "CPR":
@@ -319,7 +320,7 @@ def _estimate_one(method: str, ds: Dataset, level: float, fits: dict,
         return _log_binomial_from_fit(fit, level)
     if method == "RobustPoisson":
         return _robust_poisson_from_fit(fit, ds, level)
-    return _schouten_from_fit(fit, expanded, level)
+    return _schouten_from_fit(fit, ds, level)
 
 
 def replication_study(cfg: ToyConfig, reps: int,
@@ -335,9 +336,11 @@ def replication_study(cfg: ToyConfig, reps: int,
     raised.
 
     Replicates are drawn in blocks of a fixed size, each from its own
-    substream, and every family a method needs is fitted to a whole block
-    at once; each fit follows the same rules as fitting its replicate
-    alone, so the numbers agree with one-at-a-time fits to rounding.
+    substream and bit for bit as :func:`simulate_toy` draws it alone, and
+    every family a method needs (Schouten's included) is fitted to a whole
+    block at once; each fit follows the same rules as fitting its
+    replicate alone, so the numbers agree with one-at-a-time fits to
+    rounding.
     """
     if reps < 100:
         raise ValueError(f"need at least 100 replicates, got {reps}")

@@ -15,6 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
+from .errors import InvalidArgumentError
 from .glm import FitResult, predict_prevalence
 from .linalg import weighted_cross_product
 
@@ -139,11 +140,14 @@ def wald_ci_log_scale(point: float, se: float, level: float = 0.95) -> IntervalE
     try:
         lower = point * math.exp(-half)
         upper = point * math.exp(half)
+        representable = 0.0 < lower and upper < math.inf
     except OverflowError:
-        raise ValueError(
+        representable = False
+    if not representable:
+        raise InvalidArgumentError(
             f"interval bounds for point {point:g} with se {se:g} are not "
             "representable"
-        ) from None
+        )
     return IntervalEstimate(point=point, se=se, lower=lower, upper=upper,
                             level=level)
 
@@ -158,11 +162,14 @@ def interval_from_log_scale(log_point: float, log_se: float,
         point = math.exp(log_point)
         lower = math.exp(log_point - z * log_se)
         upper = math.exp(log_point + z * log_se)
+        representable = 0.0 < lower and upper < math.inf
     except OverflowError:
-        raise ValueError(
+        representable = False
+    if not representable:
+        raise InvalidArgumentError(
             f"interval bounds for log point {log_point:g} with log se "
             f"{log_se:g} are not representable"
-        ) from None
+        )
     return IntervalEstimate(point=point, se=log_se, lower=lower, upper=upper,
                             level=level)
 
@@ -172,8 +179,11 @@ def sandwich_vcov(fit: FitResult, ds: Dataset) -> np.ndarray:
     if not fit.converged:
         raise ValueError("sandwich covariance requires a converged fit")
     mu = predict_prevalence(fit, ds.X)
-    score_sq = (ds.weights * (ds.y - mu)) ** 2
-    meat = weighted_cross_product(ds.X, score_sq)
-    bread_inv = fit.vcov
+    return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - mu)) ** 2)
+
+
+def _sandwich(bread_inv: np.ndarray, X: np.ndarray, score_sq: np.ndarray) -> np.ndarray:
+    """B^-1 M B^-1 with meat M = X' diag(score_sq) X, made exactly symmetric."""
+    meat = weighted_cross_product(X, score_sq)
     vc = bread_inv @ meat @ bread_inv
     return (vc + vc.T) / 2.0

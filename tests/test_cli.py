@@ -142,6 +142,23 @@ class TestEstimate:
         statuses = [r["status"] for r in json.loads(out)["rows"]]
         assert statuses == ["failed", "ok"]
 
+    @pytest.mark.parametrize("at", ["z=-1000", "x=1"])
+    def test_delta_cpr_failure_keeps_mpr(self, capsys, toy_csv, at):
+        code, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr",
+                                    "--at", at, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["status"] for r in rows] == ["failed", "ok"]
+
+    def test_programming_error_is_not_a_failed_row(self, capsys, toy_csv, monkeypatch):
+        def broken(ds, level):
+            raise ValueError("a bug, not a property of the data")
+        monkeypatch.setattr(cli, "schouten_pr", broken)
+        code, out, err = run_estimate(capsys, toy_csv, "--methods", "mpr,schouten")
+        assert code == 2
+        assert out == ""
+        assert "a bug" in err
+
     def test_non_finite_covariate_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("y,x,z\n1,1,0.5\n0,0,nan\n1,0,1.5\n0,1,2.0\n")

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import expit
 
 from prevratio import (Dataset, DegenerateDenominatorError, FitResult,
-                       INTERCEPT_NAME, NonConvergenceError, PrEstimate,
+                       INTERCEPT_NAME, InvalidArgumentError, NonConvergenceError,
+                       PrEstimate, PrevRatioError,
                        StratifiedTable, ToyConfig, bootstrap_pr, bootstrap_prs,
                        conditional_pr, crude_pr, fit_glm, log_binomial_pr,
                        marginal_pr, prevalence_odds_ratio, robust_poisson_pr,
@@ -80,6 +81,13 @@ class TestConditionalPr:
             conditional_pr(fit, toy_ds, at={INTERCEPT_NAME: 1.0})
         with pytest.raises(ValueError):
             conditional_pr(fit, toy_ds, at={"x": 1.0})
+
+    def test_at_errors_are_typed(self, toy_ds):
+        fit = fit_glm(toy_ds, "binomial-logit")
+        for at, match in (({INTERCEPT_NAME: 1.0}, "intercept"), ({"x": 1.0}, "contrasted")):
+            with pytest.raises(InvalidArgumentError, match=match) as err:
+                conditional_pr(fit, toy_ds, at=at)
+            assert isinstance(err.value, PrevRatioError)
 
     def test_requires_logistic_fit(self, toy_ds):
         pois = fit_glm(toy_ds, "poisson-log")
@@ -352,6 +360,25 @@ class TestSharedBootstrap:
             assert iv.lower == pytest.approx(lower, rel=1e-9)
             assert iv.upper == pytest.approx(upper, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_draws_are_the_public_points(self, toy_ds, seed):
+        # replicates compute only the point, with the public estimators' arithmetic
+        full = fit_glm(toy_ds, "binomial-logit")
+        estimate = {"CPR": lambda fit, data: conditional_pr(fit, data).point,
+                    "MPR": lambda fit, data: marginal_pr(fit, data).point}
+        draws = {name: [] for name in estimate}
+        for r in range(100):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            counts = np.bincount(rng.integers(0, toy_ds.n, size=toy_ds.n), minlength=toy_ds.n)
+            data = toy_ds.frequency_weighted(counts)
+            fit = fit_glm(data, "binomial-logit", beta0=full.beta)
+            for name, fn in estimate.items():
+                draws[name].append(fn(fit, data))
+        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=seed)
+        for name, fn in estimate.items():
+            assert out[name].interval == _percentile_interval(
+                fn(full, toy_ds), np.array(draws[name]), 0.95)
+
     def test_same_seed_bit_identical(self, toy_ds):
         a = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=9)
         b = bootstrap_prs(toy_ds, ("MPR", "CPR"), 100, seed=9)
@@ -363,8 +390,8 @@ class TestSharedBootstrap:
                                                           monkeypatch):
         alone = bootstrap_prs(toy_ds, ("MPR",), 100, seed=4)["MPR"]
         # call 1 is the full-data estimate; calls 3 and 8 are replicates
-        monkeypatch.setattr(ratios, "conditional_pr",
-                            failing_after(conditional_pr, {3, 8}))
+        monkeypatch.setattr(ratios, "_cpr_point",
+                            failing_after(ratios._cpr_point, {3, 8}))
         out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert out["CPR"].metadata["failed_replicates"] == 2
         assert out["CPR"].metadata["failure_reasons"] == {
@@ -391,8 +418,8 @@ class TestSharedBootstrap:
 
     def test_unstable_estimator_fails_alone(self, toy_ds, monkeypatch):
         def patch():
-            monkeypatch.setattr(ratios, "conditional_pr", failing_after(
-                conditional_pr, set(range(2, 102))))
+            monkeypatch.setattr(ratios, "_cpr_point", failing_after(
+                ratios._cpr_point, set(range(2, 102))))
         patch()
         out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert isinstance(out["CPR"], NonConvergenceError)

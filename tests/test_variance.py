@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from prevratio import (Dataset, INTERCEPT_NAME, IntervalEstimate, ToyConfig,
+from prevratio import (Dataset, INTERCEPT_NAME, IntervalEstimate, InvalidArgumentError,
+                       PrevRatioError, ToyConfig,
                        fit_glm, interval_from_log_scale, normal_quantile,
                        predict_prevalence, sandwich_vcov, simulate_toy,
                        wald_ci_log_scale)
@@ -71,6 +72,20 @@ class TestWaldCiLogScale:
         wide = wald_ci_log_scale(2.0, 0.4, 0.99)
         assert wide.lower < narrow.lower
         assert wide.upper > narrow.upper
+
+    @pytest.mark.parametrize("build, args", [
+        ("log", (800.0, 1.0)),       # exp overflows
+        ("log", (-800.0, 1.0)),      # every bound underflows to 0
+        ("log", (0.0, 500.0)),       # the lower bound underflows to 0
+        ("ratio", (2.0, 1e6)),       # exp(half) overflows
+        ("ratio", (1e-300, 1e-298)),  # the lower bound underflows to 0
+        ("ratio", (1e308, 1e308)),   # the upper bound is inf
+    ])
+    def test_unrepresentable_bounds_are_typed(self, build, args):
+        fn = interval_from_log_scale if build == "log" else wald_ci_log_scale
+        with pytest.raises(InvalidArgumentError, match="not representable") as err:
+            fn(*args)
+        assert isinstance(err.value, ValueError) and isinstance(err.value, PrevRatioError)
 
     def test_nonpositive_point_rejected(self):
         with pytest.raises(ValueError):
