@@ -8,14 +8,14 @@ bootstrap refits the model on resampled rows and needs no gradient;
 at a moderate sample size the two intervals nearly coincide.
 """
 
-from prevratio import (ToyConfig, bootstrap_pr, fit_glm, marginal_pr,
+from prevratio import (ToyConfig, bootstrap_prs, fit_glm, marginal_pr,
                        simulate_toy)
 
 ds = simulate_toy(ToyConfig(n=1500, seed=23))
 fit = fit_glm(ds, "binomial-logit")
 
 delta = marginal_pr(fit, ds)
-boot = bootstrap_pr(ds, "MPR", reps=500, seed=23)
+boot = bootstrap_prs(ds, ("MPR",), reps=500, seed=23)["MPR"]
 
 for label, est in (("delta", delta), ("bootstrap", boot)):
     iv = est.interval
@@ -28,5 +28,5 @@ print(f"width ratio (bootstrap / delta): "
       f"{boot.interval.width / delta.interval.width:.3f}")
 
 # Same seed, same draws: the bootstrap interval is exactly reproducible.
-again = bootstrap_pr(ds, "MPR", reps=500, seed=23)
+again = bootstrap_prs(ds, ("MPR",), reps=500, seed=23)["MPR"]
 print(f"reproducible: {again.interval == boot.interval}")

@@ -17,8 +17,7 @@ from .errors import (DataError, DegenerateDenominatorError,
                      InvalidArgumentError, NonConvergenceError,
                      NonIdentifiableError, PrevRatioError, RankDeficientError)
 from .glm import FitResult, fit_glm, predict_prevalence, separation_check
-from .linalg import spd_inverse, spd_solve, weighted_cross_product
-from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_pr, bootstrap_prs,
+from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_prs,
                      conditional_pr, log_binomial_pr, marginal_pr,
                      prevalence_odds_ratio, robust_poisson_pr)
 from .simulate import (DEFAULT_STUDY_METHODS, MethodSummary, StudyReport,
@@ -51,7 +50,6 @@ __all__ = [
     "StratifiedTable",
     "StudyReport",
     "ToyConfig",
-    "bootstrap_pr",
     "bootstrap_prs",
     "conditional_pr",
     "covariate_means",
@@ -74,12 +72,9 @@ __all__ = [
     "schouten_pr",
     "separation_check",
     "simulate_toy",
-    "spd_inverse",
-    "spd_solve",
     "stratified_from_dataset",
     "true_conditional_pr",
     "true_marginal_pr",
     "wald_ci_log_scale",
-    "weighted_cross_product",
     "write_csv",
 ]

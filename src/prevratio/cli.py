@@ -20,35 +20,16 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .classical import (StratifiedTable, crude_pr, crude_table,
-                        mantel_haenszel_pr, schouten_pr,
-                        stratified_from_dataset)
-from .data import Dataset, ModelSpec, load_csv
+from .classical import StratifiedTable, crude_pr, mantel_haenszel_pr
+from .data import ModelSpec, load_csv
 from .errors import PrevRatioError
-from .glm import fit_glm, separation_check
-from .ratios import (BOOTSTRAP_ESTIMATORS, bootstrap_prs, conditional_pr,
-                     log_binomial_pr, marginal_pr, prevalence_odds_ratio,
-                     robust_poisson_pr)
+from .glm import FitResult, separation_check
+from .methods import ALIASES, METHODS, block_fits, estimate
+from .ratios import BOOTSTRAP_ESTIMATORS, bootstrap_prs
 from .simulate import ToyConfig, replication_study
 
 DEFAULT_ESTIMATE_METHODS = ("RobustPoisson", "LogBinomial", "POR",
                             "CPR", "MPR", "Schouten")
-
-_METHOD_ALIASES = {
-    "por": "POR",
-    "cpr": "CPR",
-    "mpr": "MPR",
-    "logbinomial": "LogBinomial",
-    "log-binomial": "LogBinomial",
-    "robustpoisson": "RobustPoisson",
-    "robust-poisson": "RobustPoisson",
-    "poisson": "RobustPoisson",
-    "mh": "MantelHaenszel",
-    "mantelhaenszel": "MantelHaenszel",
-    "mantel-haenszel": "MantelHaenszel",
-    "schouten": "Schouten",
-    "crude": "Crude",
-}
 
 _FORMATS = ("text", "json", "tsv")
 
@@ -93,11 +74,10 @@ def _parse_methods(raw: str) -> tuple[str, ...]:
         tok = tok.strip()
         if not tok:
             continue
-        canon = _METHOD_ALIASES.get(tok.lower().replace("_", "-"))
+        canon = ALIASES.get(tok.lower().replace("_", "-"))
         if canon is None:
             raise ValueError(
-                f"unknown method {tok!r}; choose from "
-                f"{', '.join(sorted(set(_METHOD_ALIASES.values())))}"
+                f"unknown method {tok!r}; choose from {', '.join(sorted(METHODS))}"
             )
         names.append(canon)
     if not names:
@@ -194,53 +174,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _run_method(method: str, ds: Dataset, cfg: RunConfig, cache: dict):
-    if method in ("CPR", "MPR", "POR"):
-        if method in BOOTSTRAP_ESTIMATORS and cfg.boot:
-            if "bootstrap" not in cache:
-                wanted = [m for m in cfg.methods if m in BOOTSTRAP_ESTIMATORS]
-                cache["bootstrap"] = bootstrap_prs(
-                    ds, wanted, cfg.boot, seed=cfg.seed, level=cfg.level,
-                    at=cfg.at or None)
-            result = cache["bootstrap"][method]
-            if isinstance(result, Exception):
-                raise result
-            return result
-        if "logistic" not in cache:
-            cache["logistic"] = fit_glm(ds, "binomial-logit")
-        fit = cache["logistic"]
-        if method == "CPR":
-            return conditional_pr(fit, ds, cfg.level, at=cfg.at or None)
-        if method == "MPR":
-            return marginal_pr(fit, ds, cfg.level)
-        return prevalence_odds_ratio(fit, cfg.level)
-    if method == "LogBinomial":
-        return log_binomial_pr(ds, cfg.level)
-    if method == "RobustPoisson":
-        return robust_poisson_pr(ds, cfg.level)
-    if method == "Schouten":
-        return schouten_pr(ds, cfg.level)
-    if method == "MantelHaenszel":
-        return mantel_haenszel_pr(stratified_from_dataset(ds), cfg.level)
-    if method == "Crude":
-        return crude_pr(crude_table(ds), cfg.level)
-    raise ValueError(f"unhandled method {method!r}")
-
-
 def _notes_for(est) -> str:
     md = est.metadata
     bits = []
     if md.get("interval_type") == "percentile bootstrap":
         bits.append(f"percentile bootstrap, {md['replicates']} reps, "
                     f"seed {md['seed']}")
-    if est.method == "CPR" and "conditioning" in md and md["conditioning"]:
+    if md.get("conditioning"):
         pairs = ", ".join(f"{k}={v:.4g}" for k, v in md["conditioning"].items())
         bits.append(f"at {pairs}")
-    if est.method == "Schouten":
-        bits.append("sandwich SE on duplicated rows")
-    if est.method == "RobustPoisson":
-        bits.append("HC0 sandwich SE")
-    if est.method == "MantelHaenszel" and "strata" in md:
+    if METHODS[est.method].note:
+        bits.append(METHODS[est.method].note)
+    if "strata" in md:
         bits.append(f"{md['strata']} strata")
     return "; ".join(bits)
 
@@ -308,15 +253,6 @@ def _render_tsv(payload: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: Mapping[str, Any], out_format: str) -> None:
-    if out_format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif out_format == "tsv":
-        sys.stdout.write(_render_tsv(payload))
-    else:
-        sys.stdout.write(_render_text(payload))
-
-
 def render_payload(payload: Mapping[str, Any], out_format: str = "text") -> str:
     """Render a parsed json payload back to the text or tsv table."""
     if out_format == "json":
@@ -330,15 +266,24 @@ def cmd_estimate(cfg: RunConfig) -> int:
     spec = ModelSpec(outcome=cfg.outcome, exposure=cfg.exposure,
                      covariates=cfg.covariates)
     ds = load_csv(cfg.input, spec)
+    at = cfg.at or None
+    # with --boot, CPR and MPR come from the bootstrap, which does its own fits
+    boot = [m for m in cfg.methods if cfg.boot and m in BOOTSTRAP_ESTIMATORS]
+    fits = block_fits([ds], [m for m in cfg.methods if m not in boot])
+    results = bootstrap_prs(ds, boot, cfg.boot, seed=cfg.seed, level=cfg.level,
+                            at=at) if boot else {}
     rows = []
-    cache: dict = {}
     for method in cfg.methods:
         try:
-            rows.append(_row_ok(_run_method(method, ds, cfg, cache)))
+            est = results.get(method) or estimate(method, fits, 0, ds, cfg.level, at)
+            if isinstance(est, Exception):
+                raise est
+            rows.append(_row_ok(est))
         except PrevRatioError as err:
             rows.append(_row_failed(method, err))
-    if "logistic" in cache:
-        for warning in separation_check(cache["logistic"]):
+    logistic = fits.get("binomial-logit", [None])[0]
+    if isinstance(logistic, FitResult):
+        for warning in separation_check(logistic):
             sys.stderr.write(f"warning: {warning}\n")
     payload = {
         "header": {
@@ -352,7 +297,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         },
         "rows": rows,
     }
-    _emit(payload, cfg.out_format)
+    sys.stdout.write(render_payload(payload, cfg.out_format))
     return 0 if any(r["status"] == "ok" for r in rows) else 1
 
 
@@ -388,7 +333,7 @@ def cmd_table(cfg: RunConfig) -> int:
         },
         "rows": rows,
     }
-    _emit(payload, cfg.out_format)
+    sys.stdout.write(render_payload(payload, cfg.out_format))
     return 0 if any(r["status"] == "ok" for r in rows) else 1
 
 
@@ -405,13 +350,7 @@ def main(argv=None) -> int:
         if cfg.subcommand == "simulate":
             return cmd_simulate(cfg)
         return cmd_table(cfg)
-    except PrevRatioError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except OSError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except ValueError as err:
+    except (PrevRatioError, OSError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

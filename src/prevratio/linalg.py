@@ -1,4 +1,4 @@
-"""Row-blocked design products and dense symmetric positive-definite helpers.
+"""Row-blocked design products and stacked Cholesky helpers.
 
 Every product over the n rows of a design (X'WX, X beta and X'v) runs
 block by block over a fixed number of rows, small enough that a block
@@ -6,26 +6,19 @@ and its weighted copy stay in a core's cache. The blocks are the same
 for every problem of a stack, so no problem's sums depend on the rest
 of its stack, and no product copies a long design whole.
 
-Matrices are plain float numpy arrays: 2-D for
-``weighted_cross_product``, ``spd_solve`` and ``spd_inverse``, and stacks
-of shape (R, p, p) for the helpers the batched IRLS kernel uses. The
-factorization is numpy's Cholesky, one call per stack. The
-rank-deficiency check reads the pivots off the factor, so it names the
-column a column-by-column factorization would stop at.
+Matrices are plain float numpy arrays in stacks of shape (R, p, p), as
+the batched IRLS kernel uses them. The factorization is numpy's
+Cholesky, one call per stack. The rank-deficiency check reads the pivots
+off the factor, so it names the column a column-by-column factorization
+would stop at.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankDeficientError
-
-# max |A[i,j] - A[j,i]| allowed relative to 1 + max|A|
-_SYM_TOL = 1e-10
 # pivot <= _PIVOT_REL * max diagonal flags a rank-deficient column
 _PIVOT_REL = 1e-12
-# the message for a NaN matrix or a non-finite right-hand side
-_NOT_FINITE = "array must not contain infs or NaNs"
 # rows per block of every n-row product: fixed, so no problem's sums depend on
 # its stack; at p = 11 a block and its weighted copy (0.7 MB) fit in L2
 _BLOCK_ROWS = 4096
@@ -60,32 +53,6 @@ def rmatvec_stack(X: np.ndarray, v: np.ndarray) -> np.ndarray:
         rows = slice(start, start + _BLOCK_ROWS)
         out += np.matmul(v[..., None, rows], X[..., rows, :])[..., 0, :]
     return out
-
-
-def weighted_cross_product(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X'WX for a diagonal weight vector ``w``, constructed symmetric."""
-    X = np.asarray(X, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if w.shape != (X.shape[0],):
-        raise ValueError(
-            f"weight vector has length {w.shape[0] if w.ndim == 1 else w.shape}, "
-            f"expected {X.shape[0]}"
-        )
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    return gram_stack(X[None], w[None])[0]
-
-
-def _require_symmetric(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = 1.0 + (np.max(np.abs(A)) if A.size else 0.0)
-    if np.max(np.abs(A - A.T), initial=0.0) > _SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric")
-    return A
 
 
 def _leading_factor(A: np.ndarray) -> np.ndarray:
@@ -130,30 +97,3 @@ def inverse_from_factor(L: np.ndarray) -> np.ndarray:
     L_inv = np.linalg.inv(L)
     inv = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
     return (inv + inv.transpose(0, 2, 1)) / 2.0
-
-
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L' = A; raises RankDeficientError on bad pivots."""
-    A = _require_symmetric(A)
-    if np.isnan(A).any():
-        raise ValueError(_NOT_FINITE)
-    L, bad = cholesky_stack(A[None])
-    if bad[0] >= 0:
-        raise RankDeficientError(int(bad[0]))
-    return L[0]
-
-
-def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky."""
-    b = np.asarray(b, dtype=float)
-    L = _cholesky(A)
-    if b.shape[0] != L.shape[0]:
-        raise ValueError(f"right-hand side has length {b.shape[0]}, expected {L.shape[0]}")
-    if not np.isfinite(b).all():
-        raise ValueError(_NOT_FINITE)
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
-
-
-def spd_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix, returned symmetric."""
-    return inverse_from_factor(_cholesky(A)[None])[0]

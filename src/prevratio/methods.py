@@ -1,0 +1,117 @@
+"""The method registry: every prevalence-ratio method and how it is estimated.
+
+Each :class:`Method` names the fit it reads (a family/link, ``"Schouten"``
+for the collapsed logistic fit on :func:`classical._schouten_response`, or
+``None`` for the table-based crude and Mantel-Haenszel ratios), turns that
+fit into an estimate, and carries its fixed CLI note and the truth it is
+scored against in the replication study (``None`` keeps it out of the
+study). ``estimate`` and the study share one path: :func:`block_fits`
+fits every needed fit once to a block of datasets, one stack per fit,
+and :func:`estimate` reads a method's estimate for one dataset of the
+block off it. Adding a method means adding one entry to ``METHODS`` (and
+its label to ``ratios.METHOD_LABELS``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
+
+from .classical import (_schouten_from_fit, _schouten_response, crude_pr, crude_table,
+                        mantel_haenszel_pr, stratified_from_dataset)
+from .data import Dataset
+from .errors import PrevRatioError
+from .glm import FitResult, fit_stack
+from .ratios import (PrEstimate, _log_binomial_from_fit, _robust_poisson_from_fit,
+                     conditional_pr, marginal_pr, prevalence_odds_ratio)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One estimator: its names, the fit it reads, and how it is reported and scored."""
+
+    name: str
+    aliases: tuple[str, ...]  # besides the lower-cased name
+    fit: str | None
+    # (fit, ds, level, at) -> estimate; ``at`` is CPR's conditioning values
+    from_fit: Callable[[FitResult | None, Dataset, float, Mapping[str, float] | None],
+                       PrEstimate]
+    note: str = ""
+    target: str | None = None  # "cpr", "mpr" or "por"
+
+
+# in this order the study lists the methods it can run
+METHODS = {m.name: m for m in (
+    Method("CPR", (), "binomial-logit",
+           lambda fit, ds, level, at: conditional_pr(fit, ds, level, at=at), target="cpr"),
+    Method("MPR", (), "binomial-logit",
+           lambda fit, ds, level, at: marginal_pr(fit, ds, level), target="mpr"),
+    Method("POR", (), "binomial-logit",
+           lambda fit, ds, level, at: prevalence_odds_ratio(fit, level), target="por"),
+    Method("LogBinomial", ("log-binomial",), "binomial-log",
+           lambda fit, ds, level, at: _log_binomial_from_fit(fit, level), target="mpr"),
+    Method("RobustPoisson", ("robust-poisson", "poisson"), "poisson-log",
+           lambda fit, ds, level, at: _robust_poisson_from_fit(fit, ds, level),
+           note="HC0 sandwich SE", target="mpr"),
+    Method("Schouten", (), "Schouten",
+           lambda fit, ds, level, at: _schouten_from_fit(fit, ds, level),
+           note="sandwich SE on duplicated rows", target="mpr"),
+    Method("Crude", (), None,
+           lambda fit, ds, level, at: crude_pr(crude_table(ds), level), target="mpr"),
+    Method("MantelHaenszel", ("mh", "mantel-haenszel"), None,
+           lambda fit, ds, level, at: mantel_haenszel_pr(stratified_from_dataset(ds), level)),
+)}
+
+#: every accepted spelling, lower-cased with "_" read as "-", to its method
+ALIASES = {alias: m.name for m in METHODS.values() for alias in (m.name.lower(), *m.aliases)}
+
+
+def _stack(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X, y and weights of same-shape datasets as (R, n, p), (R, n), (R, n) stacks.
+
+    A block of two or more is copied with each design stored column by
+    column, which halves the time of X'WX on thin stacks; a block of one
+    is a view of its dataset, so a large design is not copied.
+    """
+    if len(datasets) == 1:
+        ds = datasets[0]
+        return ds.X[None], ds.y[None], ds.weights[None]
+    n, p = datasets[0].X.shape
+    X = np.empty((len(datasets), p, n)).transpose(0, 2, 1)
+    for i, ds in enumerate(datasets):
+        X[i] = ds.X
+    return X, np.stack([ds.y for ds in datasets]), np.stack([ds.weights for ds in datasets])
+
+
+def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
+    """Every fit the methods read for a block of datasets, one fit_stack call each.
+
+    Maps each fit name to one result per dataset: a FitResult, or the
+    PrevRatioError that stopped it.
+    """
+    X, y, w = _stack(block)
+    names, spec = block[0].column_names, block[0].spec
+    fits = {}
+    for kind in dict.fromkeys(METHODS[m].fit for m in methods):
+        if kind == "Schouten":
+            fits[kind] = fit_stack(X, *_schouten_response(y, w), "binomial-logit", names,
+                                   spec=spec)
+        elif kind is not None:
+            fits[kind] = fit_stack(X, y, w, kind, names, spec=spec)
+    return fits
+
+
+def estimate(method: str, fits: dict, j: int, ds: Dataset, level: float,
+             at: Mapping[str, float] | None = None) -> PrEstimate:
+    """Dataset ``j``'s estimate by ``method`` from its block's fits.
+
+    Raises the error that stopped the fit the method reads, or the
+    method's own.
+    """
+    m = METHODS[method]
+    fit = None if m.fit is None else fits[m.fit][j]
+    if isinstance(fit, PrevRatioError):
+        raise fit
+    return m.from_fit(fit, ds, level, at)

@@ -24,7 +24,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, EXPOSURE_COL, INTERCEPT_NAME, covariate_means
-from .errors import (DegenerateDenominatorError, InvalidArgumentError,
+from .errors import (DataError, DegenerateDenominatorError, InvalidArgumentError,
                      NonConvergenceError, PrevRatioError)
 from .glm import FitResult, expit, fit_glm
 from .linalg import matvec_stack, rmatvec_stack
@@ -69,12 +69,14 @@ def _require_logistic(fit: FitResult) -> None:
         raise ValueError("fit did not converge")
 
 
-def _predictor_index(ds: Dataset, predictor: str | None) -> int:
+def _predictor_index(column_names: tuple[str, ...], predictor: str | None) -> int:
     if predictor is None:
         return EXPOSURE_COL
-    k = ds.column_index(predictor)
+    if predictor not in column_names:
+        raise DataError(f"no design column named {predictor!r}")
+    k = column_names.index(predictor)
     if k == 0:
-        raise ValueError("the intercept is not a predictor")
+        raise InvalidArgumentError("the intercept is not a predictor")
     return k
 
 
@@ -135,7 +137,7 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     higher- or lower-risk scenarios than the average profile.
     """
     _require_logistic(fit)
-    k = _predictor_index(ds, predictor)
+    k = _predictor_index(ds.column_names, predictor)
     x1, x0, p1, p0 = _cpr_point(fit.beta, ds, k, at)
     pr = p1 / p0
     grad_p1 = x1 * (p1 * (1.0 - p1))
@@ -190,7 +192,7 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     weights when present.
     """
     _require_logistic(fit)
-    k = _predictor_index(ds, predictor)
+    k = _predictor_index(ds.column_names, predictor)
     p1, p0, rows1, rows0 = _mpr_point(fit.beta, ds, k)
     w = ds.weights
     wsum = float(w.sum())
@@ -222,12 +224,7 @@ def prevalence_odds_ratio(fit: FitResult, level: float = 0.95, *,
                           predictor: str | None = None) -> PrEstimate:
     """exp(beta) for the exposure, with a log-scale Wald interval."""
     _require_logistic(fit)
-    if predictor is None:
-        k = EXPOSURE_COL
-    else:
-        k = fit.column_names.index(predictor)
-        if k == 0:
-            raise ValueError("the intercept is not a predictor")
+    k = _predictor_index(fit.column_names, predictor)
     b = float(fit.beta[k])
     se_log = math.sqrt(float(fit.vcov[k, k]))
     interval = interval_from_log_scale(b, se_log, level)
@@ -392,18 +389,3 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
             },
         )
     return {name: results[name] for name in estimators}
-
-
-def bootstrap_pr(ds: Dataset, estimator: str, reps: int, *, seed: int,
-                 level: float = 0.95,
-                 at: Mapping[str, float] | None = None) -> PrEstimate:
-    """Percentile bootstrap for one estimator, 'CPR' or 'MPR'.
-
-    Same as :func:`bootstrap_prs` for that estimator alone, except that
-    the error that stopped it is raised.
-    """
-    result = bootstrap_prs(ds, (estimator,), reps, seed=seed, level=level,
-                           at=at)[estimator]
-    if isinstance(result, Exception):
-        raise result
-    return result

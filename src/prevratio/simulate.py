@@ -19,25 +19,16 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .classical import _schouten_from_fit, _schouten_response, crude_pr, crude_table
 from .data import Dataset, INTERCEPT_NAME, ModelSpec
 from .errors import PrevRatioError
-from .glm import expit, fit_stack
-from .ratios import (PrEstimate, _log_binomial_from_fit, _robust_poisson_from_fit,
-                     conditional_pr, marginal_pr, prevalence_odds_ratio)
+from .glm import expit
+from .methods import METHODS, block_fits, estimate
 from .variance import ndtri
 
 DEFAULT_STUDY_METHODS = ("CPR", "MPR", "POR", "LogBinomial",
                          "RobustPoisson", "Schouten")
 
-_STUDY_METHODS = DEFAULT_STUDY_METHODS + ("Crude",)
-
-# the family each model-based study method reads its estimate from
-_METHOD_FAMILY = {"CPR": "binomial-logit", "MPR": "binomial-logit",
-                  "POR": "binomial-logit", "LogBinomial": "binomial-log",
-                  "RobustPoisson": "poisson-log"}
-
-# replicates drawn and fitted together, one fit_stack call per family
+# replicates drawn and fitted together, one fit_stack call per fit
 _BLOCK_SIZE = 32
 
 _U_FLOOR = np.finfo(float).tiny
@@ -254,34 +245,6 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _stack(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X, y and weights of same-shape datasets as (R, n, p), (R, n), (R, n) stacks.
-
-    Each design is stored column by column, which halves the time of X'WX
-    on thin stacks.
-    """
-    n, p = datasets[0].X.shape
-    X = np.empty((len(datasets), p, n)).transpose(0, 2, 1)
-    for i, ds in enumerate(datasets):
-        X[i] = ds.X
-    return X, np.stack([ds.y for ds in datasets]), np.stack([ds.weights for ds in datasets])
-
-
-def _block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
-    """Every fit the methods need for a block of replicates, one stack per family.
-
-    Maps each family, and "Schouten", to one result per replicate.
-    """
-    X, y, w = _stack(block)
-    names, spec = block[0].column_names, block[0].spec
-    families = dict.fromkeys(_METHOD_FAMILY[m] for m in methods if m in _METHOD_FAMILY)
-    fits = {family: fit_stack(X, y, w, family, names, spec=spec) for family in families}
-    if "Schouten" in methods:
-        fits["Schouten"] = fit_stack(X, *_schouten_response(y, w), "binomial-logit", names,
-                                     spec=spec)
-    return fits
-
-
 def _block_estimates(cfg: ToyConfig, replicates: range, methods: Sequence[str],
                      level: float) -> list[tuple[Dataset, dict]]:
     """Each replicate's dataset and, per method, its estimate or the error that stopped it.
@@ -289,38 +252,17 @@ def _block_estimates(cfg: ToyConfig, replicates: range, methods: Sequence[str],
     The block's fits are dropped on return, before the next block is drawn.
     """
     block = _simulate_block(cfg, replicates)
-    fits = _block_fits(block, methods)
+    fits = block_fits(block, methods)
     results = []
     for j, ds in enumerate(block):
         estimates = {}
         for m in methods:
             try:
-                estimates[m] = _estimate_one(m, ds, level, fits, j)
+                estimates[m] = estimate(m, fits, j, ds, level)
             except PrevRatioError as exc:
                 estimates[m] = exc
         results.append((ds, estimates))
     return results
-
-
-def _estimate_one(method: str, ds: Dataset, level: float, fits: dict,
-                  j: int) -> PrEstimate:
-    """Replicate ``j``'s estimate by ``method``, raising the error that stopped it."""
-    if method == "Crude":
-        return crude_pr(crude_table(ds), level)
-    fit = fits[_METHOD_FAMILY.get(method, method)][j]
-    if isinstance(fit, PrevRatioError):
-        raise fit
-    if method == "CPR":
-        return conditional_pr(fit, ds, level)
-    if method == "MPR":
-        return marginal_pr(fit, ds, level)
-    if method == "POR":
-        return prevalence_odds_ratio(fit, level)
-    if method == "LogBinomial":
-        return _log_binomial_from_fit(fit, level)
-    if method == "RobustPoisson":
-        return _robust_poisson_from_fit(fit, ds, level)
-    return _schouten_from_fit(fit, ds, level)
 
 
 def replication_study(cfg: ToyConfig, reps: int,
@@ -337,21 +279,22 @@ def replication_study(cfg: ToyConfig, reps: int,
 
     Replicates are drawn in blocks of a fixed size, each from its own
     substream and bit for bit as :func:`simulate_toy` draws it alone, and
-    every family a method needs (Schouten's included) is fitted to a whole
-    block at once; each fit follows the same rules as fitting its
-    replicate alone, so the numbers agree with one-at-a-time fits to
-    rounding.
+    every fit a method reads (Schouten's included) is fitted to a whole
+    block at once by :func:`methods.block_fits`; each fit follows the
+    same rules as fitting its replicate alone, so the numbers agree with
+    one-at-a-time fits to rounding.
     """
     if reps < 100:
         raise ValueError(f"need at least 100 replicates, got {reps}")
     methods = DEFAULT_STUDY_METHODS if methods is None else tuple(methods)
     if not methods:
         raise ValueError("methods must be non-empty")
+    available = tuple(name for name, m in METHODS.items() if m.target)
     for m in methods:
-        if m not in _STUDY_METHODS:
+        if m not in available:
             raise ValueError(
                 f"method {m!r} is not available in the replication study; "
-                f"choose from {_STUDY_METHODS}"
+                f"choose from {available}"
             )
 
     coeffs = dgp_coefficients(cfg)
@@ -368,14 +311,15 @@ def replication_study(cfg: ToyConfig, reps: int,
         block = range(start, min(start + _BLOCK_SIZE, reps))
         for ds, estimates in _block_estimates(cfg, block, methods, level):
             zbar = float((ds.weights * ds.X[:, 2]).sum() / ds.weights.sum())
-            cpr_truth_r = true_conditional_pr(coeffs, zbar)
-            cpr_truths.append(cpr_truth_r)
+            truths = {"cpr": true_conditional_pr(coeffs, zbar), "mpr": mpr_truth,
+                      "por": por_truth}
+            cpr_truths.append(truths["cpr"])
             for m, est in estimates.items():
                 if isinstance(est, PrevRatioError):
                     points[m].append(None)
                     failures[m][type(est).__name__] += 1
                     continue
-                target = {"CPR": cpr_truth_r, "POR": por_truth}.get(m, mpr_truth)
+                target = truths[METHODS[m].target]
                 points[m].append(est.point)
                 widths[m].append(est.interval.width)
                 covered[m].append(est.interval.lower <= target <= est.interval.upper)

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 import warnings
 
 import pytest
 
-from prevratio import ToyConfig, cli, fit_glm, ratios, simulate_toy, write_csv
+from prevratio import ToyConfig, fit_glm, methods, ratios, simulate_toy, write_csv
 from prevratio.cli import (DEFAULT_ESTIMATE_METHODS, RunConfig, main,
                            render_payload)
 
@@ -120,7 +121,6 @@ class TestEstimate:
             families.append(family_link)
             return fit_glm(ds, family_link, **kwargs)
         monkeypatch.setattr(ratios, "fit_glm", counting_fit)
-        monkeypatch.setattr(cli, "fit_glm", counting_fit)
         boot = ("--boot", "150", "--format", "json")
         _, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
         assert families.count("binomial-logit") == 151
@@ -151,9 +151,10 @@ class TestEstimate:
         assert [r["status"] for r in rows] == ["failed", "ok"]
 
     def test_programming_error_is_not_a_failed_row(self, capsys, toy_csv, monkeypatch):
-        def broken(ds, level):
+        def broken(fit, ds, level, at):
             raise ValueError("a bug, not a property of the data")
-        monkeypatch.setattr(cli, "schouten_pr", broken)
+        monkeypatch.setitem(methods.METHODS, "Schouten",
+                            dataclasses.replace(methods.METHODS["Schouten"], from_fit=broken))
         code, out, err = run_estimate(capsys, toy_csv, "--methods", "mpr,schouten")
         assert code == 2
         assert out == ""

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from prevratio import (Dataset, DegenerateDenominatorError, FitResult,
+from prevratio import (DataError, Dataset, DegenerateDenominatorError, FitResult,
                        INTERCEPT_NAME, InvalidArgumentError, NonConvergenceError,
                        PrEstimate, PrevRatioError,
-                       StratifiedTable, ToyConfig, bootstrap_pr, bootstrap_prs,
+                       StratifiedTable, ToyConfig, bootstrap_prs,
                        conditional_pr, crude_pr, fit_glm, log_binomial_pr,
                        marginal_pr, prevalence_odds_ratio, robust_poisson_pr,
                        simulate_toy)
@@ -114,6 +114,25 @@ class TestConditionalPr:
         p1, p0 = cpr.metadata["p_exposed"], cpr.metadata["p_unexposed"]
         assert por.point == pytest.approx(cpr.point * (1 - p0) / (1 - p1), rel=1e-10)
         assert por.point > cpr.point
+
+
+BY_PREDICTOR = {
+    "CPR": lambda fit, ds, name: conditional_pr(fit, ds, predictor=name),
+    "MPR": lambda fit, ds, name: marginal_pr(fit, ds, predictor=name),
+    "POR": lambda fit, ds, name: prevalence_odds_ratio(fit, predictor=name),
+}
+
+
+@pytest.mark.parametrize("method", sorted(BY_PREDICTOR))
+@pytest.mark.parametrize("predictor, error, match", [
+    ("nope", DataError, "no design column named 'nope'"),
+    (INTERCEPT_NAME, InvalidArgumentError, "intercept is not a predictor"),
+])
+def test_bad_predictor_is_typed(toy_ds, method, predictor, error, match):
+    fit = fit_glm(toy_ds, "binomial-logit")
+    with pytest.raises(error, match=match) as err:
+        BY_PREDICTOR[method](fit, toy_ds, predictor)
+    assert isinstance(err.value, PrevRatioError)
 
 
 class TestMarginalPr:
@@ -277,23 +296,31 @@ class TestModelComparators:
         assert robust_poisson_pr(toy_ds).point == pytest.approx(mpr, abs=0.05)
 
 
+def bootstrap_one(ds, estimator, reps, **kwargs):
+    """One estimator's ``bootstrap_prs`` result, raising the error that stopped it."""
+    result = bootstrap_prs(ds, (estimator,), reps, **kwargs)[estimator]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 class TestBootstrap:
     def test_point_is_full_data_estimate(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
         delta = marginal_pr(fit, toy_ds)
-        boot = bootstrap_pr(toy_ds, "MPR", 120, seed=3)
+        boot = bootstrap_one(toy_ds, "MPR", 120, seed=3)
         assert boot.point == delta.point
         assert boot.metadata["interval_type"] == "percentile bootstrap"
 
     def test_same_seed_bit_identical(self, toy_ds):
-        a = bootstrap_pr(toy_ds, "CPR", 110, seed=9)
-        b = bootstrap_pr(toy_ds, "CPR", 110, seed=9)
+        a = bootstrap_one(toy_ds, "CPR", 110, seed=9)
+        b = bootstrap_one(toy_ds, "CPR", 110, seed=9)
         assert a.interval == b.interval
 
     def test_overlaps_delta_interval_with_similar_width(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
         delta = conditional_pr(fit, toy_ds)
-        boot = bootstrap_pr(toy_ds, "CPR", 200, seed=13)
+        boot = bootstrap_one(toy_ds, "CPR", 200, seed=13)
         assert boot.interval.lower < delta.interval.upper
         assert delta.interval.lower < boot.interval.upper
         ratio = boot.interval.width / delta.interval.width
@@ -301,9 +328,9 @@ class TestBootstrap:
 
     def test_rejects_small_reps_and_bad_estimator(self, toy_ds):
         with pytest.raises(ValueError):
-            bootstrap_pr(toy_ds, "MPR", 99, seed=1)
+            bootstrap_one(toy_ds, "MPR", 99, seed=1)
         with pytest.raises(ValueError):
-            bootstrap_pr(toy_ds, "POR", 100, seed=1)
+            bootstrap_one(toy_ds, "POR", 100, seed=1)
 
     def test_unstable_resampling_raises(self):
         y = np.array([1.0, 1.0, 0.0, 0.0])
@@ -311,7 +338,7 @@ class TestBootstrap:
         ds = Dataset(y=y, X=np.column_stack([np.ones(4), x]),
                      column_names=(INTERCEPT_NAME, "x"))
         with pytest.raises(NonConvergenceError):
-            bootstrap_pr(ds, "CPR", 100, seed=0)
+            bootstrap_one(ds, "CPR", 100, seed=0)
 
     def test_degenerate_draws_collapse_interval(self):
         iv = _percentile_interval(2.0, np.full(150, 2.0), 0.95)
@@ -384,7 +411,7 @@ class TestSharedBootstrap:
         b = bootstrap_prs(toy_ds, ("MPR", "CPR"), 100, seed=9)
         assert a["CPR"].interval == b["CPR"].interval
         assert a["MPR"].interval == b["MPR"].interval
-        assert bootstrap_pr(toy_ds, "MPR", 100, seed=9).interval == a["MPR"].interval
+        assert bootstrap_one(toy_ds, "MPR", 100, seed=9).interval == a["MPR"].interval
 
     def test_estimator_failure_counts_against_itself_only(self, toy_ds,
                                                           monkeypatch):
@@ -427,7 +454,7 @@ class TestSharedBootstrap:
         assert isinstance(out["MPR"], PrEstimate)
         patch()
         with pytest.raises(NonConvergenceError):
-            bootstrap_pr(toy_ds, "CPR", 100, seed=4)
+            bootstrap_one(toy_ds, "CPR", 100, seed=4)
 
     def test_full_data_failure_is_per_estimator(self, toy_ds):
         out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4,
