@@ -267,11 +267,14 @@ def cmd_estimate(cfg: RunConfig) -> int:
                      covariates=cfg.covariates)
     ds = load_csv(cfg.input, spec)
     at = cfg.at or None
-    # with --boot, CPR and MPR come from the bootstrap, which does its own fits
+    # with --boot, CPR and MPR come from the bootstrap, which refits every
+    # resample; it starts from the block's logistic fit when another method
+    # reads that fit, and fits the full data itself otherwise
     boot = [m for m in cfg.methods if cfg.boot and m in BOOTSTRAP_ESTIMATORS]
     fits = block_fits([ds], [m for m in cfg.methods if m not in boot])
-    results = bootstrap_prs(ds, boot, cfg.boot, seed=cfg.seed, level=cfg.level,
-                            at=at) if boot else {}
+    logistic = fits.get("binomial-logit", [None])[0]
+    results = bootstrap_prs(ds, boot, cfg.boot, seed=cfg.seed, level=cfg.level, at=at,
+                            full_fit=logistic) if boot else {}
     rows = []
     for method in cfg.methods:
         try:
@@ -281,7 +284,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
             rows.append(_row_ok(est))
         except PrevRatioError as err:
             rows.append(_row_failed(method, err))
-    logistic = fits.get("binomial-logit", [None])[0]
     if isinstance(logistic, FitResult):
         for warning in separation_check(logistic):
             sys.stderr.write(f"warning: {warning}\n")

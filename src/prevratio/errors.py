@@ -28,6 +28,10 @@ class RankDeficientError(PrevRatioError):
         self.column = column
         super().__init__(message or f"matrix is rank deficient at column {column}")
 
+    def __reduce__(self):
+        # the default rebuilds from args, which hold the message, not the column
+        return type(self), (self.column, str(self)), self.__dict__
+
 
 class NonIdentifiableError(PrevRatioError):
     """The design matrix is collinear; coefficients cannot be identified."""

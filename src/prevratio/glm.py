@@ -53,11 +53,11 @@ _STUCK = -2
 def expit(x) -> np.ndarray:
     """Logistic function, as 1 / (1 + e) for x >= 0 and e / (1 + e) below.
 
-    With e = exp(-|x|) nothing overflows for any x.
+    With e = exp(-|x|) nothing overflows for any x. The numerator is
+    exp(min(x, 0)), which is 1 or e bit for bit, so no branch is taken.
     """
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _softplus(eta: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .errors import (DataError, DegenerateDenominatorError, InvalidArgumentError
                      NonConvergenceError, PrevRatioError)
 from .glm import FitResult, expit, fit_glm
 from .linalg import matvec_stack, rmatvec_stack
+from .parallel import _fork_map
 from .variance import (IntervalEstimate, interval_from_log_scale,
                        normal_quantile, sandwich_vcov, wald_ci_log_scale)
 
@@ -294,17 +295,22 @@ def _percentile_interval(point: float, draws: np.ndarray,
 
 def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
                   seed: int, level: float = 0.95,
-                  at: Mapping[str, float] | None = None
+                  at: Mapping[str, float] | None = None,
+                  full_fit: FitResult | PrevRatioError | None = None
                   ) -> dict[str, PrEstimate | Exception]:
     """Case-resampling percentile bootstrap for the CPR and/or MPR.
 
     The point estimate stays the full-data estimate; the interval comes
     from the percentiles of the replicate estimates. Replicate r draws its
     resample from an independent substream derived from (seed, r), so the
-    result does not depend on execution order. Each resample is refitted
-    once, as the drawn rows weighted by how often they were drawn and
-    starting from the full-data coefficients, and every requested
-    estimator is read off that one fit.
+    result does not depend on execution order; the replicates run on every
+    available CPU and the result is bit for bit the same for any number of
+    them. Each resample is refitted once, as the drawn rows weighted by
+    how often they were drawn and starting from the full-data
+    coefficients, and every requested estimator is read off that one fit.
+    ``full_fit`` is the full-data logistic fit of ``ds`` (or the error that
+    stopped it) when the caller already has it; by default it is fitted
+    here.
 
     Every estimate is the point alone, computed as the public estimator
     computes it, so none fails on a delta-method SE it does not use. A
@@ -332,10 +338,13 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
             p1, p0, _, _ = _mpr_point(fit.beta, data, EXPOSURE_COL)
         return p1 / p0
 
-    try:
-        full_fit = fit_glm(ds, "binomial-logit")
-    except PrevRatioError as exc:
-        return dict.fromkeys(estimators, exc)
+    if full_fit is None:
+        try:
+            full_fit = fit_glm(ds, "binomial-logit")
+        except PrevRatioError as exc:
+            full_fit = exc
+    if isinstance(full_fit, PrevRatioError):
+        return dict.fromkeys(estimators, full_fit)
     results: dict[str, PrEstimate | Exception] = {}
     full: dict[str, float] = {}
     for name in estimators:
@@ -346,24 +355,33 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
     if not full:
         return results
 
-    n = ds.n
+    def replicates(part: range) -> tuple[dict[str, list[float]], dict[str, Counter]]:
+        draws: dict[str, list[float]] = {name: [] for name in full}
+        failures: dict[str, Counter] = {name: Counter() for name in full}
+        for r in part:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
+            data = ds.frequency_weighted(counts)
+            try:
+                fit = fit_glm(data, "binomial-logit", beta0=full_fit.beta)
+            except PrevRatioError as exc:
+                for name in full:
+                    failures[name][type(exc).__name__] += 1
+                continue
+            for name in full:
+                try:
+                    draws[name].append(estimate(name, fit, data))
+                except PrevRatioError as exc:
+                    failures[name][type(exc).__name__] += 1
+        return draws, failures
+
+    # each part's draws in replicate order, so the joined draws are the serial ones
     draws: dict[str, list[float]] = {name: [] for name in full}
     failures: dict[str, Counter] = {name: Counter() for name in full}
-    for r in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        data = ds.frequency_weighted(counts)
-        try:
-            fit = fit_glm(data, "binomial-logit", beta0=full_fit.beta)
-        except PrevRatioError as exc:
-            for name in full:
-                failures[name][type(exc).__name__] += 1
-            continue
+    for part_draws, part_failures in _fork_map(replicates, range(reps)):
         for name in full:
-            try:
-                draws[name].append(estimate(name, fit, data))
-            except PrevRatioError as exc:
-                failures[name][type(exc).__name__] += 1
+            draws[name] += part_draws[name]
+            failures[name].update(part_failures[name])
 
     for name, point in full.items():
         n_failed = sum(failures[name].values())

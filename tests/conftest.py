@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prevratio import Dataset, INTERCEPT_NAME, ModelSpec, ToyConfig, simulate_toy
+from prevratio import Dataset, INTERCEPT_NAME, ModelSpec, ToyConfig, parallel, simulate_toy
 
 
 def table_dataset(a, b, c, d, weighted=True):
@@ -42,3 +42,17 @@ def toy_ds():
 @pytest.fixture
 def toy_spec():
     return ModelSpec(outcome="y", exposure="x", covariates=("z",))
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set how many worker processes resampling loops use: ``workers(k)``."""
+    def set_count(k):
+        monkeypatch.setattr(parallel, "_worker_count", lambda: k)
+    return set_count
+
+
+@pytest.fixture
+def one_worker(workers):
+    """Run resampling loops in this process, for tests that count calls in it."""
+    workers(1)

@@ -299,11 +299,27 @@ class TestNumpyOnlySpecialFunctions:
         ours, theirs = expit(x), scipy.special.expit(x)
         assert np.all(np.abs(ours - theirs) <= 4 * np.spacing(theirs))
 
+    def test_expit_is_the_two_branch_formula_bit_for_bit(self):
+        def two_branch(x):
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+        rng = np.random.default_rng(15)
+        special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 5e-324, -5e-324,
+                   1e-300, -1e-300, 36.7, -36.7, 709.8, -745.2, -746.0]
+        x = np.concatenate([special, rng.standard_normal(200_000) * 3,
+                            rng.standard_normal(200_000) * 300,
+                            rng.uniform(-1e-8, 1e-8, 20_000)])
+        assert np.array_equal(expit(x).view(np.uint64), two_branch(x).view(np.uint64))
+        # a NaN stays a NaN; its sign bit, which no output shows, may differ
+        assert np.isnan(expit(np.array([np.nan, -np.nan]))).all()
+
     def test_cli_import_loads_no_scipy(self):
+        # nor a process pool: resampling forks without one, at no import cost
         src = os.path.dirname(os.path.dirname(prevratio.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, prevratio.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                " or m.startswith(('multiprocessing', 'concurrent.futures'))))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from prevratio import ToyConfig, fit_glm, methods, ratios, simulate_toy, write_csv
+from prevratio.glm import fit_stack
 from prevratio.cli import (DEFAULT_ESTIMATE_METHODS, RunConfig, main,
                            render_payload)
 
@@ -114,7 +115,7 @@ class TestEstimate:
         assert first == second
         assert "percentile bootstrap, 150 reps, seed 3" in first
 
-    def test_boot_fits_each_resample_once(self, capsys, toy_csv, monkeypatch):
+    def test_boot_fits_each_resample_once(self, capsys, toy_csv, monkeypatch, one_worker):
         families = []
 
         def counting_fit(ds, family_link, **kwargs):
@@ -131,6 +132,46 @@ class TestEstimate:
             assert row["status"] == single["status"] == "ok"
             for key in ("pr", "lower", "upper", "se"):
                 assert row[key] == pytest.approx(single[key], rel=1e-9)
+
+    def test_boot_fits_each_resample_once_in_workers(self, capsys, toy_csv, monkeypatch,
+                                                      workers, tmp_path):
+        # each fit appends a line, so the children's fits are counted too
+        log = tmp_path / "fits"
+
+        def counting_fit(ds, family_link, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(family_link + "\n")
+            return fit_glm(ds, family_link, **kwargs)
+        monkeypatch.setattr(ratios, "fit_glm", counting_fit)
+        workers(2)
+        boot = ("--boot", "150", "--format", "json")
+        _, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
+        assert log.read_text().splitlines().count("binomial-logit") == 151
+        workers(1)
+        _, serial, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
+        assert out == serial
+
+    def test_boot_reuses_the_full_data_fit(self, capsys, toy_csv, monkeypatch, one_worker):
+        full_fits = []
+
+        def counting_stack(X, y, w, family_link, *args, **kwargs):
+            full_fits.append(family_link)
+            return fit_stack(X, y, w, family_link, *args, **kwargs)
+
+        def counting_fit(ds, family_link, **kwargs):
+            if kwargs.get("beta0") is None:
+                full_fits.append(family_link)
+            return fit_glm(ds, family_link, **kwargs)
+        monkeypatch.setattr(methods, "fit_stack", counting_stack)
+        monkeypatch.setattr(ratios, "fit_glm", counting_fit)
+        boot = ("--boot", "100", "--format", "json")
+        _, out, _ = run_estimate(capsys, toy_csv, "--methods", "por,cpr,mpr", *boot)
+        assert full_fits == ["binomial-logit"]
+        # the rows are those of POR alone and of the bootstrap alone
+        _, por, _ = run_estimate(capsys, toy_csv, "--methods", "por", *boot)
+        _, boot_rows, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
+        assert json.loads(out)["rows"] == (json.loads(por)["rows"]
+                                           + json.loads(boot_rows)["rows"])
 
     @pytest.mark.parametrize("at", ["z=-1000", "x=1"])
     def test_boot_failure_of_one_estimator_keeps_the_other(self, capsys,

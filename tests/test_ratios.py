@@ -375,6 +375,27 @@ def failing_after(fn, fail_calls):
     return wrapper
 
 
+def failing_on(point_fn, bad_data):
+    """``point_fn(beta, data, ...)`` raising DegenerateDenominatorError when
+    ``bad_data(data)`` holds, so the failure follows the replicate, whichever
+    process runs it."""
+    def wrapper(beta, data, *args):
+        if bad_data(data):
+            raise DegenerateDenominatorError("forced failure")
+        return point_fn(beta, data, *args)
+    return wrapper
+
+
+def resample_of(ds, seed, replicates):
+    """A test for whether a dataset is the resample of one of ``replicates``."""
+    keys = set()
+    for r in replicates:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
+        keys.add(ds.frequency_weighted(counts).weights.tobytes())
+    return lambda data: data is not ds and data.weights.tobytes() in keys
+
+
 class TestSharedBootstrap:
     @pytest.mark.parametrize("seed", [2, 11])
     def test_matches_row_copy_refits(self, toy_ds, seed):
@@ -414,7 +435,7 @@ class TestSharedBootstrap:
         assert bootstrap_one(toy_ds, "MPR", 100, seed=9).interval == a["MPR"].interval
 
     def test_estimator_failure_counts_against_itself_only(self, toy_ds,
-                                                          monkeypatch):
+                                                          monkeypatch, one_worker):
         alone = bootstrap_prs(toy_ds, ("MPR",), 100, seed=4)["MPR"]
         # call 1 is the full-data estimate; calls 3 and 8 are replicates
         monkeypatch.setattr(ratios, "_cpr_point",
@@ -428,7 +449,7 @@ class TestSharedBootstrap:
         assert out["MPR"].interval == alone.interval
 
     def test_failed_refit_counts_against_every_estimator(self, toy_ds,
-                                                         monkeypatch):
+                                                         monkeypatch, one_worker):
         calls = []
 
         def flaky_fit(ds, family_link, **kwargs):
@@ -443,7 +464,7 @@ class TestSharedBootstrap:
             assert est.metadata["failed_replicates"] == 1
             assert est.metadata["failure_reasons"] == {"NonConvergenceError": 1}
 
-    def test_unstable_estimator_fails_alone(self, toy_ds, monkeypatch):
+    def test_unstable_estimator_fails_alone(self, toy_ds, monkeypatch, one_worker):
         def patch():
             monkeypatch.setattr(ratios, "_cpr_point", failing_after(
                 ratios._cpr_point, set(range(2, 102))))
@@ -455,6 +476,69 @@ class TestSharedBootstrap:
         patch()
         with pytest.raises(NonConvergenceError):
             bootstrap_one(toy_ds, "CPR", 100, seed=4)
+
+    # the three tests above, with failures keyed on the replicate's data
+    # and the replicates shared between two processes (0-49 and 50-99)
+    def test_estimator_failure_counts_against_itself_only_in_workers(
+            self, toy_ds, monkeypatch, workers):
+        workers(2)
+        alone = bootstrap_prs(toy_ds, ("MPR",), 100, seed=4)["MPR"]
+        monkeypatch.setattr(ratios, "_cpr_point", failing_on(
+            ratios._cpr_point, resample_of(toy_ds, 4, {1, 60})))
+        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        assert out["CPR"].metadata["failed_replicates"] == 2
+        assert out["CPR"].metadata["failure_reasons"] == {
+            "DegenerateDenominatorError": 2}
+        assert out["MPR"].metadata["failed_replicates"] == 0
+        assert out["MPR"].metadata["failure_reasons"] == {}
+        assert out["MPR"].interval == alone.interval
+
+    def test_failed_refit_counts_against_every_estimator_in_workers(
+            self, toy_ds, monkeypatch, workers):
+        workers(2)
+        bad = resample_of(toy_ds, 4, {77})
+
+        def flaky_fit(ds, family_link, **kwargs):
+            if bad(ds):
+                raise NonConvergenceError("forced failure")
+            return fit_glm(ds, family_link, **kwargs)
+        monkeypatch.setattr(ratios, "fit_glm", flaky_fit)
+        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        for est in out.values():
+            assert est.metadata["failed_replicates"] == 1
+            assert est.metadata["failure_reasons"] == {"NonConvergenceError": 1}
+
+    def test_unstable_estimator_fails_alone_in_workers(self, toy_ds, monkeypatch,
+                                                       workers):
+        workers(2)
+
+        def patch():
+            monkeypatch.setattr(ratios, "_cpr_point", failing_on(
+                ratios._cpr_point, lambda data: data is not toy_ds))
+        patch()
+        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        assert isinstance(out["CPR"], NonConvergenceError)
+        assert "DegenerateDenominatorError: 100" in str(out["CPR"])
+        assert isinstance(out["MPR"], PrEstimate)
+        patch()
+        with pytest.raises(NonConvergenceError):
+            bootstrap_one(toy_ds, "CPR", 100, seed=4)
+
+    def test_full_data_fit_passed_in(self, toy_ds, monkeypatch):
+        full = fit_glm(toy_ds, "binomial-logit")
+        expected = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=5)
+        cold = []
+
+        def counting_fit(ds, family_link, **kwargs):
+            if kwargs.get("beta0") is None:
+                cold.append(None)
+            return fit_glm(ds, family_link, **kwargs)
+        monkeypatch.setattr(ratios, "fit_glm", counting_fit)
+        assert bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=5, full_fit=full) == expected
+        assert cold == []
+        error = NonConvergenceError("forced failure")
+        assert bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=5, full_fit=error) == {
+            "CPR": error, "MPR": error}
 
     def test_full_data_failure_is_per_estimator(self, toy_ds):
         out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4,
