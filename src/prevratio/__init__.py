@@ -11,12 +11,13 @@ analytic truth.
 from .classical import (StratifiedTable, crude_pr, crude_table,
                         mantel_haenszel_pr, schouten_expand, schouten_pr,
                         stratified_from_dataset)
-from .data import (Dataset, EXPOSURE_COL, FAMILY_LINKS, INTERCEPT_NAME,
-                   ModelSpec, covariate_means, load_csv, write_csv)
+from .data import (Dataset, EXPOSURE_COL, INTERCEPT_NAME, ModelSpec,
+                   covariate_means, load_csv, write_csv)
 from .errors import (DataError, DegenerateDenominatorError,
                      InvalidArgumentError, NonConvergenceError,
                      NonIdentifiableError, PrevRatioError, RankDeficientError)
-from .glm import FitResult, fit_glm, predict_prevalence, separation_check
+from .glm import (FAMILY_LINKS, FitResult, fit_glm, predict_prevalence,
+                  separation_check)
 from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_prs,
                      conditional_pr, log_binomial_pr, marginal_pr,
                      prevalence_odds_ratio, robust_poisson_pr)

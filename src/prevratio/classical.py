@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, EXPOSURE_COL
 from .errors import DataError, DegenerateDenominatorError, PrevRatioError
 from .glm import FitResult, fit_stack, predict_prevalence
-from .ratios import PrEstimate
+from .ratios import PrEstimate, _coefficient_ratio
 from .variance import _sandwich, interval_from_log_scale
 
 _TABLE_COLUMNS = ("stratum", "a", "b", "c", "d")
@@ -42,6 +42,8 @@ class StratifiedTable:
         for i, cells in enumerate(self.strata):
             if len(cells) != 4:
                 raise DataError(f"stratum {i} must have 4 cells, got {len(cells)}")
+            if not all(math.isfinite(v) for v in cells):
+                raise DataError(f"stratum {i} has a non-finite count")
             if any(v < 0 for v in cells):
                 raise DataError(f"stratum {i} has a negative count")
             if sum(cells) <= 0:
@@ -79,6 +81,11 @@ class StratifiedTable:
                             f"{path} line {lineno}: column {col!r} has "
                             f"non-numeric value {raw!r}"
                         ) from None
+                    if not math.isfinite(v):
+                        raise DataError(
+                            f"{path} line {lineno}: column {col!r} has "
+                            f"non-finite value {raw!r}"
+                        )
                     cells.append(v)
                 strata.append(tuple(cells))
         return cls(strata=tuple(strata))
@@ -203,8 +210,7 @@ def schouten_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     expanded data.
     """
     y, w = _schouten_response(ds.y, ds.weights)
-    fit = fit_stack(ds.X[None], y[None], w[None], "binomial-logit", ds.column_names,
-                    spec=ds.spec)[0]
+    fit = fit_stack(ds.X[None], y[None], w[None], "binomial-logit", ds.column_names)[0]
     if isinstance(fit, PrevRatioError):
         raise fit
     return _schouten_from_fit(fit, ds, level)
@@ -220,21 +226,12 @@ def _schouten_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
     mu = predict_prevalence(fit, ds.X)
     y, w = ds.y, ds.weights
     robust = _sandwich(fit.vcov, ds.X, w**2 * ((y - mu) ** 2 + y * mu**2))
-    k = EXPOSURE_COL
-    b = float(fit.beta[k])
-    se_log = math.sqrt(float(robust[k, k]))
-    interval = interval_from_log_scale(b, se_log, level)
-    return PrEstimate(
-        method="Schouten",
-        interval=interval,
-        exposure=ds.exposure_name,
-        metadata={
-            "se_scale": "log",
-            "expanded_rows": ds.n + int(np.count_nonzero(y == 1.0)),
-            "caveat": "sandwich variance on duplicated rows; the exact "
-                      "duplication-aware correction is not implemented",
-        },
-    )
+    return _coefficient_ratio("Schouten", fit, EXPOSURE_COL, robust, level, {
+        "se_scale": "log",
+        "expanded_rows": ds.n + int(np.count_nonzero(y == 1.0)),
+        "caveat": "sandwich variance on duplicated rows; the exact "
+                  "duplication-aware correction is not implemented",
+    })
 
 
 def crude_table(ds: Dataset) -> StratifiedTable:

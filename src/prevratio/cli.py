@@ -17,55 +17,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .classical import StratifiedTable, crude_pr, mantel_haenszel_pr
 from .data import ModelSpec, load_csv
 from .errors import PrevRatioError
 from .glm import FitResult, separation_check
 from .methods import ALIASES, METHODS, block_fits, estimate
-from .ratios import BOOTSTRAP_ESTIMATORS, bootstrap_prs
+from .ratios import BOOTSTRAP_ESTIMATORS, PrEstimate, bootstrap_prs
 from .simulate import ToyConfig, replication_study
 
 DEFAULT_ESTIMATE_METHODS = ("RobustPoisson", "LogBinomial", "POR",
                             "CPR", "MPR", "Schouten")
 
 _FORMATS = ("text", "json", "tsv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand plus every flag that affects output."""
-
-    subcommand: str
-    input: str | None = None
-    outcome: str | None = None
-    exposure: str | None = None
-    covariates: tuple[str, ...] = ()
-    # empty for ``simulate`` means the study's default set
-    methods: tuple[str, ...] = DEFAULT_ESTIMATE_METHODS
-    level: float = 0.95
-    boot: int = 0
-    seed: int = 0
-    out_format: str = "text"
-    at: Mapping[str, float] = field(default_factory=dict)
-    n: int = 1000
-    reps: int = 500
-    out: str | None = None
-
-    def __post_init__(self):
-        if not 0.5 < self.level < 1.0:
-            raise ValueError(f"level must be in (0.5, 1), got {self.level}")
-        if not self.methods and self.subcommand != "simulate":
-            raise ValueError("methods must be non-empty")
-        if self.out_format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
-        if self.boot != 0 and self.boot < 100:
-            raise ValueError(
-                f"--boot needs at least 100 replicates (or 0 to disable), "
-                f"got {self.boot}"
-            )
 
 
 def _parse_methods(raw: str) -> tuple[str, ...]:
@@ -123,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--format", choices=_FORMATS, default="text")
     est.add_argument("--at", default="",
                      help="conditioning values for CPR as name=value[,name=value]")
+    est.set_defaults(run=cmd_estimate)
 
     sim = sub.add_parser("simulate", help="replication study on the toy process")
     sim.add_argument("--reps", type=int, default=500, help="replicates (at least 100)")
@@ -133,45 +99,40 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated methods (default: study set)")
     sim.add_argument("--format", choices=("text", "json"), default="text")
     sim.add_argument("--out", default=None, help="also write the JSON report here")
+    sim.set_defaults(run=cmd_simulate)
 
     tab = sub.add_parser("table", help="crude and Mantel-Haenszel ratios from 2x2 strata")
     tab.add_argument("--input", required=True,
                      help="CSV with columns stratum,a,b,c,d")
     tab.add_argument("--level", type=float, default=0.95)
     tab.add_argument("--format", choices=_FORMATS, default="text")
+    tab.set_defaults(run=cmd_table)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs: dict[str, Any] = {"subcommand": args.subcommand}
-    if args.subcommand == "estimate":
-        covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
-        kwargs.update(
-            input=args.input,
-            outcome=args.outcome,
-            exposure=args.exposure,
-            covariates=covariates,
-            methods=_parse_methods(args.methods),
-            level=args.level,
-            boot=args.boot,
-            seed=args.seed,
-            out_format=args.format,
-            at=_parse_at(args.at),
-        )
-    elif args.subcommand == "simulate":
-        kwargs.update(
-            reps=args.reps,
-            n=args.n,
-            seed=args.seed,
-            level=args.level,
-            out_format=args.format,
-            out=args.out,
-            methods=_parse_methods(args.methods) if args.methods else (),
-        )
-    else:
-        kwargs.update(input=args.input, level=args.level, out_format=args.format)
-    return RunConfig(**kwargs)
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Parse the comma-separated flags of ``args`` in place and check the numbers.
+
+    A bad value ends the run as a usage error, through ``parser.error``.
+    ``simulate`` without ``--methods`` gets None: the study's default set.
+    """
+    try:
+        if args.subcommand == "estimate":
+            args.covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
+            args.methods = _parse_methods(args.methods)
+            args.at = _parse_at(args.at)
+        elif args.subcommand == "simulate":
+            args.methods = _parse_methods(args.methods) if args.methods else None
+        if not 0.5 < args.level < 1.0:
+            raise ValueError(f"level must be in (0.5, 1), got {args.level}")
+        boot = getattr(args, "boot", 0)
+        if boot != 0 and boot < 100:
+            raise ValueError(
+                f"--boot needs at least 100 replicates (or 0 to disable), got {boot}"
+            )
+    except ValueError as err:
+        parser.error(str(err))
 
 
 def _notes_for(est) -> str:
@@ -190,10 +151,22 @@ def _notes_for(est) -> str:
     return "; ".join(bits)
 
 
-def _row_ok(est) -> dict[str, Any]:
+def _row(method: str, compute: Callable[[], PrEstimate | Exception]) -> dict[str, Any]:
+    """The output row of ``method``: the estimate ``compute`` returns, or why it failed.
+
+    ``compute`` may return an error instead of raising it; a PrevRatioError
+    either way makes a failed row, and any other error propagates.
+    """
+    try:
+        est = compute()
+        if isinstance(est, Exception):
+            raise est
+    except PrevRatioError as err:
+        return {"method": method, "status": "failed", "pr": None, "lower": None,
+                "upper": None, "se": None, "se_scale": "", "notes": str(err)}
     iv = est.interval
     return {
-        "method": est.method,
+        "method": method,
         "status": "ok",
         "pr": iv.point,
         "lower": iv.lower,
@@ -201,19 +174,6 @@ def _row_ok(est) -> dict[str, Any]:
         "se": iv.se,
         "se_scale": est.metadata.get("se_scale", ""),
         "notes": _notes_for(est),
-    }
-
-
-def _row_failed(method: str, err: Exception) -> dict[str, Any]:
-    return {
-        "method": method,
-        "status": "failed",
-        "pr": None,
-        "lower": None,
-        "upper": None,
-        "se": None,
-        "se_scale": "",
-        "notes": str(err),
     }
 
 
@@ -262,96 +222,64 @@ def render_payload(payload: Mapping[str, Any], out_format: str = "text") -> str:
     return _render_text(payload)
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
-    spec = ModelSpec(outcome=cfg.outcome, exposure=cfg.exposure,
-                     covariates=cfg.covariates)
-    ds = load_csv(cfg.input, spec)
-    at = cfg.at or None
-    # with --boot, CPR and MPR come from the bootstrap, which refits every
-    # resample; it starts from the block's logistic fit when another method
-    # reads that fit, and fits the full data itself otherwise
-    boot = [m for m in cfg.methods if cfg.boot and m in BOOTSTRAP_ESTIMATORS]
-    fits = block_fits([ds], [m for m in cfg.methods if m not in boot])
-    logistic = fits.get("binomial-logit", [None])[0]
-    results = bootstrap_prs(ds, boot, cfg.boot, seed=cfg.seed, level=cfg.level, at=at,
-                            full_fit=logistic) if boot else {}
-    rows = []
-    for method in cfg.methods:
-        try:
-            est = results.get(method) or estimate(method, fits, 0, ds, cfg.level, at)
-            if isinstance(est, Exception):
-                raise est
-            rows.append(_row_ok(est))
-        except PrevRatioError as err:
-            rows.append(_row_failed(method, err))
-    if isinstance(logistic, FitResult):
-        for warning in separation_check(logistic):
-            sys.stderr.write(f"warning: {warning}\n")
-    payload = {
-        "header": {
-            "title": "Prevalence ratio estimates",
-            "context": {
-                "exposure": ds.exposure_name,
-                "level": f"{cfg.level:g}",
-                "n": ds.n,
-                "dropped": ds.n_dropped,
-            },
-        },
-        "rows": rows,
-    }
-    sys.stdout.write(render_payload(payload, cfg.out_format))
+def _write_rows(title: str, context: Mapping[str, Any], rows: list[dict[str, Any]],
+                out_format: str) -> int:
+    """Print the rows under their header; exit code 0 when any row is ok, else 1."""
+    payload = {"header": {"title": title, "context": context}, "rows": rows}
+    sys.stdout.write(render_payload(payload, out_format))
     return 0 if any(r["status"] == "ok" for r in rows) else 1
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    toy = ToyConfig(n=cfg.n, seed=cfg.seed)
-    report = replication_study(toy, cfg.reps, methods=cfg.methods or None,
-                               level=cfg.level)
-    if cfg.out is not None:
-        with open(cfg.out, "w") as fh:
+def cmd_estimate(args: argparse.Namespace) -> int:
+    spec = ModelSpec(outcome=args.outcome, exposure=args.exposure,
+                     covariates=args.covariates)
+    ds = load_csv(args.input, spec)
+    at = args.at or None
+    # with --boot, CPR and MPR come from the bootstrap, which refits every
+    # resample; it starts from the block's logistic fit when another method
+    # reads that fit, and fits the full data itself otherwise
+    boot = [m for m in args.methods if args.boot and m in BOOTSTRAP_ESTIMATORS]
+    fits = block_fits([ds], [m for m in args.methods if m not in boot])
+    logistic = fits.get("binomial-logit", [None])[0]
+    results = bootstrap_prs(ds, boot, args.boot, seed=args.seed, level=args.level, at=at,
+                            full_fit=logistic) if boot else {}
+    rows = [_row(m, lambda: results.get(m) or estimate(m, fits, 0, ds, args.level, at))
+            for m in args.methods]
+    if isinstance(logistic, FitResult):
+        for warning in separation_check(logistic):
+            sys.stderr.write(f"warning: {warning}\n")
+    context = {"exposure": ds.exposure_name, "level": f"{args.level:g}", "n": ds.n,
+               "dropped": ds.n_dropped}
+    return _write_rows("Prevalence ratio estimates", context, rows, args.format)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    toy = ToyConfig(n=args.n, seed=args.seed)
+    report = replication_study(toy, args.reps, methods=args.methods, level=args.level)
+    if args.out is not None:
+        with open(args.out, "w") as fh:
             fh.write(report.to_json() + "\n")
-    if cfg.out_format == "json":
+    if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")
     else:
         sys.stdout.write(report.to_text())
     return 0
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    table = StratifiedTable.from_csv(cfg.input)
-    rows = []
-    try:
-        rows.append(_row_ok(crude_pr(table.pooled(), cfg.level)))
-    except PrevRatioError as err:
-        rows.append(_row_failed("Crude", err))
-    try:
-        rows.append(_row_ok(mantel_haenszel_pr(table, cfg.level)))
-    except PrevRatioError as err:
-        rows.append(_row_failed("MantelHaenszel", err))
-    payload = {
-        "header": {
-            "title": "Stratified 2x2 prevalence ratios",
-            "context": {"strata": table.k, "level": f"{cfg.level:g}"},
-        },
-        "rows": rows,
-    }
-    sys.stdout.write(render_payload(payload, cfg.out_format))
-    return 0 if any(r["status"] == "ok" for r in rows) else 1
+def cmd_table(args: argparse.Namespace) -> int:
+    table = StratifiedTable.from_csv(args.input)
+    rows = [_row("Crude", lambda: crude_pr(table.pooled(), args.level)),
+            _row("MantelHaenszel", lambda: mantel_haenszel_pr(table, args.level))]
+    context = {"strata": table.k, "level": f"{args.level:g}"}
+    return _write_rows("Stratified 2x2 prevalence ratios", context, rows, args.format)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _check_args(parser, args)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as err:
-        parser.error(str(err))
-    try:
-        if cfg.subcommand == "estimate":
-            return cmd_estimate(cfg)
-        if cfg.subcommand == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_table(cfg)
+        return args.run(args)
     except (PrevRatioError, OSError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

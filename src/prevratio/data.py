@@ -18,8 +18,6 @@ import numpy as np
 from .errors import DataError
 from .linalg import rmatvec_stack
 
-FAMILY_LINKS = ("binomial-logit", "binomial-log", "poisson-log")
-
 #: index of the exposure column in every design matrix built here
 EXPOSURE_COL = 1
 
@@ -29,12 +27,11 @@ INTERCEPT_NAME = "(Intercept)"
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Names the outcome, exposure, and covariates, plus the family/link."""
+    """Names the outcome, the exposure, and the covariates."""
 
     outcome: str
     exposure: str
     covariates: tuple[str, ...] = ()
-    family_link: str = "binomial-logit"
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
@@ -42,10 +39,6 @@ class ModelSpec:
             raise DataError(f"exposure {self.exposure!r} also listed as a covariate")
         if self.outcome == self.exposure or self.outcome in self.covariates:
             raise DataError(f"outcome {self.outcome!r} must be distinct from predictors")
-        if self.family_link not in FAMILY_LINKS:
-            raise DataError(
-                f"unknown family/link {self.family_link!r}; expected one of {FAMILY_LINKS}"
-            )
 
     @property
     def predictors(self) -> tuple[str, ...]:

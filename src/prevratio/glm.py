@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, ModelSpec
+from .data import Dataset
 from .errors import (NonConvergenceError, NonIdentifiableError, PrevRatioError,
                      RankDeficientError)
 from .linalg import (cholesky_stack, gram_stack, inverse_from_factor, matvec_stack,
@@ -125,6 +125,9 @@ _FAMILIES = {
     ),
 }
 
+#: every family/link that fit_stack and fit_glm accept
+FAMILY_LINKS = tuple(_FAMILIES)
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -140,7 +143,6 @@ class FitResult:
     column_names: tuple[str, ...]
     fitted: np.ndarray  # response-scale fitted values for the training rows
     deviance_path: tuple[float, ...]
-    spec: ModelSpec | None = None
 
     def coef(self, name: str) -> float:
         if name not in self.column_names:
@@ -220,7 +222,7 @@ def _newton_step(fam: _Family, X, y, w, beta, eta, dev):
 
 def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
               column_names: tuple[str, ...], *, beta0: np.ndarray | None = None,
-              spec: ModelSpec | None = None, tol: float = DEVIANCE_TOL,
+              tol: float = DEVIANCE_TOL,
               max_iter: int = MAX_ITERATIONS) -> list[FitResult | PrevRatioError]:
     """Fit ``family_link`` by IRLS to every problem of a stack at once.
 
@@ -337,7 +339,6 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
                 column_names=column_names,
                 fitted=mu[j],
                 deviance_path=tuple(paths[i]),
-                spec=spec,
             )
     return results
 
@@ -357,7 +358,7 @@ def fit_glm(ds: Dataset, family_link: str, *, tol: float = DEVIANCE_TOL,
     non-increasing step exists (the log-binomial failure mode).
     """
     result = fit_stack(ds.X[None], ds.y[None], ds.weights[None], family_link,
-                       ds.column_names, spec=ds.spec, tol=tol, max_iter=max_iter,
+                       ds.column_names, tol=tol, max_iter=max_iter,
                        beta0=None if beta0 is None else np.asarray(beta0, dtype=float)[None])[0]
     if isinstance(result, PrevRatioError):
         raise result

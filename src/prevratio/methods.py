@@ -92,14 +92,13 @@ def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
     PrevRatioError that stopped it.
     """
     X, y, w = _stack(block)
-    names, spec = block[0].column_names, block[0].spec
+    names = block[0].column_names
     fits = {}
     for kind in dict.fromkeys(METHODS[m].fit for m in methods):
         if kind == "Schouten":
-            fits[kind] = fit_stack(X, *_schouten_response(y, w), "binomial-logit", names,
-                                   spec=spec)
+            fits[kind] = fit_stack(X, *_schouten_response(y, w), "binomial-logit", names)
         elif kind is not None:
-            fits[kind] = fit_stack(X, y, w, kind, names, spec=spec)
+            fits[kind] = fit_stack(X, y, w, kind, names)
     return fits
 
 

@@ -100,6 +100,10 @@ def _conditioning_point(ds: Dataset, k: int,
 
 def _delta_interval(pr: float, grad: np.ndarray, vcov: np.ndarray,
                     level: float) -> tuple[IntervalEstimate, float]:
+    if pr <= 0.0:
+        raise DegenerateDenominatorError(
+            f"the prevalence ratio is {pr:g}; a ratio of 0 has no log-scale interval"
+        )
     var = float(grad @ vcov @ grad)
     se = math.sqrt(max(var, 0.0))
     # a near-separated fit can make se/pr so large that the log-scale
@@ -111,6 +115,28 @@ def _delta_interval(pr: float, grad: np.ndarray, vcov: np.ndarray,
             f"{pr:g}; the fit looks separated"
         )
     return wald_ci_log_scale(pr, se, level), se
+
+
+def _coefficient_ratio(method: str, fit: FitResult, k: int, vcov: np.ndarray,
+                       level: float, metadata: Mapping[str, Any]) -> PrEstimate:
+    """exp(beta_k) of ``fit`` with a log-scale Wald interval from ``vcov``.
+
+    A negative variance (a sandwich of a near-degenerate fit can round to
+    one) raises DegenerateDenominatorError; a NaN one gives the
+    InvalidArgumentError of an interval that is not representable.
+    """
+    var = float(vcov[k, k])
+    if var < 0.0:
+        raise DegenerateDenominatorError(
+            f"the variance of the {fit.column_names[k]!r} coefficient is {var:g}, "
+            "below zero; the fit is degenerate"
+        )
+    return PrEstimate(
+        method=method,
+        interval=interval_from_log_scale(float(fit.beta[k]), math.sqrt(var), level),
+        exposure=fit.column_names[k],
+        metadata=metadata,
+    )
 
 
 def _cpr_point(beta: np.ndarray, ds: Dataset, k: int, at: Mapping[str, float] | None
@@ -226,15 +252,7 @@ def prevalence_odds_ratio(fit: FitResult, level: float = 0.95, *,
     """exp(beta) for the exposure, with a log-scale Wald interval."""
     _require_logistic(fit)
     k = _predictor_index(fit.column_names, predictor)
-    b = float(fit.beta[k])
-    se_log = math.sqrt(float(fit.vcov[k, k]))
-    interval = interval_from_log_scale(b, se_log, level)
-    return PrEstimate(
-        method="POR",
-        interval=interval,
-        exposure=fit.column_names[k],
-        metadata={"se_scale": "log"},
-    )
+    return _coefficient_ratio("POR", fit, k, fit.vcov, level, {"se_scale": "log"})
 
 
 def log_binomial_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
@@ -248,16 +266,8 @@ def log_binomial_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
 
 
 def _log_binomial_from_fit(fit: FitResult, level: float) -> PrEstimate:
-    k = EXPOSURE_COL
-    b = float(fit.beta[k])
-    se_log = math.sqrt(float(fit.vcov[k, k]))
-    interval = interval_from_log_scale(b, se_log, level)
-    return PrEstimate(
-        method="LogBinomial",
-        interval=interval,
-        exposure=fit.column_names[k],
-        metadata={"se_scale": "log", "iterations": fit.iterations},
-    )
+    return _coefficient_ratio("LogBinomial", fit, EXPOSURE_COL, fit.vcov, level,
+                              {"se_scale": "log", "iterations": fit.iterations})
 
 
 def robust_poisson_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
@@ -271,17 +281,8 @@ def robust_poisson_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
 
 
 def _robust_poisson_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
-    robust = sandwich_vcov(fit, ds)
-    k = EXPOSURE_COL
-    b = float(fit.beta[k])
-    se_log = math.sqrt(float(robust[k, k]))
-    interval = interval_from_log_scale(b, se_log, level)
-    return PrEstimate(
-        method="RobustPoisson",
-        interval=interval,
-        exposure=ds.exposure_name,
-        metadata={"se_scale": "log", "variance": "HC0 sandwich"},
-    )
+    return _coefficient_ratio("RobustPoisson", fit, EXPOSURE_COL, sandwich_vcov(fit, ds),
+                              level, {"se_scale": "log", "variance": "HC0 sandwich"})
 
 
 def _percentile_interval(point: float, draws: np.ndarray,
@@ -329,6 +330,8 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
         )
     if reps < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {reps}")
+    if seed < 0:
+        raise ValueError(f"bootstrap seed must be non-negative, got {seed}")
 
     def estimate(name: str, fit: FitResult, data: Dataset) -> float:
         # the point alone; the delta-method SE is of no use here

@@ -49,6 +49,8 @@ class ToyConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.p_exposure < 1.0:
             raise ValueError("p_exposure must be in (0, 1)")
         if not 0.0 < self.baseline_prevalence < 1.0:

@@ -35,6 +35,11 @@ class TestStratifiedTable:
         with pytest.raises(DataError):
             StratifiedTable(strata=((0.0, 0.0, 0.0, 0.0),))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_naming_the_stratum(self, value):
+        with pytest.raises(DataError, match="stratum 1 has a non-finite count"):
+            StratifiedTable(strata=((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, value, 4.0)))
+
     def test_pooled_sums_cells(self):
         t = StratifiedTable(strata=((1.0, 2.0, 3.0, 4.0), (10.0, 20.0, 30.0, 40.0)))
         assert t.pooled().strata == ((11.0, 22.0, 33.0, 44.0),)
@@ -55,6 +60,12 @@ class TestStratifiedTable:
         path = tmp_path / "bad.csv"
         path.write_text("stratum,a,b,c,d\n1,1,2,3,4\n2,x,2,3,4\n")
         with pytest.raises(DataError, match="line 3"):
+            StratifiedTable.from_csv(path)
+
+    def test_from_csv_non_finite_cites_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("stratum,a,b,c,d\n1,1,2,3,4\n2,1,2,nan,4\n")
+        with pytest.raises(DataError, match="line 3: column 'c' has non-finite value 'nan'"):
             StratifiedTable.from_csv(path)
 
 

@@ -1,14 +1,14 @@
 import dataclasses
 import json
 import math
+import pathlib
 import warnings
 
 import pytest
 
 from prevratio import ToyConfig, fit_glm, methods, ratios, simulate_toy, write_csv
 from prevratio.glm import fit_stack
-from prevratio.cli import (DEFAULT_ESTIMATE_METHODS, RunConfig, main,
-                           render_payload)
+from prevratio.cli import DEFAULT_ESTIMATE_METHODS, main, render_payload
 
 
 @pytest.fixture(scope="module")
@@ -36,22 +36,61 @@ def run_estimate(capsys, toy_csv, *extra):
     return code, captured.out, captured.err
 
 
-class TestRunConfig:
-    def test_level_bounds(self):
-        with pytest.raises(ValueError, match="level"):
-            RunConfig(subcommand="estimate", level=0.4)
-        with pytest.raises(ValueError, match="level"):
-            RunConfig(subcommand="estimate", level=1.0)
+def usage_error(capsys, argv):
+    """The message of the usage error that ``main(argv)`` exits with."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: prevratio [-h] {estimate,simulate,table} ...\n")
+    return err.splitlines()[-1]
 
-    def test_boot_floor(self):
-        with pytest.raises(ValueError, match="100"):
-            RunConfig(subcommand="estimate", boot=50)
-        RunConfig(subcommand="estimate", boot=0)
-        RunConfig(subcommand="estimate", boot=100)
 
-    def test_methods_non_empty(self):
-        with pytest.raises(ValueError, match="methods"):
-            RunConfig(subcommand="estimate", methods=())
+class TestUsageErrors:
+    @pytest.fixture
+    def subcommands(self, toy_csv, strata_csv):
+        return (ESTIMATE_ARGS + ["--input", toy_csv], ["simulate"],
+                ["table", "--input", strata_csv])
+
+    def test_level_bounds(self, capsys, subcommands):
+        for argv in subcommands:
+            for level in ("0.4", "1.0"):
+                assert usage_error(capsys, argv + ["--level", level]) == (
+                    f"prevratio: error: level must be in (0.5, 1), got {level}")
+
+    def test_boot_floor(self, capsys, toy_csv):
+        for boot in ("50", "-5"):
+            assert usage_error(capsys, ESTIMATE_ARGS + ["--input", toy_csv, "--boot", boot]) == (
+                "prevratio: error: --boot needs at least 100 replicates (or 0 to disable), "
+                f"got {boot}")
+
+    def test_methods_non_empty(self, capsys, toy_csv):
+        for argv in (ESTIMATE_ARGS + ["--input", toy_csv], ["simulate"]):
+            assert usage_error(capsys, argv + ["--methods", ","]) == (
+                "prevratio: error: no methods given")
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestGoldenText:
+    """The default text of each subcommand, byte for byte."""
+
+    def test_estimate(self, capsys, toy_csv):
+        code, out, err = run_estimate(capsys, toy_csv)
+        assert (code, out, err) == (0, (GOLDEN / "estimate.txt").read_text(), "")
+
+    def test_table(self, capsys, strata_csv):
+        code = main(["table", "--input", strata_csv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, (GOLDEN / "table.txt").read_text(), "")
+
+    def test_simulate(self, capsys):
+        code = main(["simulate", "--reps", "100", "--n", "250", "--seed", "6",
+                     "--methods", "cpr,mpr,por"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            0, (GOLDEN / "simulate.txt").read_text(), "")
 
 
 class TestEstimate:
@@ -190,6 +229,7 @@ class TestEstimate:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert [r["status"] for r in rows] == ["failed", "ok"]
+        assert list(rows[0]) == list(rows[1])  # a failed row has the columns of an ok one
 
     def test_programming_error_is_not_a_failed_row(self, capsys, toy_csv, monkeypatch):
         def broken(fit, ds, level, at):
@@ -241,6 +281,12 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "z" in err
 
+    def test_negative_boot_seed_is_named(self, capsys, toy_csv):
+        code, out, err = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr",
+                                      "--boot", "100", "--seed", "-3")
+        assert (code, out) == (2, "")
+        assert err == "error: bootstrap seed must be non-negative, got -3\n"
+
     def test_method_aliases_accepted(self, capsys, toy_csv):
         code, out, _ = run_estimate(capsys, toy_csv, "--methods",
                                     "log-binomial,robust_poisson,crude")
@@ -290,6 +336,21 @@ class TestSimulate:
             reasons = blob["failure_reasons"][summary["method"]]
             assert sum(reasons.values()) == summary["n_failed"]
 
+    def test_tiny_study_counts_degenerate_fits(self, capsys):
+        code = main(["simulate", "--n", "10", "--reps", "100", "--format", "json"])
+        assert code == 0
+        blob = json.loads(capsys.readouterr().out)
+        for summary in blob["methods"]:
+            reasons = blob["failure_reasons"][summary["method"]]
+            assert sum(reasons.values()) == summary["n_failed"]
+        assert blob["failure_reasons"]["Schouten"]["DegenerateDenominatorError"] > 0
+
+    def test_negative_seed_is_named(self, capsys):
+        code = main(["simulate", "--seed", "-1", "--reps", "100", "--n", "50"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+
     def test_out_writes_json_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["simulate", "--reps", "100", "--n", "250", "--seed", "6",
@@ -322,6 +383,16 @@ class TestTable:
         main(["table", "--input", strata_csv, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert render_payload(payload, "text") == text
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_count_is_data_error(self, capsys, tmp_path, value):
+        path = tmp_path / "strata.csv"
+        path.write_text(f"stratum,a,b,c,d\n1,10,90,5,95\n2,30,{value},15,35\n")
+        code = main(["table", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (f"error: {path} line 3: column 'b' has non-finite "
+                                f"value {value!r}\n")
 
 
 def test_console_entry_point(toy_csv):

@@ -20,10 +20,6 @@ class TestModelSpec:
         with pytest.raises(DataError):
             ModelSpec(outcome="y", exposure="x", covariates=("y",))
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(DataError):
-            ModelSpec(outcome="y", exposure="x", family_link="gamma-inverse")
-
 
 class TestDataset:
     def make(self, **kw):

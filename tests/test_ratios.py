@@ -106,6 +106,14 @@ class TestConditionalPr:
         with pytest.raises(DegenerateDenominatorError):
             conditional_pr(fit, ds)
 
+    @pytest.mark.parametrize("estimator", [conditional_pr, marginal_pr])
+    def test_zero_ratio_is_degenerate(self, estimator):
+        # the exposed prevalence underflows to 0, so the ratio has no log scale
+        ds = table_dataset(3, 3, 3, 3)
+        fit = fake_logistic_fit([-5.0, -800.0])
+        with pytest.raises(DegenerateDenominatorError, match="ratio of 0"):
+            estimator(fit, ds)
+
     def test_por_cpr_identity(self, toy_ds):
         # POR = CPR * (1 - P0) / (1 - P1) at the conditioning point
         fit = fit_glm(toy_ds, "binomial-logit")
@@ -304,6 +312,18 @@ def bootstrap_one(ds, estimator, reps, **kwargs):
     return result
 
 
+class TestCoefficientVariance:
+    def test_negative_variance_is_degenerate(self):
+        fit = fake_logistic_fit([0.0, 1.0], vcov=np.diag([1.0, -1e-18]))
+        with pytest.raises(DegenerateDenominatorError, match="'x' coefficient is -1e-18"):
+            prevalence_odds_ratio(fit)
+
+    def test_nan_variance_is_not_representable(self):
+        fit = fake_logistic_fit([0.0, 1.0], vcov=np.diag([1.0, math.nan]))
+        with pytest.raises(InvalidArgumentError, match="not representable"):
+            prevalence_odds_ratio(fit)
+
+
 class TestBootstrap:
     def test_point_is_full_data_estimate(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
@@ -331,6 +351,10 @@ class TestBootstrap:
             bootstrap_one(toy_ds, "MPR", 99, seed=1)
         with pytest.raises(ValueError):
             bootstrap_one(toy_ds, "POR", 100, seed=1)
+
+    def test_rejects_negative_seed_by_name(self, toy_ds):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            bootstrap_one(toy_ds, "MPR", 100, seed=-3)
 
     def test_unstable_resampling_raises(self):
         y = np.array([1.0, 1.0, 0.0, 0.0])

@@ -6,6 +6,7 @@ import pytest
 
 from prevratio import (ToyConfig, dgp_coefficients, replication_study,
                        simulate_toy, true_conditional_pr, true_marginal_pr)
+from prevratio.methods import METHODS
 
 LOGIT_02 = math.log(0.2 / 0.8)
 
@@ -26,6 +27,10 @@ class TestToyConfig:
             ToyConfig(n=0)
         with pytest.raises(ValueError):
             ToyConfig(p_exposure=1.0)
+
+    def test_rejects_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ToyConfig(seed=-1)
 
 
 class TestCoefficients:
@@ -171,3 +176,17 @@ class TestReplicationStudy:
         s = rep.summary("Crude")
         assert s.n_ok > 90
         assert s.mean_estimate == pytest.approx(rep.truth["true_mpr"], abs=0.2)
+
+    # (n, seed) pairs of tiny studies that once aborted: a sandwich variance
+    # that rounds below zero (math domain error), or a delta-method ratio of 0
+    # divided by (ZeroDivisionError, the first four)
+    @pytest.mark.parametrize("n, seed", [(4, 1), (5, 2), (6, 2), (8, 4), (3, 0),
+                                         (10, 0), (12, 0), (15, 5), (20, 4)])
+    def test_degenerate_fits_are_counted_not_raised(self, n, seed):
+        methods = tuple(name for name, m in METHODS.items() if m.target)
+        rep = replication_study(ToyConfig(n=n, seed=seed), reps=100, methods=methods)
+        for s in rep.summaries:
+            assert s.n_ok + s.n_failed == 100
+            assert sum(rep.failure_reasons[s.method].values()) == s.n_failed
+        assert any("DegenerateDenominatorError" in reasons
+                   for reasons in rep.failure_reasons.values())
