@@ -24,8 +24,8 @@ from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_prs,
 from .simulate import (DEFAULT_STUDY_METHODS, MethodSummary, StudyReport,
                        ToyConfig, dgp_coefficients, replication_study,
                        simulate_toy, true_conditional_pr, true_marginal_pr)
-from .variance import (IntervalEstimate, interval_from_log_scale,
-                       normal_quantile, sandwich_vcov, wald_ci_log_scale)
+from .variance import (IntervalEstimate, normal_quantile, ratio_interval,
+                       sandwich_vcov)
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "crude_table",
     "dgp_coefficients",
     "fit_glm",
-    "interval_from_log_scale",
     "load_csv",
     "log_binomial_pr",
     "mantel_haenszel_pr",
@@ -66,6 +65,7 @@ __all__ = [
     "normal_quantile",
     "predict_prevalence",
     "prevalence_odds_ratio",
+    "ratio_interval",
     "replication_study",
     "robust_poisson_pr",
     "sandwich_vcov",
@@ -76,6 +76,5 @@ __all__ = [
     "stratified_from_dataset",
     "true_conditional_pr",
     "true_marginal_pr",
-    "wald_ci_log_scale",
     "write_csv",
 ]

@@ -25,7 +25,7 @@ from .data import Dataset, EXPOSURE_COL
 from .errors import DataError, DegenerateDenominatorError, PrevRatioError
 from .glm import FitResult, fit_stack, predict_prevalence
 from .ratios import PrEstimate, _coefficient_ratio
-from .variance import _sandwich, interval_from_log_scale
+from .variance import _sandwich, ratio_interval
 
 _TABLE_COLUMNS = ("stratum", "a", "b", "c", "d")
 
@@ -93,7 +93,7 @@ class StratifiedTable:
 
 def _crude_components(a: float, b: float, c: float,
                       d: float) -> tuple[float, float]:
-    """Point and log-scale SE of the ratio [a/(a+b)] / [c/(c+d)]."""
+    """Point and log-scale variance of the ratio [a/(a+b)] / [c/(c+d)]."""
     n1 = a + b
     n0 = c + d
     if n1 <= 0 or n0 <= 0:
@@ -107,9 +107,7 @@ def _crude_components(a: float, b: float, c: float,
             "no cases among the exposed; the prevalence ratio is 0 and has "
             "no log-scale interval"
         )
-    pr = (a / n1) / (c / n0)
-    se_log = math.sqrt(1.0 / a - 1.0 / n1 + 1.0 / c - 1.0 / n0)
-    return pr, se_log
+    return (a / n1) / (c / n0), 1.0 / a - 1.0 / n1 + 1.0 / c - 1.0 / n0
 
 
 def crude_pr(table: StratifiedTable, level: float = 0.95) -> PrEstimate:
@@ -120,11 +118,9 @@ def crude_pr(table: StratifiedTable, level: float = 0.95) -> PrEstimate:
             "call .pooled() to collapse first"
         )
     a, b, c, d = table.strata[0]
-    pr, se_log = _crude_components(a, b, c, d)
-    interval = interval_from_log_scale(math.log(pr), se_log, level)
     return PrEstimate(
         method="Crude",
-        interval=interval,
+        interval=ratio_interval(*_crude_components(a, b, c, d), level),
         exposure="exposure",
         metadata={"se_scale": "log", "counts": {"a": a, "b": b, "c": c, "d": d}},
     )
@@ -140,7 +136,7 @@ def mantel_haenszel_pr(table: StratifiedTable,
     """
     if table.k == 1:
         a, b, c, d = table.strata[0]
-        pr, se_log = _crude_components(a, b, c, d)
+        pr, log_var = _crude_components(a, b, c, d)
     else:
         num = den = var_num = 0.0
         for a, b, c, d in table.strata:
@@ -152,12 +148,10 @@ def mantel_haenszel_pr(table: StratifiedTable,
             raise DegenerateDenominatorError(
                 "a Mantel-Haenszel sum is zero; the pooled ratio is undefined"
             )
-        pr = num / den
-        se_log = math.sqrt(var_num / (num * den))
-    interval = interval_from_log_scale(math.log(pr), se_log, level)
+        pr, log_var = num / den, var_num / (num * den)
     return PrEstimate(
         method="MantelHaenszel",
-        interval=interval,
+        interval=ratio_interval(pr, log_var, level),
         exposure="exposure",
         metadata={"se_scale": "log", "strata": table.k},
     )

@@ -10,8 +10,8 @@ class DataError(PrevRatioError):
 
 
 class InvalidArgumentError(PrevRatioError, ValueError):
-    """An argument the data make unusable: a conditioning value the contrast
-    sets, or an interval whose bounds are not representable.
+    """An argument that cannot be used: a conditioning value the contrast
+    sets, or a fit of the wrong family or one that did not converge.
 
     It is also a ValueError, so code that catches ValueError still catches it.
     """
@@ -51,4 +51,6 @@ class NonConvergenceError(PrevRatioError):
 
 
 class DegenerateDenominatorError(PrevRatioError):
-    """A ratio denominator collapsed to (numerically) zero."""
+    """A ratio denominator collapsed to (numerically) zero, or an estimate
+    too degenerate to have a log-scale interval, as on a separated fit.
+    """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -29,8 +29,7 @@ from .errors import (DataError, DegenerateDenominatorError, InvalidArgumentError
 from .glm import FitResult, expit, fit_glm
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
-from .variance import (IntervalEstimate, interval_from_log_scale,
-                       normal_quantile, sandwich_vcov, wald_ci_log_scale)
+from .variance import IntervalEstimate, ratio_interval, sandwich_vcov
 
 METHOD_LABELS = (
     "POR", "CPR", "MPR", "LogBinomial", "RobustPoisson",
@@ -63,11 +62,11 @@ class PrEstimate:
 
 def _require_logistic(fit: FitResult) -> None:
     if fit.family_link != "binomial-logit":
-        raise ValueError(
+        raise InvalidArgumentError(
             f"this estimator needs a binomial-logit fit, got {fit.family_link!r}"
         )
     if not fit.converged:
-        raise ValueError("fit did not converge")
+        raise InvalidArgumentError("fit did not converge")
 
 
 def _predictor_index(column_names: tuple[str, ...], predictor: str | None) -> int:
@@ -99,41 +98,25 @@ def _conditioning_point(ds: Dataset, k: int,
 
 
 def _delta_interval(pr: float, grad: np.ndarray, vcov: np.ndarray,
-                    level: float) -> tuple[IntervalEstimate, float]:
-    if pr <= 0.0:
-        raise DegenerateDenominatorError(
-            f"the prevalence ratio is {pr:g}; a ratio of 0 has no log-scale interval"
-        )
+                    level: float) -> IntervalEstimate:
+    """Log-scale Wald interval of ``pr``, with its delta-method SE on the ratio scale."""
     var = float(grad @ vcov @ grad)
-    se = math.sqrt(max(var, 0.0))
-    # a near-separated fit can make se/pr so large that the log-scale
-    # bounds leave the representable range; surface that as degeneracy
-    z = normal_quantile((1.0 + level) / 2.0)
-    if not math.isfinite(se) or z * se / pr + abs(math.log(pr)) > 700.0:
-        raise DegenerateDenominatorError(
-            f"delta-method standard error {se:g} overwhelms the estimate "
-            f"{pr:g}; the fit looks separated"
-        )
-    return wald_ci_log_scale(pr, se, level), se
+    # var / pr**2 as two divisions, since pr * pr can underflow; a ratio of 0
+    # fails in ratio_interval, before its variance is read
+    interval = ratio_interval(pr, var / pr / pr if pr > 0.0 else 0.0, level)
+    return replace(interval, se=math.sqrt(var))
 
 
 def _coefficient_ratio(method: str, fit: FitResult, k: int, vcov: np.ndarray,
                        level: float, metadata: Mapping[str, Any]) -> PrEstimate:
-    """exp(beta_k) of ``fit`` with a log-scale Wald interval from ``vcov``.
-
-    A negative variance (a sandwich of a near-degenerate fit can round to
-    one) raises DegenerateDenominatorError; a NaN one gives the
-    InvalidArgumentError of an interval that is not representable.
-    """
-    var = float(vcov[k, k])
-    if var < 0.0:
-        raise DegenerateDenominatorError(
-            f"the variance of the {fit.column_names[k]!r} coefficient is {var:g}, "
-            "below zero; the fit is degenerate"
-        )
+    """exp(beta_k) of ``fit`` with a log-scale Wald interval from ``vcov``."""
+    try:
+        point = math.exp(fit.beta[k])
+    except OverflowError:
+        point = math.inf
     return PrEstimate(
         method=method,
-        interval=interval_from_log_scale(float(fit.beta[k]), math.sqrt(var), level),
+        interval=ratio_interval(point, float(vcov[k, k]), level),
         exposure=fit.column_names[k],
         metadata=metadata,
     )
@@ -170,7 +153,7 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     grad_p1 = x1 * (p1 * (1.0 - p1))
     grad_p0 = x0 * (p0 * (1.0 - p0))
     grad = (grad_p1 * p0 - grad_p0 * p1) / p0**2
-    interval, se = _delta_interval(pr, grad, fit.vcov, level)
+    interval = _delta_interval(pr, grad, fit.vcov, level)
     conditioning = {name: float(v) for name, v in zip(ds.column_names, x0)
                     if name != INTERCEPT_NAME}
     conditioning.pop(ds.column_names[k], None)
@@ -232,7 +215,7 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
 
     pr = p1 / p0
     grad = (gradient(1.0, rows1) * p0 - gradient(0.0, rows0) * p1) / p0**2
-    interval, se = _delta_interval(pr, grad, fit.vcov, level)
+    interval = _delta_interval(pr, grad, fit.vcov, level)
     return PrEstimate(
         method="MPR",
         interval=interval,

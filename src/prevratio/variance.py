@@ -1,9 +1,13 @@
-"""Robust (sandwich) covariance and the shared log-scale Wald interval.
+"""Robust (sandwich) covariance and the one Wald interval of every ratio.
 
 The sandwich estimator is plain HC0: bread = model-based (X'WX)^-1 at the
 optimum, meat = sum_i w_i^2 x_i x_i' (y_i - mu_i)^2 with w_i the prior
 weight. No small-sample correction is applied, matching the default robust
 Poisson implementations this package is compared against.
+
+:func:`ratio_interval` builds the log-scale Wald interval of every ratio
+the package reports, delta-method, coefficient and table-based alike, and
+it alone decides that an estimate is too degenerate to have one.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidArgumentError
+from .errors import DegenerateDenominatorError, InvalidArgumentError
 from .glm import FitResult, predict_prevalence
 from .linalg import gram_stack
 
@@ -126,59 +130,40 @@ class IntervalEstimate:
         return self.upper - self.lower
 
 
-def wald_ci_log_scale(point: float, se: float, level: float = 0.95) -> IntervalEstimate:
-    """Wald interval for a ratio whose SE was computed on the ratio scale.
+def ratio_interval(point: float, log_var: float, level: float = 0.95) -> IntervalEstimate:
+    """Wald interval point * exp(±z * se) for a ratio, with se = sqrt(log_var).
 
-    se/point approximates the SE of log(point), so the bounds are
-    point * exp(±z * se / point).
+    ``log_var`` is the variance of log(point); ``se`` is kept on the log
+    scale. A point that is not a finite positive number, a log variance
+    that is negative or not finite, or bounds whose log lies beyond ±700
+    (a separated or otherwise degenerate fit) raise
+    DegenerateDenominatorError.
     """
-    if point <= 0.0:
-        raise ValueError(f"ratio point estimate must be positive, got {point}")
-    if se < 0.0:
-        raise ValueError(f"standard error must be nonnegative, got {se}")
-    z = normal_quantile((1.0 + level) / 2.0)
-    half = z * se / point
-    try:
-        lower = point * math.exp(-half)
-        upper = point * math.exp(half)
-        representable = 0.0 < lower and upper < math.inf
-    except OverflowError:
-        representable = False
-    if not representable:
-        raise InvalidArgumentError(
-            f"interval bounds for point {point:g} with se {se:g} are not "
-            "representable"
+    if not 0.0 < point < math.inf:
+        raise DegenerateDenominatorError(
+            f"a ratio of {point:g} has no log-scale interval"
         )
-    return IntervalEstimate(point=point, se=se, lower=lower, upper=upper,
-                            level=level)
-
-
-def interval_from_log_scale(log_point: float, log_se: float,
-                            level: float = 0.95) -> IntervalEstimate:
-    """Wald interval exp(log_point ± z * log_se); ``se`` kept on the log scale."""
-    if log_se < 0.0:
-        raise ValueError(f"standard error must be nonnegative, got {log_se}")
-    z = normal_quantile((1.0 + level) / 2.0)
-    try:
-        point = math.exp(log_point)
-        lower = math.exp(log_point - z * log_se)
-        upper = math.exp(log_point + z * log_se)
-        representable = 0.0 < lower and upper < math.inf
-    except OverflowError:
-        representable = False
-    if not representable:
-        raise InvalidArgumentError(
-            f"interval bounds for log point {log_point:g} with log se "
-            f"{log_se:g} are not representable"
+    if not 0.0 <= log_var < math.inf:
+        raise DegenerateDenominatorError(
+            f"the log-scale variance of the ratio {point:g} is {log_var:g}; "
+            "the fit is degenerate"
         )
-    return IntervalEstimate(point=point, se=log_se, lower=lower, upper=upper,
-                            level=level)
+    se = math.sqrt(log_var)
+    # (1 - level) / 2 is exact, where (1 + level) / 2 can round to 1
+    z = -normal_quantile((1.0 - level) / 2.0)
+    if z * se + abs(math.log(point)) > 700.0:
+        raise DegenerateDenominatorError(
+            f"the log-scale standard error {se:g} overwhelms the ratio "
+            f"{point:g}; the fit looks separated"
+        )
+    return IntervalEstimate(point=point, se=se, lower=point * math.exp(-z * se),
+                            upper=point * math.exp(z * se), level=level)
 
 
 def sandwich_vcov(fit: FitResult, ds: Dataset) -> np.ndarray:
     """HC0 robust covariance B^-1 M B^-1 for a converged fit on ``ds``."""
     if not fit.converged:
-        raise ValueError("sandwich covariance requires a converged fit")
+        raise InvalidArgumentError("sandwich covariance requires a converged fit")
     mu = predict_prevalence(fit, ds.X)
     return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - mu)) ** 2)
 

@@ -14,9 +14,9 @@ from scipy.special import expit, ndtri
 from prevratio import (NonConvergenceError, StratifiedTable, ToyConfig,
                        conditional_pr, crude_pr, dgp_coefficients, fit_glm,
                        mantel_haenszel_pr, marginal_pr, prevalence_odds_ratio,
-                       replication_study, sandwich_vcov, schouten_expand,
-                       schouten_pr, simulate_toy, true_conditional_pr,
-                       wald_ci_log_scale)
+                       ratio_interval, replication_study, sandwich_vcov,
+                       schouten_expand, schouten_pr, simulate_toy,
+                       true_conditional_pr)
 from conftest import random_logistic_dataset, table_dataset
 
 
@@ -222,16 +222,16 @@ def test_criterion_09_sandwich_oracle():
 
 
 def test_criterion_10_log_scale_interval_formula():
-    iv = wald_ci_log_scale(2.0, 0.4, 0.95)
+    # a ratio-scale se of 0.4 at point 2 is a log-scale variance of (0.4 / 2)**2
+    iv = ratio_interval(2.0, 0.2**2, 0.95)
     z = float(ndtri(0.975))
-    # ratio-scale se, so the log-scale spread is se / point
     oracle = (2.0 * math.exp(-z * 0.2), 2.0 * math.exp(z * 0.2))
     got = (round(iv.lower, 5), round(iv.upper, 5))
     want = (round(oracle[0], 5), round(oracle[1], 5))
     ok = got == want == (1.35142, 2.95985)
     report(10, ok,
-           f"wald_ci_log_scale(2, 0.4, 0.95) = {got} at 5 d.p., matching "
-           f"independent evaluation of point * exp(+/- z * se / point) with "
+           f"ratio_interval(2, 0.2**2, 0.95) = {got} at 5 d.p., matching "
+           f"independent evaluation of point * exp(+/- z * sqrt(log_var)) with "
            f"z = {z:.7f}; the pair (1.35147, 2.95973) does not satisfy this "
            f"formula for any one z (its bounds imply z = 1.95977 and "
            f"z = 1.95975)")

@@ -214,6 +214,20 @@ class TestSeparatedData:
         with pytest.raises(NonIdentifiableError, match=r"column 1, 'x'"):
             fit_glm(self.completely_separated(), "poisson-log")
 
+    def test_ratio_estimators_fail_as_cpr_does(self):
+        # a separated fit has no interval, whichever ratio is read off it
+        ds = self.quasi_separated()
+        fit = fit_glm(ds, "binomial-logit")
+        with pytest.raises(PrevRatioError) as cpr_err:
+            conditional_pr(fit, ds)
+        assert np.isfinite(marginal_pr(fit, ds).point)
+        for estimate in (lambda: prevalence_odds_ratio(fit), lambda: log_binomial_pr(ds),
+                         lambda: schouten_pr(ds)):
+            try:
+                assert np.isfinite(estimate().point)
+            except PrevRatioError as err:
+                assert type(err) is type(cpr_err.value), repr(err)
+
 
 class TestBlockedStudy:
     def test_matches_one_at_a_time_estimates(self):

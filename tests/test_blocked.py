@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from prevratio import (Dataset, INTERCEPT_NAME, ModelSpec, ToyConfig, covariate_means,
-                       dgp_coefficients, fit_glm, interval_from_log_scale, sandwich_vcov,
+                       dgp_coefficients, fit_glm, ratio_interval, sandwich_vcov,
                        schouten_expand, schouten_pr, simulate_toy)
 from prevratio.classical import _schouten_response
 from prevratio.glm import expit, fit_stack
@@ -82,8 +82,8 @@ class TestSchoutenOnOriginalRows:
         ds = weighted_dataset()
         expanded = schouten_expand(ds)
         oracle = fit_glm(expanded, "binomial-logit")
-        se = math.sqrt(sandwich_vcov(oracle, expanded)[1, 1])
-        want = interval_from_log_scale(float(oracle.beta[1]), se, level)
+        var = sandwich_vcov(oracle, expanded)[1, 1]
+        want = ratio_interval(math.exp(oracle.beta[1]), var, level)
         got = schouten_pr(ds, level)
         for key in ("point", "se", "lower", "upper"):
             assert getattr(got.interval, key) == pytest.approx(getattr(want, key), rel=1e-10)

@@ -91,13 +91,14 @@ class TestConditionalPr:
 
     def test_requires_logistic_fit(self, toy_ds):
         pois = fit_glm(toy_ds, "poisson-log")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="'poisson-log'") as err:
             conditional_pr(pois, toy_ds)
+        assert isinstance(err.value, ValueError)
 
     def test_requires_converged_fit(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
         stale = type(fit)(**{**fit.__dict__, "converged": False})
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="did not converge"):
             conditional_pr(stale, toy_ds)
 
     def test_degenerate_denominator(self):
@@ -113,6 +114,15 @@ class TestConditionalPr:
         fit = fake_logistic_fit([-5.0, -800.0])
         with pytest.raises(DegenerateDenominatorError, match="ratio of 0"):
             estimator(fit, ds)
+
+    @pytest.mark.parametrize("estimator", [conditional_pr, marginal_pr])
+    def test_tiny_ratio_has_zero_se(self, estimator):
+        # pr ~ 3e-200, so pr * pr underflows to 0; the variance 0 must still divide
+        ds = table_dataset(3, 3, 3, 3)
+        est = estimator(fake_logistic_fit([0.0, -460.0]), ds)
+        iv = est.interval
+        assert iv.point == pytest.approx(2.0 * expit(-460.0), rel=1e-12)
+        assert (iv.se, iv.lower, iv.upper) == (0.0, iv.point, iv.point)
 
     def test_por_cpr_identity(self, toy_ds):
         # POR = CPR * (1 - P0) / (1 - P1) at the conditioning point
@@ -315,13 +325,18 @@ def bootstrap_one(ds, estimator, reps, **kwargs):
 class TestCoefficientVariance:
     def test_negative_variance_is_degenerate(self):
         fit = fake_logistic_fit([0.0, 1.0], vcov=np.diag([1.0, -1e-18]))
-        with pytest.raises(DegenerateDenominatorError, match="'x' coefficient is -1e-18"):
+        with pytest.raises(DegenerateDenominatorError, match="log-scale variance .* is -1e-18"):
             prevalence_odds_ratio(fit)
 
     def test_nan_variance_is_not_representable(self):
         fit = fake_logistic_fit([0.0, 1.0], vcov=np.diag([1.0, math.nan]))
-        with pytest.raises(InvalidArgumentError, match="not representable"):
+        with pytest.raises(DegenerateDenominatorError, match="is nan"):
             prevalence_odds_ratio(fit)
+
+    def test_overflowing_coefficient_is_degenerate(self):
+        # exp(800) overflows before the interval is built
+        with pytest.raises(DegenerateDenominatorError, match="ratio of inf"):
+            prevalence_odds_ratio(fake_logistic_fit([0.0, 800.0]))
 
 
 class TestBootstrap:

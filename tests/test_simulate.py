@@ -179,7 +179,9 @@ class TestReplicationStudy:
 
     # (n, seed) pairs of tiny studies that once aborted: a sandwich variance
     # that rounds below zero (math domain error), or a delta-method ratio of 0
-    # divided by (ZeroDivisionError, the first four)
+    # divided by (ZeroDivisionError, the first four). A separated fit has no
+    # interval, which is degenerate for every method, not an argument error
+    # (at (4, 1), 60 POR estimates).
     @pytest.mark.parametrize("n, seed", [(4, 1), (5, 2), (6, 2), (8, 4), (3, 0),
                                          (10, 0), (12, 0), (15, 5), (20, 4)])
     def test_degenerate_fits_are_counted_not_raised(self, n, seed):
@@ -188,5 +190,12 @@ class TestReplicationStudy:
         for s in rep.summaries:
             assert s.n_ok + s.n_failed == 100
             assert sum(rep.failure_reasons[s.method].values()) == s.n_failed
+            assert "InvalidArgumentError" not in rep.failure_reasons[s.method]
         assert any("DegenerateDenominatorError" in reasons
                    for reasons in rep.failure_reasons.values())
+
+    def test_log_bounds_beyond_700_fail_for_mpr(self):
+        # one MPR estimate here has representable bounds, but a log bound beyond 700
+        methods = tuple(name for name, m in METHODS.items() if m.target)
+        rep = replication_study(ToyConfig(n=4, seed=2), reps=100, methods=methods)
+        assert rep.summary("MPR").n_ok == 23

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from prevratio import (Dataset, INTERCEPT_NAME, IntervalEstimate, InvalidArgumentError,
-                       PrevRatioError, ToyConfig,
-                       fit_glm, interval_from_log_scale, normal_quantile,
-                       predict_prevalence, sandwich_vcov, simulate_toy,
-                       wald_ci_log_scale)
+from prevratio import (DegenerateDenominatorError, IntervalEstimate, InvalidArgumentError,
+                       ToyConfig, fit_glm, normal_quantile, predict_prevalence,
+                       ratio_interval, sandwich_vcov, simulate_toy)
 from conftest import table_dataset
 
 
@@ -55,60 +53,89 @@ class TestIntervalEstimate:
 
 class TestWaldCiLogScale:
     def test_zero_se_degenerate(self):
-        iv = wald_ci_log_scale(1.0, 0.0, 0.95)
+        iv = ratio_interval(1.0, 0.0, 0.95)
         assert (iv.lower, iv.point, iv.upper) == (1.0, 1.0, 1.0)
 
     def test_direct_formula_evaluation(self):
-        # 2 * exp(+-1.9599639845 * 0.4 / 2), evaluated independently below
+        # 2 * exp(+-1.9599639845 * 0.2), evaluated independently below
         z = float(ndtri(0.975))
-        iv = wald_ci_log_scale(2.0, 0.4, 0.95)
+        iv = ratio_interval(2.0, 0.2**2, 0.95)
         assert iv.lower == pytest.approx(2.0 * math.exp(-z * 0.2), abs=1e-12)
         assert iv.upper == pytest.approx(2.0 * math.exp(z * 0.2), abs=1e-12)
         assert round(iv.lower, 5) == 1.35142
         assert round(iv.upper, 5) == 2.95985
 
     def test_wider_level_contains_narrower(self):
-        narrow = wald_ci_log_scale(2.0, 0.4, 0.95)
-        wide = wald_ci_log_scale(2.0, 0.4, 0.99)
+        narrow = ratio_interval(2.0, 0.04, 0.95)
+        wide = ratio_interval(2.0, 0.04, 0.99)
         assert wide.lower < narrow.lower
         assert wide.upper > narrow.upper
 
+    # "log" cases are a coefficient's (exp(beta), var of beta), "ratio" cases a
+    # delta-method ratio's (point, (se / point)**2)
     @pytest.mark.parametrize("build, args", [
-        ("log", (800.0, 1.0)),       # exp overflows
-        ("log", (-800.0, 1.0)),      # every bound underflows to 0
-        ("log", (0.0, 500.0)),       # the lower bound underflows to 0
-        ("ratio", (2.0, 1e6)),       # exp(half) overflows
-        ("ratio", (1e-300, 1e-298)),  # the lower bound underflows to 0
-        ("ratio", (1e308, 1e308)),   # the upper bound is inf
+        ("log", (math.inf, 1.0)),        # exp(800) overflows
+        ("log", (0.0, 1.0)),             # exp(-800) underflows to 0
+        ("log", (1.0, 500.0**2)),        # the lower bound underflows to 0
+        ("ratio", (2.0, 5e5**2)),        # exp(half) overflows
+        ("ratio", (1e-300, 100.0**2)),   # the lower bound underflows to 0
+        ("ratio", (1e308, 1.0)),         # the upper bound is inf
     ])
     def test_unrepresentable_bounds_are_typed(self, build, args):
-        fn = interval_from_log_scale if build == "log" else wald_ci_log_scale
-        with pytest.raises(InvalidArgumentError, match="not representable") as err:
-            fn(*args)
-        assert isinstance(err.value, ValueError) and isinstance(err.value, PrevRatioError)
+        with pytest.raises(DegenerateDenominatorError):
+            ratio_interval(*args)
 
     def test_nonpositive_point_rejected(self):
-        with pytest.raises(ValueError):
-            wald_ci_log_scale(0.0, 0.1, 0.95)
-        with pytest.raises(ValueError):
-            wald_ci_log_scale(-2.0, 0.1, 0.95)
+        for point in (0.0, -2.0, math.nan):
+            with pytest.raises(DegenerateDenominatorError, match="has no log-scale interval"):
+                ratio_interval(point, 0.01, 0.95)
+
+    @pytest.mark.parametrize("log_var", [-1e-18, math.nan, math.inf])
+    def test_unusable_variance_is_degenerate(self, log_var):
+        with pytest.raises(DegenerateDenominatorError, match="log-scale variance"):
+            ratio_interval(2.0, log_var, 0.95)
+
+    def test_bounds_beyond_700_on_the_log_scale_are_degenerate(self):
+        # representable bounds, but a log bound of -701: a separated fit, not an estimate
+        z = float(ndtri(0.975))
+        assert ratio_interval(math.exp(-600.0), (99.0 / z) ** 2).lower > 0.0
+        with pytest.raises(DegenerateDenominatorError, match="overwhelms"):
+            ratio_interval(math.exp(-600.0), (101.0 / z) ** 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=0.05, max_value=50.0),
            st.floats(min_value=0.0, max_value=5.0),
            st.floats(min_value=0.01, max_value=20.0))
-    def test_scaling_equivariance(self, point, se, c):
-        base = wald_ci_log_scale(point, se, 0.95)
-        scaled = wald_ci_log_scale(c * point, c * se, 0.95)
+    def test_scaling_equivariance(self, point, log_sd, c):
+        base = ratio_interval(point, log_sd**2, 0.95)
+        scaled = ratio_interval(c * point, log_sd**2, 0.95)
         assert scaled.lower == pytest.approx(c * base.lower, rel=1e-10)
         assert scaled.upper == pytest.approx(c * base.upper, rel=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(), st.floats(),
+           st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_any_input_gives_an_interval_or_a_degenerate_error(self, point, log_var, level):
+        try:
+            iv = ratio_interval(point, log_var, level)
+        except DegenerateDenominatorError:
+            return
+        assert 0.0 < iv.lower <= iv.point <= iv.upper < math.inf
+        assert iv.point == point and iv.se == math.sqrt(log_var)
+
+    def test_level_next_to_one_keeps_its_quantile(self):
+        # (1 + level) / 2 rounds to 1.0 here; the lower tail (1 - level) / 2 does not
+        level = math.nextafter(1.0, 0.0)
+        z = -float(ndtri((1.0 - level) / 2.0))
+        assert ratio_interval(1.0, 0.01, level).upper == pytest.approx(math.exp(0.1 * z), rel=1e-12)
 
 
 class TestIntervalFromLogScale:
     def test_matches_exponentiated_bounds(self):
         z = float(ndtri(0.975))
-        iv = interval_from_log_scale(math.log(2.0), 0.3, 0.95)
-        assert iv.point == pytest.approx(2.0, abs=1e-12)
+        iv = ratio_interval(2.0, 0.3**2, 0.95)
+        assert iv.point == 2.0
+        assert iv.se == pytest.approx(0.3, rel=1e-15)
         assert iv.lower == pytest.approx(2.0 * math.exp(-z * 0.3), rel=1e-12)
         assert iv.upper == pytest.approx(2.0 * math.exp(z * 0.3), rel=1e-12)
 
@@ -162,5 +189,5 @@ class TestSandwich:
     def test_requires_converged_fit(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
         bad = type(fit)(**{**fit.__dict__, "converged": False})
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="requires a converged fit"):
             sandwich_vcov(bad, toy_ds)
