@@ -45,8 +45,8 @@ class ModelSpec:
         return (self.exposure,) + self.covariates
 
 
-def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, ndim=1) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise DataError(f"expected a {ndim}-D array, got shape {arr.shape}")
     arr.setflags(write=False)

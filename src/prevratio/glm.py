@@ -9,11 +9,11 @@ estimator on binary outcomes).
 Each accepted IRLS step is guarded by step-halving so the deviance never
 increases; for the log link, halving also keeps every fitted probability
 strictly below one. Convergence uses the relative deviance change
-|dev_t - dev_{t-1}| / (|dev_t| + 0.1) < tol. After the criterion fires, up
-to two extra guarded Newton steps polish the optimum: the deviance rule
-certifies the step *before* last, so the polish buys several more correct
-digits in beta at negligible cost (saturated-model identities downstream
-rely on that precision).
+|dev_t - dev_{t-1}| / (|dev_t| + 0.1) < DEVIANCE_TOL, within MAX_ITERATIONS
+iterations. After the criterion fires, up to two extra guarded Newton steps
+polish the optimum: the deviance rule certifies the step *before* last, so
+the polish buys several more correct digits in beta at negligible cost
+(saturated-model identities downstream rely on that precision).
 
 :func:`fit_stack` runs these rules on a stack of same-shape problems at
 once, each problem with its own masks, iterations and errors; resampling
@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .errors import (NonConvergenceError, NonIdentifiableError, PrevRatioError,
-                     RankDeficientError)
+from .errors import (InvalidArgumentError, NonConvergenceError, NonIdentifiableError,
+                     PrevRatioError, RankDeficientError)
 from .linalg import (cholesky_stack, gram_stack, inverse_from_factor, matvec_stack,
                      rmatvec_stack)
 
@@ -84,7 +84,6 @@ def _poisson_deviance(y, eta, w) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Family:
-    name: str
     inverse_link: Callable[[np.ndarray], np.ndarray]
     irls_weight: Callable[[np.ndarray], np.ndarray]   # (dmu/deta)^2 / Var(mu)
     # irls_weight * dlink/dmu, which scales the score w (y - mu); None where it is 1
@@ -96,7 +95,6 @@ class _Family:
 
 _FAMILIES = {
     "binomial-logit": _Family(
-        name="binomial-logit",
         inverse_link=expit,
         irls_weight=lambda mu: mu * (1.0 - mu),
         score_scale=None,
@@ -105,7 +103,6 @@ _FAMILIES = {
         eta_max=math.inf,
     ),
     "binomial-log": _Family(
-        name="binomial-log",
         inverse_link=np.exp,
         irls_weight=lambda mu: mu / (1.0 - mu),
         score_scale=lambda mu: 1.0 / (1.0 - mu),
@@ -115,7 +112,6 @@ _FAMILIES = {
         eta_max=_LOG_LINK_ETA_MAX,
     ),
     "poisson-log": _Family(
-        name="poisson-log",
         inverse_link=np.exp,
         irls_weight=lambda mu: mu,
         score_scale=None,
@@ -221,9 +217,8 @@ def _newton_step(fam: _Family, X, y, w, beta, eta, dev):
 
 
 def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
-              column_names: tuple[str, ...], *, beta0: np.ndarray | None = None,
-              tol: float = DEVIANCE_TOL,
-              max_iter: int = MAX_ITERATIONS) -> list[FitResult | PrevRatioError]:
+              column_names: tuple[str, ...], *,
+              beta0: np.ndarray | None = None) -> list[FitResult | PrevRatioError]:
     """Fit ``family_link`` by IRLS to every problem of a stack at once.
 
     ``X`` is (R, n, p), ``y`` and ``weights`` are (R, n), and ``beta0``,
@@ -235,7 +230,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
     nothing. This is the IRLS implementation behind :func:`fit_glm`.
     """
     if family_link not in _FAMILIES:
-        raise ValueError(f"unknown family/link {family_link!r}")
+        raise InvalidArgumentError(f"unknown family/link {family_link!r}")
     fam = _FAMILIES[family_link]
     R, n, p = X.shape
     results: list = [None] * R
@@ -269,9 +264,9 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
         done[i] = True
 
     while True:
-        for i in np.flatnonzero(~done & (polish < 0) & (iterations >= max_iter)):
+        for i in np.flatnonzero(~done & (polish < 0) & (iterations >= MAX_ITERATIONS)):
             fail(i, NonConvergenceError(
-                f"{family_link}: IRLS did not converge in {max_iter} iterations "
+                f"{family_link}: IRLS did not converge in {MAX_ITERATIONS} iterations "
                 f"(deviance {dev[i]:.6g})",
                 iterations=int(iterations[i]), deviance=float(dev[i])))
         act = np.flatnonzero(~done)
@@ -305,7 +300,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
         tested = iterating[accepted]
         i_tested = acc[tested]
         change = np.abs(dev[i_tested] - previous[tested])
-        converged = change / (np.abs(dev[i_tested]) + 0.1) < tol
+        converged = change / (np.abs(dev[i_tested]) + 0.1) < DEVIANCE_TOL
         polish[i_tested[converged]] = _POLISH_STEPS
 
         # polishing: stop at a failed step (weights can degenerate once
@@ -343,9 +338,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
     return results
 
 
-def fit_glm(ds: Dataset, family_link: str, *, tol: float = DEVIANCE_TOL,
-            max_iter: int = MAX_ITERATIONS,
-            beta0: np.ndarray | None = None) -> FitResult:
+def fit_glm(ds: Dataset, family_link: str, *, beta0: np.ndarray | None = None) -> FitResult:
     """Maximum-likelihood fit of ``family_link`` to ``ds`` via IRLS.
 
     ``beta0`` starts the iteration from given coefficients instead of the
@@ -357,8 +350,7 @@ def fit_glm(ds: Dataset, family_link: str, *, tol: float = DEVIANCE_TOL,
     NonConvergenceError when the iteration limit is hit or no feasible
     non-increasing step exists (the log-binomial failure mode).
     """
-    result = fit_stack(ds.X[None], ds.y[None], ds.weights[None], family_link,
-                       ds.column_names, tol=tol, max_iter=max_iter,
+    result = fit_stack(ds.X[None], ds.y[None], ds.weights[None], family_link, ds.column_names,
                        beta0=None if beta0 is None else np.asarray(beta0, dtype=float)[None])[0]
     if isinstance(result, PrevRatioError):
         raise result

@@ -29,7 +29,7 @@ from .errors import (DataError, DegenerateDenominatorError, InvalidArgumentError
 from .glm import FitResult, expit, fit_glm
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
-from .variance import IntervalEstimate, ratio_interval, sandwich_vcov
+from .variance import IntervalEstimate, check_level, ratio_interval, sandwich_vcov
 
 METHOD_LABELS = (
     "POR", "CPR", "MPR", "LogBinomial", "RobustPoisson",
@@ -93,7 +93,12 @@ def _conditioning_point(ds: Dataset, k: int,
                     f"{name!r} is the contrasted predictor; its value is set "
                     "by the 1-vs-0 contrast"
                 )
-            xbar[j] = float(value)
+            value = float(value)
+            if not math.isfinite(value):
+                raise InvalidArgumentError(
+                    f"the conditioning value of {name!r} must be finite, got {value}"
+                )
+            xbar[j] = value
     return xbar
 
 
@@ -315,6 +320,7 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
         raise ValueError(f"need at least 100 bootstrap replicates, got {reps}")
     if seed < 0:
         raise ValueError(f"bootstrap seed must be non-negative, got {seed}")
+    check_level(level)
 
     def estimate(name: str, fit: FitResult, data: Dataset) -> float:
         # the point alone; the delta-method SE is of no use here

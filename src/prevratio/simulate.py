@@ -24,7 +24,7 @@ from .errors import PrevRatioError
 from .glm import expit
 from .methods import METHODS, block_fits, estimate
 from .parallel import _fork_map
-from .variance import ndtri
+from .variance import _STD_NORMAL, check_level
 
 DEFAULT_STUDY_METHODS = ("CPR", "MPR", "POR", "LogBinomial",
                          "RobustPoisson", "Schouten")
@@ -108,10 +108,10 @@ def true_marginal_pr(coeffs: Sequence[float], nodes: int = 80) -> float:
 def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> list[Dataset]:
     """Draw one dataset per replicate from the toy process.
 
-    Each replicate draws its three uniform vectors from its own substream;
-    the normal quantiles and the outcome probabilities are then computed
-    for the whole block at once, element by element, so a replicate's
-    data do not depend on the rest of its block.
+    Each replicate draws three uniform vectors from its own substream and
+    maps the second to normals by ``NormalDist.inv_cdf``, one replicate at
+    a time to keep the float list short; every later step works element by
+    element, so a replicate's data do not depend on the rest of its block.
     """
     b0, b1, b2 = dgp_coefficients(cfg)
     u = np.empty((3, len(replicates), cfg.n))
@@ -119,8 +119,10 @@ def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> list[Dataset]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,)))
         for draw in u[:, i]:
             rng.random(out=draw)
+        u[1, i] = np.fromiter(map(_STD_NORMAL.inv_cdf, np.maximum(u[1, i], _U_FLOOR).tolist()),
+                              float, cfg.n)
     x = (u[0] < cfg.p_exposure).astype(float)
-    z = ndtri(np.maximum(u[1], _U_FLOOR))
+    z = u[1]
     y = (u[2] < expit(b0 + b1 * x + b2 * z)).astype(float)
     return [
         Dataset(
@@ -248,39 +250,29 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _block_estimates(cfg: ToyConfig, replicates: range, methods: Sequence[str],
-                     level: float) -> list[tuple[Dataset, dict]]:
-    """Each replicate's dataset and, per method, its estimate or the error that stopped it.
-
-    The block's fits are dropped on return, before the next block is drawn.
-    """
-    block = _simulate_block(cfg, replicates)
-    fits = block_fits(block, methods)
-    results = []
-    for j, ds in enumerate(block):
-        estimates = {}
-        for m in methods:
-            try:
-                estimates[m] = estimate(m, fits, j, ds, level)
-            except PrevRatioError as exc:
-                estimates[m] = exc
-        results.append((ds, estimates))
-    return results
-
-
 def _study_rows(cfg: ToyConfig, blocks: Sequence[range], methods: Sequence[str],
                 level: float) -> list[tuple[float, dict]]:
     """What the study scores of each replicate in ``blocks``, in order.
 
     That is the replicate's weighted mean confounder and, per method, the
-    interval of its estimate or the error that stopped it.
+    interval of its estimate or the error that stopped it. Each block is
+    drawn and fitted in one go, and only these scores outlive it.
     """
     results = []
     for replicates in blocks:
-        for ds, estimates in _block_estimates(cfg, replicates, methods, level):
+        block = _simulate_block(cfg, replicates)
+        fits = block_fits(block, methods)
+        for j, ds in enumerate(block):
+            intervals = {}
+            for m in methods:
+                try:
+                    intervals[m] = estimate(m, fits, j, ds, level).interval
+                except PrevRatioError as exc:
+                    intervals[m] = exc
             zbar = float((ds.weights * ds.X[:, 2]).sum() / ds.weights.sum())
-            results.append((zbar, {m: est if isinstance(est, PrevRatioError) else est.interval
-                                   for m, est in estimates.items()}))
+            results.append((zbar, intervals))
+        # dropped before the next block is drawn, or both blocks' fits peak together
+        del block, fits
     return results
 
 
@@ -307,6 +299,8 @@ def replication_study(cfg: ToyConfig, reps: int,
     """
     if reps < 100:
         raise ValueError(f"need at least 100 replicates, got {reps}")
+    # checked here, since a PrevRatioError in a replicate is scored, not raised
+    check_level(level)
     methods = DEFAULT_STUDY_METHODS if methods is None else tuple(methods)
     if not methods:
         raise ValueError("methods must be non-empty")

@@ -13,7 +13,7 @@ from prevratio import (Dataset, INTERCEPT_NAME, ModelSpec, ToyConfig, covariate_
 from prevratio.classical import _schouten_response
 from prevratio.glm import expit, fit_stack
 from prevratio.linalg import _BLOCK_ROWS, gram_stack, matvec_stack, rmatvec_stack
-from prevratio.simulate import _block_estimates, _simulate_block
+from prevratio.simulate import _simulate_block, _study_rows
 
 SIZES = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000)
 
@@ -99,14 +99,14 @@ class TestSchoutenOnOriginalRows:
 
     def test_study_column_matches_one_at_a_time(self):
         cfg = ToyConfig(n=400, seed=4)
-        results = _block_estimates(cfg, range(40), ("Schouten",), 0.95)
-        for r, (ds, estimates) in enumerate(results):
-            alone = schouten_pr(simulate_toy(cfg, replicate=r))
-            got = estimates["Schouten"]
+        results = _study_rows(cfg, [range(40)], ("Schouten",), 0.95)
+        for r, (zbar, intervals) in enumerate(results):
+            ds = simulate_toy(cfg, replicate=r)
+            alone = schouten_pr(ds)
+            assert zbar == pytest.approx(covariate_means(ds)[2], rel=1e-12, abs=1e-15)
             for key in ("point", "se", "lower", "upper"):
-                assert getattr(got.interval, key) == pytest.approx(
+                assert getattr(intervals["Schouten"], key) == pytest.approx(
                     getattr(alone.interval, key), rel=1e-10), (r, key)
-            assert got.metadata["expanded_rows"] == alone.metadata["expanded_rows"]
 
 
 def traced_peak(fn, *args):

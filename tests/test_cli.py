@@ -231,6 +231,17 @@ class TestEstimate:
         assert [r["status"] for r in rows] == ["failed", "ok"]
         assert list(rows[0]) == list(rows[1])  # a failed row has the columns of an ok one
 
+    @pytest.mark.parametrize("boot", [(), ("--boot", "100")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_at_fails_cpr_only(self, capsys, toy_csv, value, boot):
+        code, out, err = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr",
+                                      "--at", f"z={value}", "--format", "json", *boot)
+        assert code == 0
+        assert err == ""
+        rows = json.loads(out)["rows"]
+        assert [r["status"] for r in rows] == ["failed", "ok"]
+        assert "'z' must be finite" in rows[0]["notes"]
+
     def test_programming_error_is_not_a_failed_row(self, capsys, toy_csv, monkeypatch):
         def broken(fit, ds, level, at):
             raise ValueError("a bug, not a property of the data")

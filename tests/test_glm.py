@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevratio import (Dataset, INTERCEPT_NAME, NonConvergenceError,
+from prevratio import (Dataset, INTERCEPT_NAME, InvalidArgumentError, NonConvergenceError,
                        NonIdentifiableError, ToyConfig, fit_glm,
                        predict_prevalence, separation_check, simulate_toy)
+from prevratio.glm import fit_stack
 from conftest import table_dataset, random_logistic_dataset
 
 LOG2 = math.log(2.0)
@@ -124,8 +125,11 @@ class TestWarmStart:
 
 class TestFailureModes:
     def test_unknown_family(self, toy_ds):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="'binomial-probit'"):
             fit_glm(toy_ds, "binomial-probit")
+        with pytest.raises(InvalidArgumentError, match="'binomial-probit'"):
+            fit_stack(toy_ds.X[None], toy_ds.y[None], toy_ds.weights[None],
+                      "binomial-probit", toy_ds.column_names)
 
     def test_constant_outcome_raises(self):
         X = np.column_stack([np.ones(6), np.arange(6.0)])

@@ -82,6 +82,31 @@ class TestConditionalPr:
         with pytest.raises(ValueError):
             conditional_pr(fit, toy_ds, at={"x": 1.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_at_rejects_non_finite_values(self, toy_ds, value):
+        fit = fit_glm(toy_ds, "binomial-logit")
+        with pytest.raises(InvalidArgumentError, match="'z' must be finite"):
+            conditional_pr(fit, toy_ds, at={"z": value})
+        got = bootstrap_prs(toy_ds, ("CPR",), 100, seed=0, at={"z": value}, full_fit=fit)
+        assert isinstance(got["CPR"], InvalidArgumentError)
+        assert "'z'" in str(got["CPR"])
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_level_outside_the_unit_interval_is_an_argument_error(self, toy_ds, level,
+                                                                  monkeypatch):
+        fit = fit_glm(toy_ds, "binomial-logit")
+        message = r"level must be in \(0, 1\), got"
+        for estimate in (conditional_pr, marginal_pr, lambda f, ds, lv:
+                         prevalence_odds_ratio(f, lv)):
+            with pytest.raises(InvalidArgumentError, match=message):
+                estimate(fit, toy_ds, level)
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("the level is checked before any fit")
+        monkeypatch.setattr(ratios, "fit_glm", no_refit)
+        with pytest.raises(InvalidArgumentError, match=message):
+            bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=0, level=level)
+
     def test_at_errors_are_typed(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
         for at, match in (({INTERCEPT_NAME: 1.0}, "intercept"), ({"x": 1.0}, "contrasted")):

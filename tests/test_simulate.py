@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from prevratio import (ToyConfig, dgp_coefficients, replication_study,
-                       simulate_toy, true_conditional_pr, true_marginal_pr)
+from prevratio import (InvalidArgumentError, ToyConfig, dgp_coefficients,
+                       replication_study, simulate_toy, true_conditional_pr,
+                       true_marginal_pr)
 from prevratio.methods import METHODS
 
 LOGIT_02 = math.log(0.2 / 0.8)
@@ -130,6 +131,12 @@ class TestReplicationStudy:
     def test_rejects_small_runs(self):
         with pytest.raises(ValueError, match="100"):
             replication_study(ToyConfig(n=200), reps=50)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_rejects_level_outside_the_unit_interval(self, level):
+        # raised, not scored as a failure of every replicate
+        with pytest.raises(InvalidArgumentError, match=r"level must be in \(0, 1\), got"):
+            replication_study(ToyConfig(n=200), reps=100, level=level)
 
     def test_rejects_stratified_method(self):
         with pytest.raises(ValueError, match="MantelHaenszel"):

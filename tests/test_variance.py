@@ -51,6 +51,9 @@ class TestIntervalEstimate:
             IntervalEstimate(point=1.0, se=0.1, lower=0.5, upper=2.0, level=1.0)
 
 
+BAD_LEVELS = [0.0, 1.0, 1.5, -0.5, math.nan]
+
+
 class TestWaldCiLogScale:
     def test_zero_se_degenerate(self):
         iv = ratio_interval(1.0, 0.0, 0.95)
@@ -89,6 +92,13 @@ class TestWaldCiLogScale:
         for point in (0.0, -2.0, math.nan):
             with pytest.raises(DegenerateDenominatorError, match="has no log-scale interval"):
                 ratio_interval(point, 0.01, 0.95)
+
+    @pytest.mark.parametrize("level", BAD_LEVELS)
+    def test_level_outside_the_unit_interval_is_an_argument_error(self, level):
+        # checked before the point, so a degenerate point does not mask it
+        for point in (2.0, 0.0):
+            with pytest.raises(InvalidArgumentError, match=r"level must be in \(0, 1\), got"):
+                ratio_interval(point, 0.01, level)
 
     @pytest.mark.parametrize("log_var", [-1e-18, math.nan, math.inf])
     def test_unusable_variance_is_degenerate(self, log_var):
