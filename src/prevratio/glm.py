@@ -247,13 +247,13 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
     else:
         beta = np.array(beta0, dtype=float)
         if beta.shape != (R, p) or not np.all(np.isfinite(beta)):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"beta0 must be {p} finite coefficients per problem, got shape {beta.shape}"
             )
     eta = matvec_stack(X, beta)
     feasible = _feasible(eta, fam)
     if not feasible[~done].all():
-        raise ValueError(f"beta0 is not a feasible start for {family_link}")
+        raise InvalidArgumentError(f"beta0 is not a feasible start for {family_link}")
     dev = _deviance(fam, y, eta, weights, feasible)
     paths = [[d] for d in dev.tolist()]
     iterations = np.zeros(R, dtype=int)
@@ -361,7 +361,7 @@ def predict_prevalence(fit: FitResult, X: np.ndarray) -> np.ndarray:
     """Response-scale predictions for new design rows."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(fit.beta):
-        raise ValueError(
+        raise InvalidArgumentError(
             f"design has shape {X.shape}, expected (*, {len(fit.beta)})"
         )
     eta = matvec_stack(X, fit.beta)
@@ -369,7 +369,7 @@ def predict_prevalence(fit: FitResult, X: np.ndarray) -> np.ndarray:
         return expit(eta)
     mu = np.exp(eta)
     if fit.family_link == "binomial-log" and np.any(mu >= 1.0):
-        raise ValueError(
+        raise InvalidArgumentError(
             "binomial-log prediction >= 1: not a valid prevalence"
         )
     return mu

@@ -8,8 +8,11 @@ scored against in the replication study (``None`` keeps it out of the
 study). ``estimate`` and the study share one path: :func:`block_fits`
 fits every needed fit once to a block of datasets, one stack per fit,
 and :func:`estimate` reads a method's estimate for one dataset of the
-block off it. Adding a method means adding one entry to ``METHODS`` (and
-its label to ``ratios.METHOD_LABELS``).
+block off it. The fits are independent, so :func:`block_fits` shares
+them out over the CPUs with :func:`parallel._fork_map`; inside a study
+block, itself a part of a forked map, they run one after another.
+Adding a method means adding one entry to ``METHODS`` (and its label to
+``ratios.METHOD_LABELS``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .classical import (_schouten_from_fit, _schouten_response, crude_pr, crude_
 from .data import Dataset
 from .errors import PrevRatioError
 from .glm import FitResult, fit_stack
+from .parallel import _fork_map
 from .ratios import (PrEstimate, _log_binomial_from_fit, _robust_poisson_from_fit,
                      conditional_pr, marginal_pr, prevalence_odds_ratio)
 
@@ -88,18 +92,22 @@ def _stack(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndar
 def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
     """Every fit the methods read for a block of datasets, one fit_stack call each.
 
-    Maps each fit name to one result per dataset: a FitResult, or the
-    PrevRatioError that stopped it.
+    Maps each fit name, in the order the methods first read it, to one
+    result per dataset: a FitResult, or the PrevRatioError that stopped
+    it. The fits run on every CPU (see :func:`parallel._fork_map`), or
+    one after another in this process when it is already a part of a
+    forked map, as in the study; the results are the same either way.
     """
     X, y, w = _stack(block)
     names = block[0].column_names
-    fits = {}
-    for kind in dict.fromkeys(METHODS[m].fit for m in methods):
+    kinds = [k for k in dict.fromkeys(METHODS[m].fit for m in methods) if k is not None]
+
+    def fit(kind: str) -> list:
         if kind == "Schouten":
-            fits[kind] = fit_stack(X, *_schouten_response(y, w), "binomial-logit", names)
-        elif kind is not None:
-            fits[kind] = fit_stack(X, y, w, kind, names)
-    return fits
+            return fit_stack(X, *_schouten_response(y, w), "binomial-logit", names)
+        return fit_stack(X, y, w, kind, names)
+    parts = _fork_map(lambda part: [fit(kind) for kind in part], kinds)
+    return dict(zip(kinds, (results for part in parts for results in part)))
 
 
 def estimate(method: str, fits: dict, j: int, ds: Dataset, level: float,

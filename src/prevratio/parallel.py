@@ -1,6 +1,7 @@
-"""Run the parts of a resampling loop on every CPU this process may use.
+"""Run independent pieces of work on every CPU this process may use.
 
-:func:`_fork_map` splits a sequence of independent work items into
+:func:`_fork_map` splits a sequence of independent work items (bootstrap
+replicates, study blocks, or the fits ``estimate`` reads) into
 contiguous parts, one per worker. The calling process runs the first
 part itself and one forked child per remaining part runs the others;
 each child sends back its result, or the exception that stopped it,
@@ -12,7 +13,10 @@ process computes, for any number of workers.
 The loop runs in this process alone when only one CPU is available, on
 platforms without ``os.fork``, and when called from a thread other than
 the main one (forking from such a thread would copy a process whose
-other threads stop mid-step).
+other threads stop mid-step). It also runs serially when called while
+this process runs a forked map, or from inside a worker: only one level
+forks, so the study's blocks, which fit inside their parts, never ask
+for more processes than there are CPUs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 S = TypeVar("S", bound=Sequence)
+
+_forking = False  # set while this process runs a forked map; its workers inherit it
 
 
 class WorkerTraceback(Exception):
@@ -49,13 +55,15 @@ def _fork_map(fn: Callable[[S], T], items: S) -> list[T]:
     one part. An exception in any part is raised here with its type and
     arguments; no child outlives the call.
     """
+    global _forking
     workers = min(_worker_count(), len(items))
-    if (workers <= 1 or not hasattr(os, "fork")
+    if (_forking or workers <= 1 or not hasattr(os, "fork")
             or threading.current_thread() is not threading.main_thread()):
         return [fn(items)]
     bounds = [len(items) * i // workers for i in range(workers + 1)]
     parts = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     pending = []  # (pid, read end of its pipe) of every child not yet reaped
+    _forking = True
     try:
         for part in parts[1:]:
             r, w = os.pipe()
@@ -80,6 +88,7 @@ def _fork_map(fn: Callable[[S], T], items: S) -> list[T]:
             results.append(_child_result(pid, status, data))
         return results
     finally:
+        _forking = False
         if pending:
             import signal  # only this path needs it; keeps the CLI's import lean
             for pid, pipe in pending:

@@ -313,13 +313,13 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
     """
     estimators = tuple(dict.fromkeys(estimators))
     if not estimators or any(e not in BOOTSTRAP_ESTIMATORS for e in estimators):
-        raise ValueError(
+        raise InvalidArgumentError(
             f"estimators must be 'CPR' and/or 'MPR', got {estimators!r}"
         )
     if reps < 100:
-        raise ValueError(f"need at least 100 bootstrap replicates, got {reps}")
+        raise InvalidArgumentError(f"need at least 100 bootstrap replicates, got {reps}")
     if seed < 0:
-        raise ValueError(f"bootstrap seed must be non-negative, got {seed}")
+        raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {seed}")
     check_level(level)
 
     def estimate(name: str, fit: FitResult, data: Dataset) -> float:

@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, INTERCEPT_NAME, ModelSpec
-from .errors import PrevRatioError
+from .errors import InvalidArgumentError, PrevRatioError
 from .glm import expit
 from .methods import METHODS, block_fits, estimate
 from .parallel import _fork_map
@@ -48,18 +48,18 @@ class ToyConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+            raise InvalidArgumentError(f"n must be at least 1, got {self.n}")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.p_exposure < 1.0:
-            raise ValueError("p_exposure must be in (0, 1)")
+            raise InvalidArgumentError("p_exposure must be in (0, 1)")
         if not 0.0 < self.baseline_prevalence < 1.0:
-            raise ValueError("baseline_prevalence must be in (0, 1)")
+            raise InvalidArgumentError("baseline_prevalence must be in (0, 1)")
         if self.pr_at_z0 <= 0.0:
-            raise ValueError("pr_at_z0 must be positive")
+            raise InvalidArgumentError("pr_at_z0 must be positive")
         implied = self.baseline_prevalence * self.pr_at_z0
         if not 0.0 < implied < 1.0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"implied exposed prevalence at z=0 is {implied:g}, "
                 "outside (0, 1)"
             )
@@ -298,16 +298,16 @@ def replication_study(cfg: ToyConfig, reps: int,
     of them.
     """
     if reps < 100:
-        raise ValueError(f"need at least 100 replicates, got {reps}")
+        raise InvalidArgumentError(f"need at least 100 replicates, got {reps}")
     # checked here, since a PrevRatioError in a replicate is scored, not raised
     check_level(level)
     methods = DEFAULT_STUDY_METHODS if methods is None else tuple(methods)
     if not methods:
-        raise ValueError("methods must be non-empty")
+        raise InvalidArgumentError("methods must be non-empty")
     available = tuple(name for name, m in METHODS.items() if m.target)
     for m in methods:
         if m not in available:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"method {m!r} is not available in the replication study; "
                 f"choose from {available}"
             )

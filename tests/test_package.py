@@ -1,6 +1,12 @@
-"""The package's public names."""
+"""The package's public names, and the error its argument checks raise."""
+
+import numpy as np
+import pytest
 
 import prevratio
+from prevratio import (InvalidArgumentError, ToyConfig, bootstrap_prs, fit_glm,
+                       replication_study, simulate_toy)
+from prevratio.glm import fit_stack, predict_prevalence
 
 
 def test_every_exported_name_resolves():
@@ -16,3 +22,56 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from prevratio import *", namespace)
     assert set(prevratio.__all__) <= namespace.keys()
+
+
+TOY = simulate_toy(ToyConfig(n=200, seed=1))
+STACK = (TOY.X[None], TOY.y[None], TOY.weights[None])
+
+
+def fit_stack_from(family_link, beta0):
+    return fit_stack(*STACK, family_link, TOY.column_names, beta0=np.array(beta0))
+
+
+BAD_ARGUMENTS = {
+    "predict-shape": (lambda: predict_prevalence(fit_glm(TOY, "binomial-logit"), np.ones((2, 5))),
+                      "design has shape (2, 5), expected (*, 3)"),
+    "predict-log-above-1": (
+        lambda: predict_prevalence(fit_glm(TOY, "binomial-log"), [[1.0, 1.0, 50.0]]),
+        "binomial-log prediction >= 1: not a valid prevalence"),
+    "beta0-shape": (lambda: fit_stack_from("binomial-logit", [[0.0, 0.0]]),
+                    "beta0 must be 3 finite coefficients per problem, got shape (1, 2)"),
+    "beta0-not-finite": (lambda: fit_stack_from("binomial-logit", [[0.0, np.nan, 0.0]]),
+                         "beta0 must be 3 finite coefficients per problem, got shape (1, 3)"),
+    "beta0-infeasible": (lambda: fit_stack_from("binomial-log", [[1.0, 0.0, 0.0]]),
+                         "beta0 is not a feasible start for binomial-log"),
+    "boot-estimators": (lambda: bootstrap_prs(TOY, ("POR",), 100, seed=0),
+                        "estimators must be 'CPR' and/or 'MPR', got ('POR',)"),
+    "boot-reps": (lambda: bootstrap_prs(TOY, ("CPR",), 99, seed=0),
+                  "need at least 100 bootstrap replicates, got 99"),
+    "boot-seed": (lambda: bootstrap_prs(TOY, ("CPR",), 100, seed=-1),
+                  "bootstrap seed must be non-negative, got -1"),
+    "study-reps": (lambda: replication_study(ToyConfig(), 99),
+                   "need at least 100 replicates, got 99"),
+    "study-no-methods": (lambda: replication_study(ToyConfig(), 100, methods=()),
+                         "methods must be non-empty"),
+    "study-method": (lambda: replication_study(ToyConfig(), 100, methods=("MantelHaenszel",)),
+                     "method 'MantelHaenszel' is not available in the replication study; "
+                     "choose from ('CPR', 'MPR', 'POR', 'LogBinomial', 'RobustPoisson', "
+                     "'Schouten', 'Crude')"),
+    "toy-n": (lambda: ToyConfig(n=0), "n must be at least 1, got 0"),
+    "toy-seed": (lambda: ToyConfig(seed=-1), "seed must be non-negative, got -1"),
+    "toy-exposure": (lambda: ToyConfig(p_exposure=1.0), "p_exposure must be in (0, 1)"),
+    "toy-baseline": (lambda: ToyConfig(baseline_prevalence=0.0),
+                     "baseline_prevalence must be in (0, 1)"),
+    "toy-pr": (lambda: ToyConfig(pr_at_z0=0.0), "pr_at_z0 must be positive"),
+    "toy-implied": (lambda: ToyConfig(baseline_prevalence=0.6),
+                    "implied exposed prevalence at z=0 is 1.2, outside (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_argument_is_typed(call, message):
+    # InvalidArgumentError is a ValueError too, so older callers still catch it
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message

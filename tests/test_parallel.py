@@ -8,13 +8,16 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import prevratio
-from prevratio import ToyConfig, bootstrap_prs, errors, replication_study
+from prevratio import ToyConfig, bootstrap_prs, errors, parallel, replication_study
 from prevratio.errors import (DataError, DegenerateDenominatorError, InvalidArgumentError,
                               NonConvergenceError, NonIdentifiableError, PrevRatioError,
                               RankDeficientError)
+from prevratio.glm import FitResult
+from prevratio.methods import block_fits
 from prevratio.parallel import WorkerTraceback, _fork_map
 
 
@@ -121,6 +124,66 @@ class TestForkMap:
         assert [i for _, p in out for i in p] == list(range(50))
 
 
+class TestOneLevel:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_nested_map_runs_in_its_part(self, workers, k):
+        workers(k)
+        out = _fork_map(lambda part: (os.getpid(), _fork_map(tagged, range(5))), range(k))
+        assert len({pid for pid, _ in out}) == k
+        for pid, inner in out:
+            assert inner == [(pid, [0, 1, 2, 3, 4])]
+        assert not parallel._forking
+        assert len({pid for pid, _ in _fork_map(tagged, range(5))}) == k  # forks again
+        assert_no_children()
+
+    def test_flag_cleared_when_own_part_raises(self, workers):
+        workers(3)
+
+        def fn(part):
+            if 0 in part:
+                raise ZeroDivisionError("in the parent's part")
+            return part
+        with pytest.raises(ZeroDivisionError):
+            _fork_map(fn, range(3))
+        assert not parallel._forking
+        assert len({pid for pid, _ in _fork_map(tagged, range(3))}) == 3
+        assert_no_children()
+
+
+ALL_METHODS = ("RobustPoisson", "LogBinomial", "POR", "CPR", "MPR", "Schouten", "Crude")
+
+
+@pytest.mark.parametrize("cfg, log_binomial_fails", [
+    (ToyConfig(n=1000, seed=5), False),
+    # the error must come back with its type and message
+    (ToyConfig(baseline_prevalence=0.40, pr_at_z0=2.2, beta_z=1.0, n=1000, seed=3), True),
+], ids=["all-fit", "log-binomial-fails"])
+def test_block_fits_same_bits_for_any_worker_count(workers, cfg, log_binomial_fails):
+    ds = prevratio.simulate_toy(cfg)
+    runs = []
+    for k in (1, 2, 3):
+        workers(k)
+        runs.append(block_fits([ds], ALL_METHODS))
+    kinds = ["poisson-log", "binomial-log", "binomial-logit", "Schouten"]
+    for run in runs:
+        assert list(run) == kinds
+        assert all(len(results) == 1 for results in run.values())
+    for kind in kinds:
+        first = runs[0][kind][0]
+        for run in runs[1:]:
+            other = run[kind][0]
+            assert type(other) is type(first)
+            if isinstance(first, FitResult):
+                for attr in ("beta", "vcov", "fitted"):
+                    assert np.array_equal(getattr(other, attr), getattr(first, attr))
+                assert other.iterations == first.iterations
+                assert other.deviance_path == first.deviance_path
+            else:
+                assert str(other) == str(first)
+    assert isinstance(runs[0]["binomial-log"][0], NonConvergenceError) == log_binomial_fails
+    assert_no_children()
+
+
 def all_error_classes():
     found, todo = set(), [PrevRatioError]
     while todo:
@@ -184,21 +247,33 @@ class TestSameBitsForAnyWorkerCount:
         assert_no_children()
 
 
-def test_boot_stdout_is_one_json_payload(tmp_path):
-    ds = prevratio.simulate_toy(ToyConfig(n=400, seed=5))
+def estimate_in_fresh_process(tmp_path, workers, *args):
+    """``prevratio estimate`` on a toy CSV in a new interpreter with ``workers`` workers,
+    its stdout a block-buffered pipe."""
     path = tmp_path / "toy.csv"
-    prevratio.write_csv(ds, path)
-    # three workers in a fresh process, with stdout a block-buffered pipe
+    prevratio.write_csv(prevratio.simulate_toy(ToyConfig(n=400, seed=5)), path)
     code = ("import sys; from prevratio import parallel; "
-            "parallel._worker_count = lambda: 3; "
+            f"parallel._worker_count = lambda: {workers}; "
             "from prevratio.cli import main; sys.exit(main(sys.argv[1:]))")
     src = os.path.dirname(os.path.dirname(prevratio.__file__))
     out = subprocess.run(
         [sys.executable, "-c", code, "estimate", "--input", str(path), "--outcome", "y",
-         "--exposure", "x", "--covariates", "z", "--methods", "por,cpr,mpr",
-         "--boot", "100", "--format", "json"],
+         "--exposure", "x", "--covariates", "z", "--format", "json", *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    payload = json.loads(out.stdout)  # raises on a second payload
-    assert [r["status"] for r in payload["rows"]] == ["ok"] * 3
     assert out.stderr == ""
+    return out.stdout
+
+
+def test_boot_stdout_is_one_json_payload(tmp_path):
+    stdout = estimate_in_fresh_process(tmp_path, 3, "--methods", "por,cpr,mpr", "--boot", "100")
+    payload = json.loads(stdout)  # raises on a second payload
+    assert [r["status"] for r in payload["rows"]] == ["ok"] * 3
+
+
+def test_estimate_stdout_same_for_any_worker_count(tmp_path):
+    args = ("--methods", "robustpoisson,logbinomial,por,cpr,mpr,schouten,crude")
+    one, three = (estimate_in_fresh_process(tmp_path, k, *args) for k in (1, 3))
+    assert three == one
+    assert [r["status"] for r in json.loads(one)["rows"]] == ["ok"] * 7
+    assert_no_children()
