@@ -9,7 +9,7 @@ analytic truth.
 """
 
 from .classical import (StratifiedTable, crude_pr, crude_table,
-                        mantel_haenszel_pr, schouten_expand, schouten_pr,
+                        mantel_haenszel_pr, schouten_expand,
                         stratified_from_dataset)
 from .data import (Dataset, EXPOSURE_COL, INTERCEPT_NAME, ModelSpec,
                    covariate_means, load_csv, write_csv)
@@ -18,9 +18,9 @@ from .errors import (DataError, DegenerateDenominatorError,
                      NonIdentifiableError, PrevRatioError, RankDeficientError)
 from .glm import (FAMILY_LINKS, FitResult, fit_glm, predict_prevalence,
                   separation_check)
+from .methods import log_binomial_pr, robust_poisson_pr, schouten_pr
 from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_prs,
-                     conditional_pr, log_binomial_pr, marginal_pr,
-                     prevalence_odds_ratio, robust_poisson_pr)
+                     conditional_pr, marginal_pr, prevalence_odds_ratio)
 from .simulate import (DEFAULT_STUDY_METHODS, MethodSummary, StudyReport,
                        ToyConfig, dgp_coefficients, replication_study,
                        simulate_toy, true_conditional_pr, true_marginal_pr)

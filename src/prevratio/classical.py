@@ -2,12 +2,13 @@
 
 Covers the crude ratio from a single 2x2 table, the Mantel-Haenszel
 pooled ratio over strata with the Greenland-Robins variance, and the
-Schouten data-duplication trick that turns a logistic odds ratio into a
-risk ratio by copying every event row with the outcome flipped to 0.
-The Schouten fit never builds the copies: an event row and its copy act
-as one row with outcome 1/2 and twice the weight, which has the same
-likelihood, score and information, so the model is fitted on the
-original rows with the same numbers.
+parts of the Schouten data-duplication trick, which turns a logistic
+odds ratio into a risk ratio by copying every event row with the
+outcome flipped to 0. The Schouten fit never builds the copies: an event
+row and its copy act as one row with outcome 1/2 and twice the weight,
+which has the same likelihood, score and information, so the model is
+fitted on the original rows with the same numbers; ``methods`` fits it
+and holds the dataset-level ``schouten_pr``.
 
 No continuity corrections are applied anywhere: a zero cell that makes a
 ratio undefined or infinite is reported as an error, not patched.
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, EXPOSURE_COL
-from .errors import DataError, DegenerateDenominatorError, PrevRatioError
-from .glm import FitResult, fit_stack, predict_prevalence
+from .errors import DataError, DegenerateDenominatorError
+from .glm import FitResult
 from .ratios import PrEstimate, _coefficient_ratio
 from .variance import _sandwich, ratio_interval
 
@@ -189,27 +190,6 @@ def _schouten_response(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
     return y / (1.0 + y), weights * (1.0 + y)
 
 
-def schouten_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
-    """Prevalence ratio via logistic regression on duplicated event rows.
-
-    exp(beta) for the exposure on the expanded data estimates the ratio
-    directly. The model is fitted on the original rows, each event row
-    with outcome 1/2 and twice its prior weight, which gives the same
-    coefficients as fitting :func:`schouten_expand`'s output without
-    copying a row. Duplicated rows are correlated, so the model-based
-    variance is wrong; the row-level HC0 sandwich of the expanded data,
-    also formed on the original rows, is used instead and the estimate is
-    tagged with a caveat, since that correction is heuristic rather than
-    exact. ``expanded_rows`` in the metadata counts the rows of the
-    expanded data.
-    """
-    y, w = _schouten_response(ds.y, ds.weights)
-    fit = fit_stack(ds.X[None], y[None], w[None], "binomial-logit", ds.column_names)[0]
-    if isinstance(fit, PrevRatioError):
-        raise fit
-    return _schouten_from_fit(fit, ds, level)
-
-
 def _schouten_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
     """Schouten estimate from the logistic fit to ``ds`` with ``_schouten_response``.
 
@@ -217,8 +197,7 @@ def _schouten_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
     row and mu^2 for its copy, both with weight w^2, so it is the meat of
     the original rows with squared scores w^2 ((y - mu)^2 + y mu^2).
     """
-    mu = predict_prevalence(fit, ds.X)
-    y, w = ds.y, ds.weights
+    mu, y, w = fit.fitted, ds.y, ds.weights
     robust = _sandwich(fit.vcov, ds.X, w**2 * ((y - mu) ** 2 + y * mu**2))
     return _coefficient_ratio("Schouten", fit, EXPOSURE_COL, robust, level, {
         "se_scale": "log",

@@ -137,7 +137,7 @@ class FitResult:
     deviance: float
     n_used: int
     column_names: tuple[str, ...]
-    fitted: np.ndarray  # response-scale fitted values for the training rows
+    fitted: np.ndarray  # training-row mu: the sandwich, Schouten meat, separation_check read it
     deviance_path: tuple[float, ...]
 
     def coef(self, name: str) -> float:

@@ -5,12 +5,14 @@ for the collapsed logistic fit on :func:`classical._schouten_response`, or
 ``None`` for the table-based crude and Mantel-Haenszel ratios), turns that
 fit into an estimate, and carries its fixed CLI note and the truth it is
 scored against in the replication study (``None`` keeps it out of the
-study). ``estimate`` and the study share one path: :func:`block_fits`
-fits every needed fit once to a block of datasets, one stack per fit,
-and :func:`estimate` reads a method's estimate for one dataset of the
-block off it. The fits are independent, so :func:`block_fits` shares
-them out over the CPUs with :func:`parallel._fork_map`; inside a study
-block, itself a part of a forked map, they run one after another.
+study). ``estimate``, the study and the public :func:`log_binomial_pr`,
+:func:`robust_poisson_pr` and :func:`schouten_pr`, defined here, share
+one path: :func:`block_fits` fits every needed fit once to a block of
+datasets, one stack per fit, and :func:`estimate` reads a method's
+estimate for one dataset of the block off it. The fits are
+independent, so :func:`block_fits` shares them out over the CPUs with
+:func:`parallel._fork_map`; inside a study block, itself a part of a
+forked map, they run one after another.
 Adding a method means adding one entry to ``METHODS`` (and its label to
 ``ratios.METHOD_LABELS``).
 """
@@ -24,12 +26,13 @@ import numpy as np
 
 from .classical import (_schouten_from_fit, _schouten_response, crude_pr, crude_table,
                         mantel_haenszel_pr, stratified_from_dataset)
-from .data import Dataset
+from .data import Dataset, EXPOSURE_COL
 from .errors import PrevRatioError
 from .glm import FitResult, fit_stack
 from .parallel import _fork_map
-from .ratios import (PrEstimate, _log_binomial_from_fit, _robust_poisson_from_fit,
-                     conditional_pr, marginal_pr, prevalence_odds_ratio)
+from .ratios import (PrEstimate, _coefficient_ratio, conditional_pr, marginal_pr,
+                     prevalence_odds_ratio)
+from .variance import sandwich_vcov
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,14 @@ METHODS = {m.name: m for m in (
     Method("POR", (), "binomial-logit",
            lambda fit, ds, level, at: prevalence_odds_ratio(fit, level), target="por"),
     Method("LogBinomial", ("log-binomial",), "binomial-log",
-           lambda fit, ds, level, at: _log_binomial_from_fit(fit, level), target="mpr"),
+           lambda fit, ds, level, at: _coefficient_ratio(
+               "LogBinomial", fit, EXPOSURE_COL, fit.vcov, level,
+               {"se_scale": "log", "iterations": fit.iterations}),
+           target="mpr"),
     Method("RobustPoisson", ("robust-poisson", "poisson"), "poisson-log",
-           lambda fit, ds, level, at: _robust_poisson_from_fit(fit, ds, level),
+           lambda fit, ds, level, at: _coefficient_ratio(
+               "RobustPoisson", fit, EXPOSURE_COL, sandwich_vcov(fit, ds), level,
+               {"se_scale": "log", "variance": "HC0 sandwich"}),
            note="HC0 sandwich SE", target="mpr"),
     Method("Schouten", (), "Schouten",
            lambda fit, ds, level, at: _schouten_from_fit(fit, ds, level),
@@ -122,3 +130,40 @@ def estimate(method: str, fits: dict, j: int, ds: Dataset, level: float,
     if isinstance(fit, PrevRatioError):
         raise fit
     return m.from_fit(fit, ds, level, at)
+
+
+def log_binomial_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
+    """Prevalence ratio from a binomial GLM with a log link.
+
+    The exposure coefficient is the log PR directly, with a model-based
+    Wald interval. This is the estimator that can fail to converge when
+    fitted prevalences are pushed toward 1; failures propagate.
+    """
+    return estimate("LogBinomial", block_fits([ds], ("LogBinomial",)), 0, ds, level)
+
+
+def robust_poisson_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
+    """Prevalence ratio from a Poisson GLM on binary data with sandwich SEs.
+
+    The Poisson variance is misspecified for a 0/1 outcome, so the
+    model-based covariance is replaced by the HC0 sandwich before the
+    Wald interval is built.
+    """
+    return estimate("RobustPoisson", block_fits([ds], ("RobustPoisson",)), 0, ds, level)
+
+
+def schouten_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
+    """Prevalence ratio via logistic regression on duplicated event rows.
+
+    exp(beta) for the exposure on the expanded data estimates the ratio
+    directly. The model is fitted on the original rows, each event row
+    with outcome 1/2 and twice its prior weight, which gives the same
+    coefficients as fitting :func:`schouten_expand`'s output without
+    copying a row. Duplicated rows are correlated, so the model-based
+    variance is wrong; the row-level HC0 sandwich of the expanded data,
+    also formed on the original rows, is used instead and the estimate is
+    tagged with a caveat, since that correction is heuristic rather than
+    exact. ``expanded_rows`` in the metadata counts the rows of the
+    expanded data.
+    """
+    return estimate("Schouten", block_fits([ds], ("Schouten",)), 0, ds, level)

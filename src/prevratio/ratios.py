@@ -8,7 +8,9 @@ prevalences, and takes the ratio of the averages. Both carry first-order
 delta-method standard errors propagated through the model's coefficient
 covariance, with Wald intervals built on the log scale. The prevalence
 odds ratio (POR) and a case-resampling percentile bootstrap round out the
-module.
+module, together with :class:`PrEstimate` and the coefficient-ratio
+helper that the log-binomial, robust-Poisson and Schouten estimates of
+``methods.METHODS`` share; this module fits none of those models.
 
 The exposure contrast is always 1 versus 0; for a continuous exposure
 that reads as a one-unit increase from zero.
@@ -29,7 +31,7 @@ from .errors import (DataError, DegenerateDenominatorError, InvalidArgumentError
 from .glm import FitResult, expit, fit_glm
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
-from .variance import IntervalEstimate, check_level, ratio_interval, sandwich_vcov
+from .variance import IntervalEstimate, check_level, ratio_interval
 
 METHOD_LABELS = (
     "POR", "CPR", "MPR", "LogBinomial", "RobustPoisson",
@@ -53,7 +55,7 @@ class PrEstimate:
 
     def __post_init__(self):
         if self.method not in METHOD_LABELS:
-            raise ValueError(f"unknown method label {self.method!r}")
+            raise InvalidArgumentError(f"unknown method label {self.method!r}")
 
     @property
     def point(self) -> float:
@@ -241,36 +243,6 @@ def prevalence_odds_ratio(fit: FitResult, level: float = 0.95, *,
     _require_logistic(fit)
     k = _predictor_index(fit.column_names, predictor)
     return _coefficient_ratio("POR", fit, k, fit.vcov, level, {"se_scale": "log"})
-
-
-def log_binomial_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
-    """Prevalence ratio from a binomial GLM with a log link.
-
-    The exposure coefficient is the log PR directly, with a model-based
-    Wald interval. This is the estimator that can fail to converge when
-    fitted prevalences are pushed toward 1; failures propagate.
-    """
-    return _log_binomial_from_fit(fit_glm(ds, "binomial-log"), level)
-
-
-def _log_binomial_from_fit(fit: FitResult, level: float) -> PrEstimate:
-    return _coefficient_ratio("LogBinomial", fit, EXPOSURE_COL, fit.vcov, level,
-                              {"se_scale": "log", "iterations": fit.iterations})
-
-
-def robust_poisson_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
-    """Prevalence ratio from a Poisson GLM on binary data with sandwich SEs.
-
-    The Poisson variance is misspecified for a 0/1 outcome, so the
-    model-based covariance is replaced by the HC0 sandwich before the
-    Wald interval is built.
-    """
-    return _robust_poisson_from_fit(fit_glm(ds, "poisson-log"), ds, level)
-
-
-def _robust_poisson_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
-    return _coefficient_ratio("RobustPoisson", fit, EXPOSURE_COL, sandwich_vcov(fit, ds),
-                              level, {"se_scale": "log", "variance": "HC0 sandwich"})
 
 
 def _percentile_interval(point: float, draws: np.ndarray,

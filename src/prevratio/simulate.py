@@ -96,7 +96,7 @@ def true_marginal_pr(coeffs: Sequence[float], nodes: int = 80) -> float:
     cancels in the ratio. 80 nodes put the absolute error far below 1e-8.
     """
     if nodes < 40:
-        raise ValueError(f"need at least 40 quadrature nodes, got {nodes}")
+        raise InvalidArgumentError(f"need at least 40 quadrature nodes, got {nodes}")
     b0, b1, b2 = coeffs
     x, w = np.polynomial.hermite.hermgauss(nodes)
     z = math.sqrt(2.0) * x
@@ -160,9 +160,9 @@ class MethodSummary:
 
     def __post_init__(self):
         if self.coverage is not None and not 0.0 <= self.coverage <= 1.0:
-            raise ValueError(f"coverage must be in [0, 1], got {self.coverage}")
+            raise InvalidArgumentError(f"coverage must be in [0, 1], got {self.coverage}")
         if self.n_ok < 0 or self.n_failed < 0:
-            raise ValueError("replicate counts must be nonnegative")
+            raise InvalidArgumentError("replicate counts must be nonnegative")
 
 
 @dataclass(frozen=True)

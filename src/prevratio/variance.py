@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateDenominatorError, InvalidArgumentError
-from .glm import FitResult, predict_prevalence
+from .glm import FitResult
 from .linalg import gram_stack
 
 _STD_NORMAL = NormalDist()
@@ -29,7 +29,7 @@ _STD_NORMAL = NormalDist()
 def normal_quantile(p: float) -> float:
     """Standard-normal inverse CDF, from ``statistics.NormalDist``."""
     if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile probability must be in (0, 1), got {p}")
+        raise InvalidArgumentError(f"quantile probability must be in (0, 1), got {p}")
     return _STD_NORMAL.inv_cdf(p)
 
 
@@ -52,11 +52,11 @@ class IntervalEstimate:
     def __post_init__(self):
         check_level(self.level)
         if self.se < 0.0:
-            raise ValueError(f"standard error must be nonnegative, got {self.se}")
+            raise InvalidArgumentError(f"standard error must be nonnegative, got {self.se}")
         if not (self.lower > 0.0 and self.upper > 0.0):
-            raise ValueError("ratio-scale bounds must be positive")
+            raise InvalidArgumentError("ratio-scale bounds must be positive")
         if not self.lower <= self.point <= self.upper:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"interval ({self.lower}, {self.upper}) does not contain "
                 f"the point estimate {self.point}"
             )
@@ -99,11 +99,12 @@ def ratio_interval(point: float, log_var: float, level: float = 0.95) -> Interva
 
 
 def sandwich_vcov(fit: FitResult, ds: Dataset) -> np.ndarray:
-    """HC0 robust covariance B^-1 M B^-1 for a converged fit on ``ds``."""
+    """HC0 robust covariance B^-1 M B^-1 for a converged fit on ``ds``, at its fitted mu."""
     if not fit.converged:
         raise InvalidArgumentError("sandwich covariance requires a converged fit")
-    mu = predict_prevalence(fit, ds.X)
-    return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - mu)) ** 2)
+    if fit.n_used != ds.n:
+        raise InvalidArgumentError(f"the fit has {fit.n_used} rows, the dataset {ds.n}")
+    return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - fit.fitted)) ** 2)
 
 
 def _sandwich(bread_inv: np.ndarray, X: np.ndarray, score_sq: np.ndarray) -> np.ndarray:

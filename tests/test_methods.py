@@ -1,15 +1,16 @@
 """The method registry: names, aliases, and the one estimation path."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from prevratio import (INTERCEPT_NAME, METHOD_LABELS, Dataset, ModelSpec, ToyConfig,
-                       conditional_pr, crude_pr, crude_table, fit_glm, load_csv,
+from prevratio import (INTERCEPT_NAME, METHOD_LABELS, Dataset, ModelSpec, NonConvergenceError,
+                       ToyConfig, conditional_pr, crude_pr, crude_table, fit_glm, load_csv,
                        log_binomial_pr, mantel_haenszel_pr, marginal_pr,
                        prevalence_odds_ratio, replication_study, robust_poisson_pr,
-                       schouten_pr, stratified_from_dataset, write_csv)
+                       schouten_pr, simulate_toy, stratified_from_dataset, write_csv)
 from prevratio.cli import _parse_methods, main
 from prevratio.methods import ALIASES, METHODS, _stack
 
@@ -142,6 +143,27 @@ class TestOneEstimationPath:
         err = capsys.readouterr().err
         assert ("warning: coefficient for 'x'" in err) == warned
         assert ("possible separation" in err) == warned
+
+
+class TestPublicEstimators:
+    def test_log_binomial_failure_is_the_fit_error(self):
+        # a prevalence near 1 at high z: the log-binomial fit fails here
+        ds = simulate_toy(ToyConfig(baseline_prevalence=0.40, pr_at_z0=2.2, beta_z=1.0, seed=0))
+        with pytest.raises(NonConvergenceError) as fit_err:
+            fit_glm(ds, "binomial-log")
+        with pytest.raises(NonConvergenceError) as est_err:
+            log_binomial_pr(ds)
+        assert type(est_err.value) is type(fit_err.value)
+        assert str(est_err.value) == str(fit_err.value)
+        assert (est_err.value.iterations, est_err.value.deviance) == (
+            fit_err.value.iterations, fit_err.value.deviance)
+
+    @pytest.mark.parametrize("estimator", [schouten_pr, robust_poisson_pr, log_binomial_pr])
+    def test_one_fit_starts_no_child_process(self, monkeypatch, binary_csv, estimator):
+        def fork():
+            pytest.fail("a single estimate forked a child process")
+        monkeypatch.setattr(os, "fork", fork)
+        assert np.isfinite(estimator(load_csv(binary_csv, SPEC)).point)
 
 
 class TestStack:

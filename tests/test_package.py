@@ -1,11 +1,15 @@
-"""The package's public names, and the error its argument checks raise."""
+"""The package's public names, the error its argument checks raise, and its one fit path."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prevratio
-from prevratio import (InvalidArgumentError, ToyConfig, bootstrap_prs, fit_glm,
-                       replication_study, simulate_toy)
+from prevratio import (IntervalEstimate, InvalidArgumentError, MethodSummary, PrEstimate,
+                       ToyConfig, bootstrap_prs, fit_glm, normal_quantile, replication_study,
+                       sandwich_vcov, simulate_toy, true_marginal_pr)
 from prevratio.glm import fit_stack, predict_prevalence
 
 
@@ -66,6 +70,25 @@ BAD_ARGUMENTS = {
     "toy-pr": (lambda: ToyConfig(pr_at_z0=0.0), "pr_at_z0 must be positive"),
     "toy-implied": (lambda: ToyConfig(baseline_prevalence=0.6),
                     "implied exposed prevalence at z=0 is 1.2, outside (0, 1)"),
+    "normal-quantile": (lambda: normal_quantile(1.0),
+                        "quantile probability must be in (0, 1), got 1.0"),
+    "quadrature-nodes": (lambda: true_marginal_pr((-1.4, 0.8, 0.2), nodes=39),
+                         "need at least 40 quadrature nodes, got 39"),
+    "interval-se": (lambda: IntervalEstimate(1.0, -0.1, 0.5, 2.0, 0.95),
+                    "standard error must be nonnegative, got -0.1"),
+    "interval-bounds": (lambda: IntervalEstimate(1.0, 0.1, 0.0, 2.0, 0.95),
+                        "ratio-scale bounds must be positive"),
+    "interval-point": (lambda: IntervalEstimate(3.0, 0.1, 1.0, 2.0, 0.95),
+                       "interval (1.0, 2.0) does not contain the point estimate 3.0"),
+    "estimate-label": (lambda: PrEstimate("OR", IntervalEstimate(1.0, 0.1, 0.5, 2.0, 0.95), "x"),
+                       "unknown method label 'OR'"),
+    "summary-coverage": (lambda: MethodSummary("CPR", 100, 0, 2.0, 0.1, 0.4, 1.5),
+                         "coverage must be in [0, 1], got 1.5"),
+    "summary-counts": (lambda: MethodSummary("CPR", 100, -1, 2.0, 0.1, 0.4, 0.9),
+                       "replicate counts must be nonnegative"),
+    "sandwich-rows": (lambda: sandwich_vcov(fit_glm(TOY, "poisson-log"),
+                                            simulate_toy(ToyConfig(n=100, seed=1))),
+                      "the fit has 200 rows, the dataset 100"),
 }
 
 
@@ -75,3 +98,20 @@ def test_bad_argument_is_typed(call, message):
     with pytest.raises(InvalidArgumentError) as info:
         call()
     assert str(info.value) == message
+
+
+def referrers(name: str) -> set[str]:
+    """``module.function`` of every top-level definition in the package that names ``name``."""
+    found = set()
+    for path in sorted(Path(prevratio.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if name in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_one_fit_path():
+    # the registry builds every estimator's fit; only the bootstrap refits its resamples
+    assert referrers("fit_stack") == {"glm.fit_glm", "methods.block_fits"}
+    assert referrers("fit_glm") == {"ratios.bootstrap_prs"}

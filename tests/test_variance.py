@@ -9,6 +9,9 @@ from scipy.special import ndtri
 from prevratio import (DegenerateDenominatorError, IntervalEstimate, InvalidArgumentError,
                        ToyConfig, fit_glm, normal_quantile, predict_prevalence,
                        ratio_interval, sandwich_vcov, simulate_toy)
+from prevratio.methods import block_fits, estimate
+from prevratio.simulate import _simulate_block
+from prevratio.variance import _sandwich
 from conftest import table_dataset
 
 
@@ -201,3 +204,43 @@ class TestSandwich:
         bad = type(fit)(**{**fit.__dict__, "converged": False})
         with pytest.raises(InvalidArgumentError, match="requires a converged fit"):
             sandwich_vcov(bad, toy_ds)
+
+
+class TestFittedMuIsRead:
+    """The sandwich and the Schouten meat read fit.fitted, not a recomputed mu."""
+
+    METHODS = ("CPR", "LogBinomial", "RobustPoisson", "Schouten")
+
+    def old_sandwich(self, fit, ds):
+        mu = predict_prevalence(fit, ds.X)
+        return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - mu)) ** 2)
+
+    def old_schouten(self, fit, ds, level):
+        mu = predict_prevalence(fit, ds.X)
+        y, w = ds.y, ds.weights
+        robust = _sandwich(fit.vcov, ds.X, w**2 * ((y - mu) ** 2 + y * mu**2))
+        return ratio_interval(math.exp(fit.beta[1]), float(robust[1, 1]), level)
+
+    def check(self, block, assert_same):
+        fits = block_fits(block, self.METHODS)
+        assert len(fits) == 4
+        for j, ds in enumerate(block):
+            for results in fits.values():
+                assert_same(sandwich_vcov(results[j], ds), self.old_sandwich(results[j], ds))
+            got = estimate("Schouten", fits, j, ds, 0.9).interval
+            want = self.old_schouten(fits["Schouten"][j], ds, 0.9)
+            for key in ("point", "se", "lower", "upper"):
+                assert_same(getattr(got, key), getattr(want, key))
+
+    @pytest.mark.parametrize("ds", [simulate_toy(ToyConfig(n=300, seed=s)) for s in range(3)]
+                             + [table_dataset(8, 5, 4, 9, weighted=True)])
+    def test_block_of_one_bit_for_bit(self, ds):
+        def same(got, want):
+            assert np.array_equal(got, want)
+        self.check([ds], same)
+
+    def test_study_block_within_an_ulp(self, one_worker):
+        # stacked copies give mu an ulp away from the 2-D matvec's
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        self.check(_simulate_block(ToyConfig(n=300, seed=2), range(32)), close)
