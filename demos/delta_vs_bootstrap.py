@@ -15,7 +15,7 @@ ds = simulate_toy(ToyConfig(n=1500, seed=23))
 fit = fit_glm(ds, "binomial-logit")
 
 delta = marginal_pr(fit, ds)
-boot = bootstrap_prs(ds, ("MPR",), reps=500, seed=23)["MPR"]
+boot = bootstrap_prs(fit, ds, ("MPR",), reps=500, seed=23)["MPR"]
 
 for label, est in (("delta", delta), ("bootstrap", boot)):
     iv = est.interval
@@ -28,5 +28,5 @@ print(f"width ratio (bootstrap / delta): "
       f"{boot.interval.width / delta.interval.width:.3f}")
 
 # Same seed, same draws: the bootstrap interval is exactly reproducible.
-again = bootstrap_prs(ds, ("MPR",), reps=500, seed=23)["MPR"]
+again = bootstrap_prs(fit, ds, ("MPR",), reps=500, seed=23)["MPR"]
 print(f"reproducible: {again.interval == boot.interval}")

@@ -47,7 +47,7 @@ def _parse_methods(raw: str) -> tuple[str, ...]:
         names.append(canon)
     if not names:
         raise ValueError("no methods given")
-    return tuple(names)
+    return tuple(dict.fromkeys(names))
 
 
 def _parse_at(raw: str) -> dict[str, float]:
@@ -235,14 +235,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                      covariates=args.covariates)
     ds = load_csv(args.input, spec)
     at = args.at or None
-    # with --boot, CPR and MPR come from the bootstrap, which refits every
-    # resample; it starts from the block's logistic fit when another method
-    # reads that fit, and fits the full data itself otherwise
-    boot = [m for m in args.methods if args.boot and m in BOOTSTRAP_ESTIMATORS]
-    fits = block_fits([ds], [m for m in args.methods if m not in boot])
+    fits = block_fits([ds], args.methods)
     logistic = fits.get("binomial-logit", [None])[0]
-    results = bootstrap_prs(ds, boot, args.boot, seed=args.seed, level=args.level, at=at,
-                            full_fit=logistic) if boot else {}
+    # with --boot, CPR and MPR come from the bootstrap of the logistic fit;
+    # when that fit failed, their rows report its error through estimate
+    boot = [m for m in args.methods if args.boot and m in BOOTSTRAP_ESTIMATORS]
+    results = bootstrap_prs(logistic, ds, boot, args.boot, seed=args.seed, level=args.level,
+                            at=at) if boot and isinstance(logistic, FitResult) else {}
     rows = [_row(m, lambda: results.get(m) or estimate(m, fits, 0, ds, args.level, at))
             for m in args.methods]
     if isinstance(logistic, FitResult):

@@ -37,6 +37,9 @@ class ModelSpec:
         object.__setattr__(self, "covariates", tuple(self.covariates))
         if self.exposure in self.covariates:
             raise DataError(f"exposure {self.exposure!r} also listed as a covariate")
+        for name in self.covariates:
+            if self.covariates.count(name) > 1:
+                raise DataError(f"covariate {name!r} listed twice")
         if self.outcome == self.exposure or self.outcome in self.covariates:
             raise DataError(f"outcome {self.outcome!r} must be distinct from predictors")
 

@@ -11,7 +11,7 @@ class DataError(PrevRatioError):
 
 class InvalidArgumentError(PrevRatioError, ValueError):
     """An argument that cannot be used: a conditioning value the contrast
-    sets, or a fit of the wrong family or one that did not converge.
+    sets, or a fit of the wrong family.
 
     It is also a ValueError, so code that catches ValueError still catches it.
     """

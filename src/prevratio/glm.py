@@ -132,12 +132,12 @@ class FitResult:
     family_link: str
     beta: np.ndarray
     vcov: np.ndarray
-    converged: bool
     iterations: int
     deviance: float
-    n_used: int
     column_names: tuple[str, ...]
-    fitted: np.ndarray  # training-row mu: the sandwich, Schouten meat, separation_check read it
+    # mu of each training row, so its length is the fit's row count; the
+    # sandwich, the Schouten meat and separation_check read it
+    fitted: np.ndarray
     deviance_path: tuple[float, ...]
 
     def coef(self, name: str) -> float:
@@ -232,7 +232,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
     if family_link not in _FAMILIES:
         raise InvalidArgumentError(f"unknown family/link {family_link!r}")
     fam = _FAMILIES[family_link]
-    R, n, p = X.shape
+    R, _, p = X.shape
     results: list = [None] * R
 
     ybar = np.sum(y * weights, axis=-1) / np.sum(weights, axis=-1)
@@ -327,10 +327,8 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
                 family_link=family_link,
                 beta=beta[i].copy(),
                 vcov=vcov[j],
-                converged=True,
                 iterations=int(iterations[i]),
                 deviance=float(dev[i]),
-                n_used=n,
                 column_names=column_names,
                 fitted=mu[j],
                 deviance_path=tuple(paths[i]),

@@ -12,8 +12,9 @@ module, together with :class:`PrEstimate` and the coefficient-ratio
 helper that the log-binomial, robust-Poisson and Schouten estimates of
 ``methods.METHODS`` share; this module fits none of those models.
 
-The exposure contrast is always 1 versus 0; for a continuous exposure
-that reads as a one-unit increase from zero.
+Every estimator contrasts the exposure, design column ``EXPOSURE_COL``,
+at 1 versus 0; for a continuous exposure that reads as a one-unit
+increase from zero.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, EXPOSURE_COL, INTERCEPT_NAME, covariate_means
-from .errors import (DataError, DegenerateDenominatorError, InvalidArgumentError,
-                     NonConvergenceError, PrevRatioError)
+from .errors import (DegenerateDenominatorError, InvalidArgumentError, NonConvergenceError,
+                     PrevRatioError)
 from .glm import FitResult, expit, fit_glm
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
@@ -67,30 +68,16 @@ def _require_logistic(fit: FitResult) -> None:
         raise InvalidArgumentError(
             f"this estimator needs a binomial-logit fit, got {fit.family_link!r}"
         )
-    if not fit.converged:
-        raise InvalidArgumentError("fit did not converge")
 
 
-def _predictor_index(column_names: tuple[str, ...], predictor: str | None) -> int:
-    if predictor is None:
-        return EXPOSURE_COL
-    if predictor not in column_names:
-        raise DataError(f"no design column named {predictor!r}")
-    k = column_names.index(predictor)
-    if k == 0:
-        raise InvalidArgumentError("the intercept is not a predictor")
-    return k
-
-
-def _conditioning_point(ds: Dataset, k: int,
-                        at: Mapping[str, float] | None) -> np.ndarray:
+def _conditioning_point(ds: Dataset, at: Mapping[str, float] | None) -> np.ndarray:
     xbar = covariate_means(ds)
     if at:
         for name, value in at.items():
             j = ds.column_index(name)
             if j == 0:
                 raise InvalidArgumentError("cannot condition on the intercept")
-            if j == k:
+            if j == EXPOSURE_COL:
                 raise InvalidArgumentError(
                     f"{name!r} is the contrasted predictor; its value is set "
                     "by the 1-vs-0 contrast"
@@ -129,13 +116,13 @@ def _coefficient_ratio(method: str, fit: FitResult, k: int, vcov: np.ndarray,
     )
 
 
-def _cpr_point(beta: np.ndarray, ds: Dataset, k: int, at: Mapping[str, float] | None
+def _cpr_point(beta: np.ndarray, ds: Dataset, at: Mapping[str, float] | None
                ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The conditioning point with predictor k at 1 and at 0, and the prevalences there."""
-    x1 = _conditioning_point(ds, k, at)
+    """The conditioning point with the exposure at 1 and at 0, and the prevalences there."""
+    x1 = _conditioning_point(ds, at)
     x0 = x1.copy()
-    x1[k] = 1.0
-    x0[k] = 0.0
+    x1[EXPOSURE_COL] = 1.0
+    x0[EXPOSURE_COL] = 0.0
     p1 = float(expit(x1 @ beta))
     p0 = float(expit(x0 @ beta))
     if p0 < _MIN_DENOMINATOR:
@@ -146,7 +133,6 @@ def _cpr_point(beta: np.ndarray, ds: Dataset, k: int, at: Mapping[str, float] | 
 
 
 def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
-                   predictor: str | None = None,
                    at: Mapping[str, float] | None = None) -> PrEstimate:
     """Prevalence ratio at fixed covariate values (weighted means by default).
 
@@ -154,8 +140,7 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     higher- or lower-risk scenarios than the average profile.
     """
     _require_logistic(fit)
-    k = _predictor_index(ds.column_names, predictor)
-    x1, x0, p1, p0 = _cpr_point(fit.beta, ds, k, at)
+    x1, x0, p1, p0 = _cpr_point(fit.beta, ds, at)
     pr = p1 / p0
     grad_p1 = x1 * (p1 * (1.0 - p1))
     grad_p0 = x0 * (p0 * (1.0 - p0))
@@ -163,11 +148,11 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     interval = _delta_interval(pr, grad, fit.vcov, level)
     conditioning = {name: float(v) for name, v in zip(ds.column_names, x0)
                     if name != INTERCEPT_NAME}
-    conditioning.pop(ds.column_names[k], None)
+    conditioning.pop(ds.exposure_name, None)
     return PrEstimate(
         method="CPR",
         interval=interval,
-        exposure=ds.column_names[k],
+        exposure=ds.exposure_name,
         metadata={
             "se_scale": "ratio",
             "contrast": "1 vs 0",
@@ -179,18 +164,17 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     )
 
 
-def _mpr_point(beta: np.ndarray, ds: Dataset,
-               k: int) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Average prevalences with predictor k at 1 and at 0, and each row's in both arms.
+def _mpr_point(beta: np.ndarray, ds: Dataset) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Average prevalences with the exposure at 1 and at 0, and each row's in both arms.
 
-    A row's linear predictor with column k set to a value is X beta
-    shifted by that column's term, so X is not copied.
+    A row's linear predictor with the exposure set to a value is X beta
+    shifted by the exposure's term, so X is not copied.
     """
     w = ds.weights
     wsum = float(w.sum())
     eta = matvec_stack(ds.X, beta)
-    shift = ds.X[:, k] * beta[k]
-    rows1 = expit(eta + (beta[k] - shift))
+    shift = ds.X[:, EXPOSURE_COL] * beta[EXPOSURE_COL]
+    rows1 = expit(eta + (beta[EXPOSURE_COL] - shift))
     rows0 = expit(eta - shift)
     p1 = float((w * rows1).sum() / wsum)
     p0 = float((w * rows0).sum() / wsum)
@@ -201,23 +185,21 @@ def _mpr_point(beta: np.ndarray, ds: Dataset,
     return p1, p0, rows1, rows0
 
 
-def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
-                predictor: str | None = None) -> PrEstimate:
+def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
     """Ratio of average predicted prevalences with the exposure toggled.
 
     Averages over the observed covariate distribution use the prior
     weights when present.
     """
     _require_logistic(fit)
-    k = _predictor_index(ds.column_names, predictor)
-    p1, p0, rows1, rows0 = _mpr_point(fit.beta, ds, k)
+    p1, p0, rows1, rows0 = _mpr_point(fit.beta, ds)
     w = ds.weights
     wsum = float(w.sum())
 
     def gradient(value: float, p: np.ndarray) -> np.ndarray:
         slope = w * p * (1.0 - p)
         grad = rmatvec_stack(ds.X, slope)
-        grad[k] = value * slope.sum()
+        grad[EXPOSURE_COL] = value * slope.sum()
         return grad / wsum
 
     pr = p1 / p0
@@ -226,7 +208,7 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     return PrEstimate(
         method="MPR",
         interval=interval,
-        exposure=ds.column_names[k],
+        exposure=ds.exposure_name,
         metadata={
             "se_scale": "ratio",
             "contrast": "1 vs 0",
@@ -237,12 +219,10 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     )
 
 
-def prevalence_odds_ratio(fit: FitResult, level: float = 0.95, *,
-                          predictor: str | None = None) -> PrEstimate:
+def prevalence_odds_ratio(fit: FitResult, level: float = 0.95) -> PrEstimate:
     """exp(beta) for the exposure, with a log-scale Wald interval."""
     _require_logistic(fit)
-    k = _predictor_index(fit.column_names, predictor)
-    return _coefficient_ratio("POR", fit, k, fit.vcov, level, {"se_scale": "log"})
+    return _coefficient_ratio("POR", fit, EXPOSURE_COL, fit.vcov, level, {"se_scale": "log"})
 
 
 def _percentile_interval(point: float, draws: np.ndarray,
@@ -254,24 +234,22 @@ def _percentile_interval(point: float, draws: np.ndarray,
                             upper=float(upper), level=level)
 
 
-def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
+def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: int, *,
                   seed: int, level: float = 0.95,
-                  at: Mapping[str, float] | None = None,
-                  full_fit: FitResult | PrevRatioError | None = None
+                  at: Mapping[str, float] | None = None
                   ) -> dict[str, PrEstimate | Exception]:
-    """Case-resampling percentile bootstrap for the CPR and/or MPR.
+    """Case-resampling percentile bootstrap for the CPR and/or MPR of ``fit``.
 
-    The point estimate stays the full-data estimate; the interval comes
-    from the percentiles of the replicate estimates. Replicate r draws its
-    resample from an independent substream derived from (seed, r), so the
-    result does not depend on execution order; the replicates run on every
-    available CPU and the result is bit for bit the same for any number of
-    them. Each resample is refitted once, as the drawn rows weighted by
-    how often they were drawn and starting from the full-data
-    coefficients, and every requested estimator is read off that one fit.
-    ``full_fit`` is the full-data logistic fit of ``ds`` (or the error that
-    stopped it) when the caller already has it; by default it is fitted
-    here.
+    ``fit`` is the full-data logistic fit of ``ds``; a fit of another
+    family raises InvalidArgumentError. The point estimate stays the
+    full-data estimate; the interval comes from the percentiles of the
+    replicate estimates. Replicate r draws its resample from an
+    independent substream derived from (seed, r), so the result does not
+    depend on execution order; the replicates run on every available CPU
+    and the result is bit for bit the same for any number of them. Each
+    resample is refitted once, as the drawn rows weighted by how often
+    they were drawn and starting from ``fit``'s coefficients, and every
+    requested estimator is read off that one refit.
 
     Every estimate is the point alone, computed as the public estimator
     computes it, so none fails on a delta-method SE it does not use. A
@@ -293,27 +271,21 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
     if seed < 0:
         raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {seed}")
     check_level(level)
+    _require_logistic(fit)
 
-    def estimate(name: str, fit: FitResult, data: Dataset) -> float:
+    def estimate(name: str, beta: np.ndarray, data: Dataset) -> float:
         # the point alone; the delta-method SE is of no use here
         if name == "CPR":
-            _, _, p1, p0 = _cpr_point(fit.beta, data, EXPOSURE_COL, at)
+            _, _, p1, p0 = _cpr_point(beta, data, at)
         else:
-            p1, p0, _, _ = _mpr_point(fit.beta, data, EXPOSURE_COL)
+            p1, p0, _, _ = _mpr_point(beta, data)
         return p1 / p0
 
-    if full_fit is None:
-        try:
-            full_fit = fit_glm(ds, "binomial-logit")
-        except PrevRatioError as exc:
-            full_fit = exc
-    if isinstance(full_fit, PrevRatioError):
-        return dict.fromkeys(estimators, full_fit)
     results: dict[str, PrEstimate | Exception] = {}
     full: dict[str, float] = {}
     for name in estimators:
         try:
-            full[name] = estimate(name, full_fit, ds)
+            full[name] = estimate(name, fit.beta, ds)
         except PrevRatioError as exc:
             results[name] = exc
     if not full:
@@ -327,14 +299,14 @@ def bootstrap_prs(ds: Dataset, estimators: Sequence[str], reps: int, *,
             counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
             data = ds.frequency_weighted(counts)
             try:
-                fit = fit_glm(data, "binomial-logit", beta0=full_fit.beta)
+                refit = fit_glm(data, "binomial-logit", beta0=fit.beta)
             except PrevRatioError as exc:
                 for name in full:
                     failures[name][type(exc).__name__] += 1
                 continue
             for name in full:
                 try:
-                    draws[name].append(estimate(name, fit, data))
+                    draws[name].append(estimate(name, refit.beta, data))
                 except PrevRatioError as exc:
                     failures[name][type(exc).__name__] += 1
         return draws, failures

@@ -99,11 +99,9 @@ def ratio_interval(point: float, log_var: float, level: float = 0.95) -> Interva
 
 
 def sandwich_vcov(fit: FitResult, ds: Dataset) -> np.ndarray:
-    """HC0 robust covariance B^-1 M B^-1 for a converged fit on ``ds``, at its fitted mu."""
-    if not fit.converged:
-        raise InvalidArgumentError("sandwich covariance requires a converged fit")
-    if fit.n_used != ds.n:
-        raise InvalidArgumentError(f"the fit has {fit.n_used} rows, the dataset {ds.n}")
+    """HC0 robust covariance B^-1 M B^-1 for a fit on ``ds``, at its fitted mu."""
+    if len(fit.fitted) != ds.n:
+        raise InvalidArgumentError(f"the fit has {len(fit.fitted)} rows, the dataset {ds.n}")
     return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - fit.fitted)) ** 2)
 
 

@@ -80,6 +80,11 @@ class TestGoldenText:
         code, out, err = run_estimate(capsys, toy_csv)
         assert (code, out, err) == (0, (GOLDEN / "estimate.txt").read_text(), "")
 
+    def test_estimate_boot(self, capsys, toy_csv):
+        code, out, err = run_estimate(capsys, toy_csv, "--methods", "por,cpr,mpr",
+                                      "--boot", "100", "--seed", "2")
+        assert (code, out, err) == (0, (GOLDEN / "estimate_boot.txt").read_text(), "")
+
     def test_table(self, capsys, strata_csv):
         code = main(["table", "--input", strata_csv])
         captured = capsys.readouterr()
@@ -163,7 +168,7 @@ class TestEstimate:
         monkeypatch.setattr(ratios, "fit_glm", counting_fit)
         boot = ("--boot", "150", "--format", "json")
         _, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
-        assert families.count("binomial-logit") == 151
+        assert families.count("binomial-logit") == 150
         rows = json.loads(out)["rows"]
         for row, method in zip(rows, ("cpr", "mpr")):
             _, alone, _ = run_estimate(capsys, toy_csv, "--methods", method, *boot)
@@ -185,7 +190,7 @@ class TestEstimate:
         workers(2)
         boot = ("--boot", "150", "--format", "json")
         _, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
-        assert log.read_text().splitlines().count("binomial-logit") == 151
+        assert log.read_text().splitlines().count("binomial-logit") == 150
         workers(1)
         _, serial, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
         assert out == serial
@@ -261,6 +266,22 @@ class TestEstimate:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 3: column 'z'" in err
+
+    def test_repeated_covariate_is_input_error(self, capsys, toy_csv):
+        code = main(["estimate", "--outcome", "y", "--exposure", "x", "--covariates", "z,z",
+                     "--input", toy_csv])
+        assert (code, *capsys.readouterr()) == (2, "", "error: covariate 'z' listed twice\n")
+
+    @pytest.mark.parametrize("boot", [(), ("--boot", "100")])
+    def test_failed_logistic_fit_fails_its_rows(self, capsys, tmp_path, boot):
+        path = tmp_path / "flat.csv"
+        path.write_text("y,x,z\n" + "".join(f"1,{i % 2},{i / 10}\n" for i in range(20)))
+        code = main(ESTIMATE_ARGS + ["--input", str(path), "--methods", "cpr,mpr",
+                                     "--format", "json", *boot])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 1
+        assert [r["notes"] for r in rows] == [
+            "outcome has no variation (weighted mean 1); coefficients diverge"] * 2
 
     def test_boot_below_floor_rejected(self, capsys, toy_csv):
         with pytest.raises(SystemExit) as exc:

@@ -14,6 +14,10 @@ class TestModelSpec:
         with pytest.raises(DataError):
             ModelSpec(outcome="y", exposure="x", covariates=("x",))
 
+    def test_covariate_listed_once(self):
+        with pytest.raises(DataError, match="covariate 'z' listed twice"):
+            ModelSpec(outcome="y", exposure="x", covariates=("z", "w", "z"))
+
     def test_outcome_distinct_from_predictors(self):
         with pytest.raises(DataError):
             ModelSpec(outcome="y", exposure="y")

@@ -80,6 +80,7 @@ class TestNames:
         for alias, name in OLD_ALIASES.items():
             assert _parse_methods(alias) == (name,)
             assert _parse_methods(alias.upper().replace("-", "_")) == (name,)
+            assert _parse_methods(f"{alias},{alias.upper()}") == (name,)
 
     def test_study_order_and_targets(self):
         assert list(METHODS) == ["CPR", "MPR", "POR", "LogBinomial", "RobustPoisson",
@@ -126,7 +127,7 @@ class TestOneEstimationPath:
     @pytest.mark.parametrize("methods, boot, warned", [
         ("cpr,schouten", (), True),
         ("por,cpr,mpr", ("--boot", "100"), True),
-        ("cpr,mpr", ("--boot", "100"), False),  # the bootstrap does its own fits
+        ("cpr,mpr", ("--boot", "100"), True),  # the bootstrap starts from the logistic fit
         ("robustpoisson,schouten", (), False),
     ])
     def test_separation_warnings_from_the_logistic_fit(self, capsys, tmp_path, methods,

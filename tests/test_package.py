@@ -1,6 +1,8 @@
 """The package's public names, the error its argument checks raise, and its one fit path."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import prevratio
 from prevratio import (IntervalEstimate, InvalidArgumentError, MethodSummary, PrEstimate,
                        ToyConfig, bootstrap_prs, fit_glm, normal_quantile, replication_study,
-                       sandwich_vcov, simulate_toy, true_marginal_pr)
+                       sandwich_vcov, simulate_toy)
 from prevratio.glm import fit_stack, predict_prevalence
 
 
@@ -48,12 +50,16 @@ BAD_ARGUMENTS = {
                          "beta0 must be 3 finite coefficients per problem, got shape (1, 3)"),
     "beta0-infeasible": (lambda: fit_stack_from("binomial-log", [[1.0, 0.0, 0.0]]),
                          "beta0 is not a feasible start for binomial-log"),
-    "boot-estimators": (lambda: bootstrap_prs(TOY, ("POR",), 100, seed=0),
+    "boot-estimators": (lambda: bootstrap_prs(fit_glm(TOY, "binomial-logit"), TOY, ("POR",),
+                                              100, seed=0),
                         "estimators must be 'CPR' and/or 'MPR', got ('POR',)"),
-    "boot-reps": (lambda: bootstrap_prs(TOY, ("CPR",), 99, seed=0),
+    "boot-reps": (lambda: bootstrap_prs(fit_glm(TOY, "binomial-logit"), TOY, ("CPR",), 99, seed=0),
                   "need at least 100 bootstrap replicates, got 99"),
-    "boot-seed": (lambda: bootstrap_prs(TOY, ("CPR",), 100, seed=-1),
+    "boot-seed": (lambda: bootstrap_prs(fit_glm(TOY, "binomial-logit"), TOY, ("CPR",), 100,
+                                        seed=-1),
                   "bootstrap seed must be non-negative, got -1"),
+    "boot-family": (lambda: bootstrap_prs(fit_glm(TOY, "poisson-log"), TOY, ("CPR",), 100, seed=0),
+                    "this estimator needs a binomial-logit fit, got 'poisson-log'"),
     "study-reps": (lambda: replication_study(ToyConfig(), 99),
                    "need at least 100 replicates, got 99"),
     "study-no-methods": (lambda: replication_study(ToyConfig(), 100, methods=()),
@@ -72,8 +78,6 @@ BAD_ARGUMENTS = {
                     "implied exposed prevalence at z=0 is 1.2, outside (0, 1)"),
     "normal-quantile": (lambda: normal_quantile(1.0),
                         "quantile probability must be in (0, 1), got 1.0"),
-    "quadrature-nodes": (lambda: true_marginal_pr((-1.4, 0.8, 0.2), nodes=39),
-                         "need at least 40 quadrature nodes, got 39"),
     "interval-se": (lambda: IntervalEstimate(1.0, -0.1, 0.5, 2.0, 0.95),
                     "standard error must be nonnegative, got -0.1"),
     "interval-bounds": (lambda: IntervalEstimate(1.0, 0.1, 0.0, 2.0, 0.95),
@@ -115,3 +119,25 @@ def test_one_fit_path():
     # the registry builds every estimator's fit; only the bootstrap refits its resamples
     assert referrers("fit_stack") == {"glm.fit_glm", "methods.block_fits"}
     assert referrers("fit_glm") == {"ratios.bootstrap_prs"}
+    # and each refit starts from a fit it was handed: no fit_glm call starts cold
+    calls = [node for path in Path(prevratio.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and "fit_glm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls
+    assert all("beta0" in (kw.arg for kw in call.keywords) for call in calls)
+
+
+
+def test_logistic_estimators_take_the_fit():
+    # every logistic-based estimator reads a fit it is handed and contrasts
+    # design column 1; no parameter picks another column or makes a fit
+    defs = [node for path in Path(prevratio.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)]
+    assert not [d.name for d in defs
+                if {a.arg for a in ast.walk(d.args) if isinstance(a, ast.arg)}
+                & {"predictor", "full_fit", "nodes"}]
+    for name in ("conditional_pr", "marginal_pr", "prevalence_odds_ratio", "bootstrap_prs"):
+        assert next(iter(inspect.signature(getattr(prevratio, name)).parameters)) == "fit"
+    assert not {"converged", "n_used"} & {f.name for f in dataclasses.fields(prevratio.FitResult)}

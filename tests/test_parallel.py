@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import prevratio
-from prevratio import ToyConfig, bootstrap_prs, errors, parallel, replication_study
+from prevratio import ToyConfig, bootstrap_prs, errors, fit_glm, parallel, replication_study
 from prevratio.errors import (DataError, DegenerateDenominatorError, InvalidArgumentError,
                               NonConvergenceError, NonIdentifiableError, PrevRatioError,
                               RankDeficientError)
@@ -224,10 +224,11 @@ class TestSameBitsForAnyWorkerCount:
     @pytest.mark.parametrize("reps, seed", [(101, 3), (101, 17), (200, 3), (200, 17)])
     @pytest.mark.parametrize("at", [None, {"z": 0.5}])
     def test_bootstrap(self, toy_ds, workers, reps, seed, at):
+        fit = fit_glm(toy_ds, "binomial-logit")
         runs = []
         for k in (1, 2, 3):
             workers(k)
-            runs.append(bootstrap_prs(toy_ds, ("CPR", "MPR"), reps, seed=seed, at=at))
+            runs.append(bootstrap_prs(fit, toy_ds, ("CPR", "MPR"), reps, seed=seed, at=at))
         assert runs[0] == runs[1] == runs[2]
         assert all(isinstance(v, prevratio.PrEstimate) for v in runs[0].values())
         assert_no_children()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from prevratio import (DataError, Dataset, DegenerateDenominatorError, FitResult,
+from prevratio import (Dataset, DegenerateDenominatorError, FitResult,
                        INTERCEPT_NAME, InvalidArgumentError, NonConvergenceError,
                        PrEstimate, PrevRatioError,
                        StratifiedTable, ToyConfig, bootstrap_prs,
@@ -23,8 +23,8 @@ def fake_logistic_fit(beta, vcov=None, names=None):
     return FitResult(
         family_link="binomial-logit", beta=beta,
         vcov=np.eye(p) if vcov is None else vcov,
-        converged=True, iterations=1, deviance=0.0, n_used=1,
-        column_names=names, fitted=np.array([]), deviance_path=(0.0,),
+        iterations=1, deviance=0.0, column_names=names, fitted=np.array([]),
+        deviance_path=(0.0,),
     )
 
 
@@ -87,7 +87,7 @@ class TestConditionalPr:
         fit = fit_glm(toy_ds, "binomial-logit")
         with pytest.raises(InvalidArgumentError, match="'z' must be finite"):
             conditional_pr(fit, toy_ds, at={"z": value})
-        got = bootstrap_prs(toy_ds, ("CPR",), 100, seed=0, at={"z": value}, full_fit=fit)
+        got = bootstrap_prs(fit, toy_ds, ("CPR",), 100, seed=0, at={"z": value})
         assert isinstance(got["CPR"], InvalidArgumentError)
         assert "'z'" in str(got["CPR"])
 
@@ -105,7 +105,7 @@ class TestConditionalPr:
             raise AssertionError("the level is checked before any fit")
         monkeypatch.setattr(ratios, "fit_glm", no_refit)
         with pytest.raises(InvalidArgumentError, match=message):
-            bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=0, level=level)
+            bootstrap_prs(fit, toy_ds, ("CPR", "MPR"), 100, seed=0, level=level)
 
     def test_at_errors_are_typed(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
@@ -119,12 +119,6 @@ class TestConditionalPr:
         with pytest.raises(InvalidArgumentError, match="'poisson-log'") as err:
             conditional_pr(pois, toy_ds)
         assert isinstance(err.value, ValueError)
-
-    def test_requires_converged_fit(self, toy_ds):
-        fit = fit_glm(toy_ds, "binomial-logit")
-        stale = type(fit)(**{**fit.__dict__, "converged": False})
-        with pytest.raises(InvalidArgumentError, match="did not converge"):
-            conditional_pr(stale, toy_ds)
 
     def test_degenerate_denominator(self):
         ds = table_dataset(3, 3, 3, 3)
@@ -159,25 +153,6 @@ class TestConditionalPr:
         assert por.point > cpr.point
 
 
-BY_PREDICTOR = {
-    "CPR": lambda fit, ds, name: conditional_pr(fit, ds, predictor=name),
-    "MPR": lambda fit, ds, name: marginal_pr(fit, ds, predictor=name),
-    "POR": lambda fit, ds, name: prevalence_odds_ratio(fit, predictor=name),
-}
-
-
-@pytest.mark.parametrize("method", sorted(BY_PREDICTOR))
-@pytest.mark.parametrize("predictor, error, match", [
-    ("nope", DataError, "no design column named 'nope'"),
-    (INTERCEPT_NAME, InvalidArgumentError, "intercept is not a predictor"),
-])
-def test_bad_predictor_is_typed(toy_ds, method, predictor, error, match):
-    fit = fit_glm(toy_ds, "binomial-logit")
-    with pytest.raises(error, match=match) as err:
-        BY_PREDICTOR[method](fit, toy_ds, predictor)
-    assert isinstance(err.value, PrevRatioError)
-
-
 class TestMarginalPr:
     def test_matches_brute_force_averaging(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
@@ -206,13 +181,13 @@ class TestMarginalPr:
         assert mw.interval.se == pytest.approx(me.interval.se, rel=1e-12)
 
     @staticmethod
-    def copied_arms(fit, ds, k):
-        """Both arms from explicit copies of X with column k set (the old formula)."""
+    def copied_arms(fit, ds):
+        """Both arms from explicit copies of X with the exposure set (the old formula)."""
         beta, w = fit.beta, ds.weights
         out = []
         for value in (1.0, 0.0):
             X = np.array(ds.X)
-            X[:, k] = value
+            X[:, 1] = value
             p = expit(X @ beta)
             out.append((float((w * p).sum() / w.sum()),
                         (X * (w * p * (1.0 - p))[:, None]).sum(axis=0) / w.sum()))
@@ -221,7 +196,7 @@ class TestMarginalPr:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_copied_design(self, seed):
-        # non-unit weights and a continuous contrasted predictor
+        # non-unit weights and a continuous exposure
         rng = np.random.default_rng(seed)
         n = 400
         X = np.column_stack([np.ones(n), rng.standard_normal(n), rng.random(n) < 0.5,
@@ -230,13 +205,12 @@ class TestMarginalPr:
         ds = Dataset(y=y, X=X, column_names=(INTERCEPT_NAME, "u", "x", "z"),
                      weights=rng.uniform(0.2, 3.0, n))
         fit = fit_glm(ds, "binomial-logit")
-        for name, k in (("u", 1), ("x", 2)):
-            est = marginal_pr(fit, ds, predictor=name)
-            pr, grad = self.copied_arms(fit, ds, k)
-            assert est.point == pytest.approx(pr, rel=1e-12)
-            assert est.metadata["gradient"] == pytest.approx(grad, rel=1e-12, abs=1e-15)
-            assert est.interval.se == pytest.approx(math.sqrt(grad @ fit.vcov @ grad),
-                                                    rel=1e-10)
+        est = marginal_pr(fit, ds)
+        pr, grad = self.copied_arms(fit, ds)
+        assert est.point == pytest.approx(pr, rel=1e-12)
+        assert est.metadata["gradient"] == pytest.approx(grad, rel=1e-12, abs=1e-15)
+        assert est.interval.se == pytest.approx(math.sqrt(grad @ fit.vcov @ grad),
+                                                rel=1e-10)
 
     def test_cpr_equals_mpr_when_covariates_constant(self, toy_ds):
         fit = fit_glm(toy_ds, "binomial-logit")
@@ -339,9 +313,14 @@ class TestModelComparators:
         assert robust_poisson_pr(toy_ds).point == pytest.approx(mpr, abs=0.05)
 
 
+def bootstrap_logistic(ds, estimators, reps, **kwargs):
+    """``bootstrap_prs`` of the full-data logistic fit of ``ds``."""
+    return bootstrap_prs(fit_glm(ds, "binomial-logit"), ds, estimators, reps, **kwargs)
+
+
 def bootstrap_one(ds, estimator, reps, **kwargs):
     """One estimator's ``bootstrap_prs`` result, raising the error that stopped it."""
-    result = bootstrap_prs(ds, (estimator,), reps, **kwargs)[estimator]
+    result = bootstrap_logistic(ds, (estimator,), reps, **kwargs)[estimator]
     if isinstance(result, Exception):
         raise result
     return result
@@ -463,7 +442,7 @@ def resample_of(ds, seed, replicates):
 class TestSharedBootstrap:
     @pytest.mark.parametrize("seed", [2, 11])
     def test_matches_row_copy_refits(self, toy_ds, seed):
-        shared = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=seed)
+        shared = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=seed)
         for name in ("CPR", "MPR"):
             iv = shared[name].interval
             point, se, lower, upper = row_copy_bootstrap(toy_ds, name, 100, seed)
@@ -486,25 +465,25 @@ class TestSharedBootstrap:
             fit = fit_glm(data, "binomial-logit", beta0=full.beta)
             for name, fn in estimate.items():
                 draws[name].append(fn(fit, data))
-        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=seed)
+        out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=seed)
         for name, fn in estimate.items():
             assert out[name].interval == _percentile_interval(
                 fn(full, toy_ds), np.array(draws[name]), 0.95)
 
     def test_same_seed_bit_identical(self, toy_ds):
-        a = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=9)
-        b = bootstrap_prs(toy_ds, ("MPR", "CPR"), 100, seed=9)
+        a = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=9)
+        b = bootstrap_logistic(toy_ds, ("MPR", "CPR"), 100, seed=9)
         assert a["CPR"].interval == b["CPR"].interval
         assert a["MPR"].interval == b["MPR"].interval
         assert bootstrap_one(toy_ds, "MPR", 100, seed=9).interval == a["MPR"].interval
 
     def test_estimator_failure_counts_against_itself_only(self, toy_ds,
                                                           monkeypatch, one_worker):
-        alone = bootstrap_prs(toy_ds, ("MPR",), 100, seed=4)["MPR"]
+        alone = bootstrap_logistic(toy_ds, ("MPR",), 100, seed=4)["MPR"]
         # call 1 is the full-data estimate; calls 3 and 8 are replicates
         monkeypatch.setattr(ratios, "_cpr_point",
                             failing_after(ratios._cpr_point, {3, 8}))
-        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert out["CPR"].metadata["failed_replicates"] == 2
         assert out["CPR"].metadata["failure_reasons"] == {
             "DegenerateDenominatorError": 2}
@@ -522,8 +501,8 @@ class TestSharedBootstrap:
                 raise NonConvergenceError("forced failure")
             return fit_glm(ds, family_link, **kwargs)
         monkeypatch.setattr(ratios, "fit_glm", flaky_fit)
-        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
-        assert len(calls) == 101
+        out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        assert len(calls) == 100
         for est in out.values():
             assert est.metadata["failed_replicates"] == 1
             assert est.metadata["failure_reasons"] == {"NonConvergenceError": 1}
@@ -533,7 +512,7 @@ class TestSharedBootstrap:
             monkeypatch.setattr(ratios, "_cpr_point", failing_after(
                 ratios._cpr_point, set(range(2, 102))))
         patch()
-        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert isinstance(out["CPR"], NonConvergenceError)
         assert "DegenerateDenominatorError: 100" in str(out["CPR"])
         assert isinstance(out["MPR"], PrEstimate)
@@ -546,10 +525,10 @@ class TestSharedBootstrap:
     def test_estimator_failure_counts_against_itself_only_in_workers(
             self, toy_ds, monkeypatch, workers):
         workers(2)
-        alone = bootstrap_prs(toy_ds, ("MPR",), 100, seed=4)["MPR"]
+        alone = bootstrap_logistic(toy_ds, ("MPR",), 100, seed=4)["MPR"]
         monkeypatch.setattr(ratios, "_cpr_point", failing_on(
             ratios._cpr_point, resample_of(toy_ds, 4, {1, 60})))
-        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert out["CPR"].metadata["failed_replicates"] == 2
         assert out["CPR"].metadata["failure_reasons"] == {
             "DegenerateDenominatorError": 2}
@@ -567,7 +546,7 @@ class TestSharedBootstrap:
                 raise NonConvergenceError("forced failure")
             return fit_glm(ds, family_link, **kwargs)
         monkeypatch.setattr(ratios, "fit_glm", flaky_fit)
-        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         for est in out.values():
             assert est.metadata["failed_replicates"] == 1
             assert est.metadata["failure_reasons"] == {"NonConvergenceError": 1}
@@ -580,7 +559,7 @@ class TestSharedBootstrap:
             monkeypatch.setattr(ratios, "_cpr_point", failing_on(
                 ratios._cpr_point, lambda data: data is not toy_ds))
         patch()
-        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4)
+        out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert isinstance(out["CPR"], NonConvergenceError)
         assert "DegenerateDenominatorError: 100" in str(out["CPR"])
         assert isinstance(out["MPR"], PrEstimate)
@@ -588,24 +567,22 @@ class TestSharedBootstrap:
         with pytest.raises(NonConvergenceError):
             bootstrap_one(toy_ds, "CPR", 100, seed=4)
 
-    def test_full_data_fit_passed_in(self, toy_ds, monkeypatch):
+    def test_full_data_fit_passed_in(self, toy_ds, monkeypatch, one_worker):
+        # every refit starts from the passed-in fit; none starts cold
         full = fit_glm(toy_ds, "binomial-logit")
-        expected = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=5)
-        cold = []
+        expected = bootstrap_prs(full, toy_ds, ("CPR", "MPR"), 100, seed=5)
+        starts = []
 
         def counting_fit(ds, family_link, **kwargs):
-            if kwargs.get("beta0") is None:
-                cold.append(None)
+            starts.append(kwargs.get("beta0"))
             return fit_glm(ds, family_link, **kwargs)
         monkeypatch.setattr(ratios, "fit_glm", counting_fit)
-        assert bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=5, full_fit=full) == expected
-        assert cold == []
-        error = NonConvergenceError("forced failure")
-        assert bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=5, full_fit=error) == {
-            "CPR": error, "MPR": error}
+        assert bootstrap_prs(full, toy_ds, ("CPR", "MPR"), 100, seed=5) == expected
+        assert len(starts) == 100
+        assert all(beta0 is full.beta for beta0 in starts)
 
     def test_full_data_failure_is_per_estimator(self, toy_ds):
-        out = bootstrap_prs(toy_ds, ("CPR", "MPR"), 100, seed=4,
+        out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4,
                             at={"z": -1000.0})
         assert isinstance(out["CPR"], DegenerateDenominatorError)
         assert isinstance(out["MPR"], PrEstimate)
@@ -613,7 +590,7 @@ class TestSharedBootstrap:
     def test_rejects_bad_estimators(self, toy_ds):
         for bad in ((), ("CPR", "POR")):
             with pytest.raises(ValueError):
-                bootstrap_prs(toy_ds, bad, 100, seed=1)
+                bootstrap_logistic(toy_ds, bad, 100, seed=1)
 
 
 class TestCrudeReference:

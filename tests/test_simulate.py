@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from prevratio import (InvalidArgumentError, ToyConfig, dgp_coefficients,
                        replication_study, simulate_toy, true_conditional_pr,
@@ -75,9 +76,12 @@ class TestTrueMarginalPr:
         assert true_conditional_pr(coeffs, 3.0) < mpr < true_conditional_pr(coeffs, -3.0)
 
     def test_node_count_converged(self):
-        coeffs = dgp_coefficients(ToyConfig())
-        assert abs(true_marginal_pr(coeffs, nodes=80)
-                   - true_marginal_pr(coeffs, nodes=160)) < 1e-10
+        # the 80-node rule against a 160-node one
+        b0, b1, b2 = dgp_coefficients(ToyConfig())
+        x, w = np.polynomial.hermite.hermgauss(160)
+        z = math.sqrt(2.0) * x
+        fine = float(w @ expit(b0 + b1 + b2 * z)) / float(w @ expit(b0 + b2 * z))
+        assert abs(true_marginal_pr((b0, b1, b2)) - fine) < 1e-10
 
     def test_against_trapezoid_oracle(self):
         b0, b1, b2 = dgp_coefficients(ToyConfig())
@@ -87,10 +91,6 @@ class TestTrueMarginalPr:
         p0 = 1.0 / (1.0 + np.exp(-(b0 + b2 * z)))
         oracle = np.trapezoid(p1 * phi, z) / np.trapezoid(p0 * phi, z)
         assert true_marginal_pr((b0, b1, b2)) == pytest.approx(oracle, abs=1e-8)
-
-    def test_rejects_coarse_grids(self):
-        with pytest.raises(ValueError):
-            true_marginal_pr(dgp_coefficients(ToyConfig()), nodes=39)
 
 
 class TestSimulateToy:

@@ -199,12 +199,6 @@ class TestSandwich:
         assert np.abs(S - S.T).max() < 1e-10
         assert np.linalg.eigvalsh(S).min() > -1e-10
 
-    def test_requires_converged_fit(self, toy_ds):
-        fit = fit_glm(toy_ds, "binomial-logit")
-        bad = type(fit)(**{**fit.__dict__, "converged": False})
-        with pytest.raises(InvalidArgumentError, match="requires a converged fit"):
-            sandwich_vcov(bad, toy_ds)
-
 
 class TestFittedMuIsRead:
     """The sandwich and the Schouten meat read fit.fitted, not a recomputed mu."""
