@@ -199,7 +199,7 @@ def _schouten_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
     """
     mu, y, w = fit.fitted, ds.y, ds.weights
     robust = _sandwich(fit.vcov, ds.X, w**2 * ((y - mu) ** 2 + y * mu**2))
-    return _coefficient_ratio("Schouten", fit, EXPOSURE_COL, robust, level, {
+    return _coefficient_ratio("Schouten", fit, robust, level, {
         "se_scale": "log",
         "expanded_rows": ds.n + int(np.count_nonzero(y == 1.0)),
         "caveat": "sandwich variance on duplicated rows; the exact "

@@ -114,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Parse the comma-separated flags of ``args`` in place and check the numbers.
 
-    A bad value ends the run as a usage error, through ``parser.error``.
+    A bad value, or an ``--at`` or ``--boot`` that no requested method
+    reads, ends the run as a usage error, through ``parser.error``.
     ``simulate`` without ``--methods`` gets None: the study's default set.
     """
     try:
@@ -122,6 +123,8 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             args.covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
             args.methods = _parse_methods(args.methods)
             args.at = _parse_at(args.at)
+            if args.at and "CPR" not in args.methods:
+                raise ValueError("--at sets CPR's conditioning values; add cpr to --methods")
         elif args.subcommand == "simulate":
             args.methods = _parse_methods(args.methods) if args.methods else None
         if not 0.5 < args.level < 1.0:
@@ -131,6 +134,8 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             raise ValueError(
                 f"--boot needs at least 100 replicates (or 0 to disable), got {boot}"
             )
+        if boot and not set(BOOTSTRAP_ESTIMATORS) & set(args.methods):
+            raise ValueError("--boot resamples CPR and MPR; add cpr or mpr to --methods")
     except ValueError as err:
         parser.error(str(err))
 

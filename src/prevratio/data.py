@@ -156,9 +156,10 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
     parsed = _parse_columns(path, wanted)
     data, n_dropped = parsed if parsed is not None else _parse_rows(path, spec, wanted)
 
-    y = data[:, 0]
-    n_predictors = 1 + len(spec.covariates)
-    X = np.column_stack([np.ones(len(data)), data[:, 1:1 + n_predictors]])
+    # the outcome column becomes the intercept, so X is a view of ``data``
+    y = data[:, 0].copy()
+    data[:, 0] = 1.0
+    X = data[:, :2 + len(spec.covariates)]
     weights = data[:, -1] if weight_column is not None else None
     names = (INTERCEPT_NAME, spec.exposure, *spec.covariates)
     return Dataset(y=y, X=X, column_names=names, weights=weights,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .classical import (_schouten_from_fit, _schouten_response, crude_pr, crude_table,
                         mantel_haenszel_pr, stratified_from_dataset)
-from .data import Dataset, EXPOSURE_COL
+from .data import Dataset
 from .errors import PrevRatioError
 from .glm import FitResult, fit_stack
 from .parallel import _fork_map
@@ -59,12 +59,12 @@ METHODS = {m.name: m for m in (
            lambda fit, ds, level, at: prevalence_odds_ratio(fit, level), target="por"),
     Method("LogBinomial", ("log-binomial",), "binomial-log",
            lambda fit, ds, level, at: _coefficient_ratio(
-               "LogBinomial", fit, EXPOSURE_COL, fit.vcov, level,
+               "LogBinomial", fit, fit.vcov, level,
                {"se_scale": "log", "iterations": fit.iterations}),
            target="mpr"),
     Method("RobustPoisson", ("robust-poisson", "poisson"), "poisson-log",
            lambda fit, ds, level, at: _coefficient_ratio(
-               "RobustPoisson", fit, EXPOSURE_COL, sandwich_vcov(fit, ds), level,
+               "RobustPoisson", fit, sandwich_vcov(fit, ds), level,
                {"se_scale": "log", "variance": "HC0 sandwich"}),
            note="HC0 sandwich SE", target="mpr"),
     Method("Schouten", (), "Schouten",

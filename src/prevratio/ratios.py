@@ -1,12 +1,14 @@
 """Prevalence ratios derived from a fitted logistic model.
 
-Two adjusted estimators are provided. The conditional ratio (CPR) fixes
-every covariate at its weighted mean and contrasts the predicted
-prevalence at exposure 1 versus exposure 0. The marginal ratio (MPR)
-toggles the exposure for every observed row, averages the predicted
-prevalences, and takes the ratio of the averages. Both carry first-order
-delta-method standard errors propagated through the model's coefficient
-covariance, with Wald intervals built on the log scale. The prevalence
+Two adjusted estimators are provided, both from one exposure contrast.
+The marginal ratio (MPR) sets the exposure to 1 and to 0 in every
+observed row, averages the predicted prevalences of each arm with the
+prior weights, and takes the ratio of the averages. The conditional
+ratio (CPR) is the marginal ratio of a one-row population: the
+conditioning point, every covariate at its weighted mean unless set.
+Both carry first-order delta-method standard errors propagated through
+the model's coefficient covariance, with Wald intervals built on the log
+scale. The prevalence
 odds ratio (POR) and a case-resampling percentile bootstrap round out the
 module, together with :class:`PrEstimate` and the coefficient-ratio
 helper that the log-binomial, robust-Poisson and Schouten estimates of
@@ -26,7 +28,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, EXPOSURE_COL, INTERCEPT_NAME, covariate_means
+from .data import Dataset, EXPOSURE_COL, covariate_means
 from .errors import (DegenerateDenominatorError, InvalidArgumentError, NonConvergenceError,
                      PrevRatioError)
 from .glm import FitResult, expit, fit_glm
@@ -43,6 +45,10 @@ METHOD_LABELS = (
 BOOTSTRAP_ESTIMATORS = ("CPR", "MPR")
 
 _MIN_DENOMINATOR = 1e-12
+
+# the weight of CPR's one-row population
+_ONE_ROW_WEIGHT = np.ones(1)
+_ONE_ROW_WEIGHT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,8 @@ def _require_logistic(fit: FitResult) -> None:
 
 
 def _conditioning_point(ds: Dataset, at: Mapping[str, float] | None) -> np.ndarray:
-    xbar = covariate_means(ds)
+    """CPR's one-row population: weighted covariate means, ``at`` applied, exposure 0."""
+    x = covariate_means(ds)
     if at:
         for name, value in at.items():
             j = ds.column_index(name)
@@ -87,93 +94,37 @@ def _conditioning_point(ds: Dataset, at: Mapping[str, float] | None) -> np.ndarr
                 raise InvalidArgumentError(
                     f"the conditioning value of {name!r} must be finite, got {value}"
                 )
-            xbar[j] = value
-    return xbar
+            x[j] = value
+    x[EXPOSURE_COL] = 0.0
+    return x[None]
 
 
-def _delta_interval(pr: float, grad: np.ndarray, vcov: np.ndarray,
-                    level: float) -> IntervalEstimate:
-    """Log-scale Wald interval of ``pr``, with its delta-method SE on the ratio scale."""
-    var = float(grad @ vcov @ grad)
-    # var / pr**2 as two divisions, since pr * pr can underflow; a ratio of 0
-    # fails in ratio_interval, before its variance is read
-    interval = ratio_interval(pr, var / pr / pr if pr > 0.0 else 0.0, level)
-    return replace(interval, se=math.sqrt(var))
-
-
-def _coefficient_ratio(method: str, fit: FitResult, k: int, vcov: np.ndarray,
+def _coefficient_ratio(method: str, fit: FitResult, vcov: np.ndarray,
                        level: float, metadata: Mapping[str, Any]) -> PrEstimate:
-    """exp(beta_k) of ``fit`` with a log-scale Wald interval from ``vcov``."""
+    """exp(beta) of ``fit``'s exposure with a log-scale Wald interval from ``vcov``."""
     try:
-        point = math.exp(fit.beta[k])
+        point = math.exp(fit.beta[EXPOSURE_COL])
     except OverflowError:
         point = math.inf
     return PrEstimate(
         method=method,
-        interval=ratio_interval(point, float(vcov[k, k]), level),
-        exposure=fit.column_names[k],
+        interval=ratio_interval(point, float(vcov[EXPOSURE_COL, EXPOSURE_COL]), level),
+        exposure=fit.column_names[EXPOSURE_COL],
         metadata=metadata,
     )
 
 
-def _cpr_point(beta: np.ndarray, ds: Dataset, at: Mapping[str, float] | None
-               ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The conditioning point with the exposure at 1 and at 0, and the prevalences there."""
-    x1 = _conditioning_point(ds, at)
-    x0 = x1.copy()
-    x1[EXPOSURE_COL] = 1.0
-    x0[EXPOSURE_COL] = 0.0
-    p1 = float(expit(x1 @ beta))
-    p0 = float(expit(x0 @ beta))
-    if p0 < _MIN_DENOMINATOR:
-        raise DegenerateDenominatorError(
-            f"unexposed prevalence at the conditioning point is {p0:g}"
-        )
-    return x1, x0, p1, p0
+def _arms(beta: np.ndarray, X: np.ndarray, w: np.ndarray
+          ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Average prevalences of rows ``X`` at exposure 1 and at 0, and each row's in both arms.
 
-
-def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
-                   at: Mapping[str, float] | None = None) -> PrEstimate:
-    """Prevalence ratio at fixed covariate values (weighted means by default).
-
-    ``at`` overrides individual conditioning values by column name, for
-    higher- or lower-risk scenarios than the average profile.
+    The averages use the weights ``w``. A row's linear predictor with the
+    exposure set to a value is X beta shifted by the exposure's term, so X
+    is not copied.
     """
-    _require_logistic(fit)
-    x1, x0, p1, p0 = _cpr_point(fit.beta, ds, at)
-    pr = p1 / p0
-    grad_p1 = x1 * (p1 * (1.0 - p1))
-    grad_p0 = x0 * (p0 * (1.0 - p0))
-    grad = (grad_p1 * p0 - grad_p0 * p1) / p0**2
-    interval = _delta_interval(pr, grad, fit.vcov, level)
-    conditioning = {name: float(v) for name, v in zip(ds.column_names, x0)
-                    if name != INTERCEPT_NAME}
-    conditioning.pop(ds.exposure_name, None)
-    return PrEstimate(
-        method="CPR",
-        interval=interval,
-        exposure=ds.exposure_name,
-        metadata={
-            "se_scale": "ratio",
-            "contrast": "1 vs 0",
-            "conditioning": conditioning,
-            "p_exposed": p1,
-            "p_unexposed": p0,
-            "gradient": grad,
-        },
-    )
-
-
-def _mpr_point(beta: np.ndarray, ds: Dataset) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Average prevalences with the exposure at 1 and at 0, and each row's in both arms.
-
-    A row's linear predictor with the exposure set to a value is X beta
-    shifted by the exposure's term, so X is not copied.
-    """
-    w = ds.weights
     wsum = float(w.sum())
-    eta = matvec_stack(ds.X, beta)
-    shift = ds.X[:, EXPOSURE_COL] * beta[EXPOSURE_COL]
+    eta = matvec_stack(X, beta)
+    shift = X[:, EXPOSURE_COL] * beta[EXPOSURE_COL]
     rows1 = expit(eta + (beta[EXPOSURE_COL] - shift))
     rows0 = expit(eta - shift)
     p1 = float((w * rows1).sum() / wsum)
@@ -185,33 +136,35 @@ def _mpr_point(beta: np.ndarray, ds: Dataset) -> tuple[float, float, np.ndarray,
     return p1, p0, rows1, rows0
 
 
-def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
-    """Ratio of average predicted prevalences with the exposure toggled.
+def _contrast(method: str, fit: FitResult, ds: Dataset, X: np.ndarray, w: np.ndarray,
+              level: float, metadata: Mapping[str, Any]) -> PrEstimate:
+    """Ratio of the ``_arms`` averages of rows ``X``, with its delta-method interval.
 
-    Averages over the observed covariate distribution use the prior
-    weights when present.
+    The SE is on the ratio scale, propagated through ``fit.vcov``; the Wald
+    interval is built on the log scale.
     """
-    _require_logistic(fit)
-    p1, p0, rows1, rows0 = _mpr_point(fit.beta, ds)
-    w = ds.weights
+    p1, p0, rows1, rows0 = _arms(fit.beta, X, w)
     wsum = float(w.sum())
-
-    def gradient(value: float, p: np.ndarray) -> np.ndarray:
-        slope = w * p * (1.0 - p)
-        grad = rmatvec_stack(ds.X, slope)
-        grad[EXPOSURE_COL] = value * slope.sum()
-        return grad / wsum
-
+    slope1, slope0 = (w * p * (1.0 - p) for p in (rows1, rows0))
+    grad1 = rmatvec_stack(X, slope1) / wsum
+    grad0 = rmatvec_stack(X, slope0) / wsum
+    # in each arm every row's exposure is the arm's value, not its own
+    grad1[EXPOSURE_COL] = slope1.sum() / wsum
+    grad0[EXPOSURE_COL] = 0.0
     pr = p1 / p0
-    grad = (gradient(1.0, rows1) * p0 - gradient(0.0, rows0) * p1) / p0**2
-    interval = _delta_interval(pr, grad, fit.vcov, level)
+    grad = (grad1 * p0 - grad0 * p1) / p0**2
+    var = float(grad @ fit.vcov @ grad)
+    # var / pr**2 as two divisions, since pr * pr can underflow; a ratio of 0
+    # fails in ratio_interval, before its variance is read
+    interval = ratio_interval(pr, var / pr / pr if pr > 0.0 else 0.0, level)
     return PrEstimate(
-        method="MPR",
-        interval=interval,
+        method=method,
+        interval=replace(interval, se=math.sqrt(var)),
         exposure=ds.exposure_name,
         metadata={
             "se_scale": "ratio",
             "contrast": "1 vs 0",
+            **metadata,
             "p_exposed": p1,
             "p_unexposed": p0,
             "gradient": grad,
@@ -219,10 +172,35 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
     )
 
 
+def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
+                   at: Mapping[str, float] | None = None) -> PrEstimate:
+    """Prevalence ratio at fixed covariate values (weighted means by default).
+
+    It is the marginal ratio of the one-row population at that point.
+    ``at`` overrides individual conditioning values by column name, for
+    higher- or lower-risk scenarios than the average profile.
+    """
+    _require_logistic(fit)
+    x = _conditioning_point(ds, at)
+    conditioning = {name: float(v) for name, v in
+                    zip(ds.column_names[EXPOSURE_COL + 1:], x[0, EXPOSURE_COL + 1:])}
+    return _contrast("CPR", fit, ds, x, _ONE_ROW_WEIGHT, level, {"conditioning": conditioning})
+
+
+def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
+    """Ratio of average predicted prevalences with the exposure toggled.
+
+    Averages over the observed covariate distribution use the prior
+    weights when present.
+    """
+    _require_logistic(fit)
+    return _contrast("MPR", fit, ds, ds.X, ds.weights, level, {})
+
+
 def prevalence_odds_ratio(fit: FitResult, level: float = 0.95) -> PrEstimate:
     """exp(beta) for the exposure, with a log-scale Wald interval."""
     _require_logistic(fit)
-    return _coefficient_ratio("POR", fit, EXPOSURE_COL, fit.vcov, level, {"se_scale": "log"})
+    return _coefficient_ratio("POR", fit, fit.vcov, level, {"se_scale": "log"})
 
 
 def _percentile_interval(point: float, draws: np.ndarray,
@@ -274,11 +252,13 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
     _require_logistic(fit)
 
     def estimate(name: str, beta: np.ndarray, data: Dataset) -> float:
-        # the point alone; the delta-method SE is of no use here
+        # the point alone, from the rows the public estimator reads; the
+        # delta-method SE is of no use here
         if name == "CPR":
-            _, _, p1, p0 = _cpr_point(beta, data, at)
+            rows = _conditioning_point(data, at), _ONE_ROW_WEIGHT
         else:
-            p1, p0, _, _ = _mpr_point(beta, data)
+            rows = data.X, data.weights
+        p1, p0, _, _ = _arms(beta, *rows)
         return p1 / p0
 
     results: dict[str, PrEstimate | Exception] = {}

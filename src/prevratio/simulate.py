@@ -19,7 +19,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, INTERCEPT_NAME, ModelSpec
+from .data import Dataset, INTERCEPT_NAME, ModelSpec, covariate_means
 from .errors import InvalidArgumentError, PrevRatioError
 from .glm import expit
 from .methods import METHODS, block_fits, estimate
@@ -252,9 +252,10 @@ def _study_rows(cfg: ToyConfig, blocks: Sequence[range], methods: Sequence[str],
                 level: float) -> list[tuple[float, dict]]:
     """What the study scores of each replicate in ``blocks``, in order.
 
-    That is the replicate's weighted mean confounder and, per method, the
-    interval of its estimate or the error that stopped it. Each block is
-    drawn and fitted in one go, and only these scores outlive it.
+    That is the confounder at the replicate's CPR conditioning point (its
+    weighted mean) and, per method, the interval of its estimate or the
+    error that stopped it. Each block is drawn and fitted in one go, and
+    only these scores outlive it.
     """
     results = []
     for replicates in blocks:
@@ -267,7 +268,7 @@ def _study_rows(cfg: ToyConfig, blocks: Sequence[range], methods: Sequence[str],
                     intervals[m] = estimate(m, fits, j, ds, level).interval
                 except PrevRatioError as exc:
                     intervals[m] = exc
-            zbar = float((ds.weights * ds.X[:, 2]).sum() / ds.weights.sum())
+            zbar = float(covariate_means(ds)[2])
             results.append((zbar, intervals))
         # dropped before the next block is drawn, or both blocks' fits peak together
         del block, fits

@@ -64,6 +64,18 @@ class TestUsageErrors:
                 "prevratio: error: --boot needs at least 100 replicates (or 0 to disable), "
                 f"got {boot}")
 
+    def test_at_without_cpr(self, capsys, toy_csv):
+        for methods in ("mpr", "por,mpr,robustpoisson"):
+            assert usage_error(capsys, ESTIMATE_ARGS + ["--input", toy_csv, "--methods", methods,
+                                                        "--at", "z=1.5"]) == (
+                "prevratio: error: --at sets CPR's conditioning values; add cpr to --methods")
+
+    def test_boot_without_cpr_or_mpr(self, capsys, toy_csv):
+        for methods in ("por", "robustpoisson,logbinomial,schouten"):
+            assert usage_error(capsys, ESTIMATE_ARGS + ["--input", toy_csv, "--methods", methods,
+                                                        "--boot", "100"]) == (
+                "prevratio: error: --boot resamples CPR and MPR; add cpr or mpr to --methods")
+
     def test_methods_non_empty(self, capsys, toy_csv):
         for argv in (ESTIMATE_ARGS + ["--input", toy_csv], ["simulate"]):
             assert usage_error(capsys, argv + ["--methods", ","]) == (
@@ -212,7 +224,7 @@ class TestEstimate:
         _, out, _ = run_estimate(capsys, toy_csv, "--methods", "por,cpr,mpr", *boot)
         assert full_fits == ["binomial-logit"]
         # the rows are those of POR alone and of the bootstrap alone
-        _, por, _ = run_estimate(capsys, toy_csv, "--methods", "por", *boot)
+        _, por, _ = run_estimate(capsys, toy_csv, "--methods", "por", "--format", "json")
         _, boot_rows, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
         assert json.loads(out)["rows"] == (json.loads(por)["rows"]
                                            + json.loads(boot_rows)["rows"])

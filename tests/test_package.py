@@ -141,3 +141,14 @@ def test_logistic_estimators_take_the_fit():
     for name in ("conditional_pr", "marginal_pr", "prevalence_odds_ratio", "bootstrap_prs"):
         assert next(iter(inspect.signature(getattr(prevratio, name)).parameters)) == "fit"
     assert not {"converged", "n_used"} & {f.name for f in dataclasses.fields(prevratio.FitResult)}
+
+
+def test_one_exposure_contrast():
+    # CPR, MPR and the bootstrap read their predicted prevalences from _arms
+    # alone: no other definition in ratios.py calls expit
+    tree = ast.parse((Path(prevratio.__file__).parent / "ratios.py").read_text())
+    callers = {top.name for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "expit"}
+    assert callers == {"_arms"}
+    assert {"ratios._contrast", "ratios.bootstrap_prs"} <= referrers("_arms")
+    assert {"ratios.conditional_pr", "ratios.marginal_pr"} <= referrers("_contrast")

@@ -120,6 +120,23 @@ class TestConditionalPr:
             conditional_pr(pois, toy_ds)
         assert isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("at", [None, {"z1": -0.75}, {"z0": 2.0, "z2": 0.5}])
+    def test_is_the_marginal_ratio_of_the_conditioning_row(self, seed, at):
+        # the CPR is the MPR of a one-row population: the conditioning point
+        # with the exposure at 0
+        rng = np.random.default_rng(seed)
+        ds = random_logistic_dataset(rng, 400, 3)
+        ds = Dataset(y=ds.y, X=ds.X, column_names=ds.column_names,
+                     weights=rng.uniform(0.5, 2.0, ds.n))
+        fit = fit_glm(ds, "binomial-logit")
+        cpr = conditional_pr(fit, ds, at=at)
+        row = np.array([1.0, 0.0, *cpr.metadata["conditioning"].values()])
+        one_row_ds = Dataset(y=[1.0], X=row[None], column_names=ds.column_names)
+        mpr = marginal_pr(fit, one_row_ds)
+        assert cpr.interval == mpr.interval  # point, se and bounds
+        assert np.array_equal(cpr.metadata["gradient"], mpr.metadata["gradient"])
+
     def test_degenerate_denominator(self):
         ds = table_dataset(3, 3, 3, 3)
         fit = fake_logistic_fit([-40.0, 1.0])
@@ -419,13 +436,13 @@ def failing_after(fn, fail_calls):
 
 
 def failing_on(point_fn, bad_data):
-    """``point_fn(beta, data, ...)`` raising DegenerateDenominatorError when
+    """``point_fn(data, ...)`` raising DegenerateDenominatorError when
     ``bad_data(data)`` holds, so the failure follows the replicate, whichever
     process runs it."""
-    def wrapper(beta, data, *args):
+    def wrapper(data, *args):
         if bad_data(data):
             raise DegenerateDenominatorError("forced failure")
-        return point_fn(beta, data, *args)
+        return point_fn(data, *args)
     return wrapper
 
 
@@ -481,8 +498,8 @@ class TestSharedBootstrap:
                                                           monkeypatch, one_worker):
         alone = bootstrap_logistic(toy_ds, ("MPR",), 100, seed=4)["MPR"]
         # call 1 is the full-data estimate; calls 3 and 8 are replicates
-        monkeypatch.setattr(ratios, "_cpr_point",
-                            failing_after(ratios._cpr_point, {3, 8}))
+        monkeypatch.setattr(ratios, "_conditioning_point",
+                            failing_after(ratios._conditioning_point, {3, 8}))
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert out["CPR"].metadata["failed_replicates"] == 2
         assert out["CPR"].metadata["failure_reasons"] == {
@@ -509,8 +526,8 @@ class TestSharedBootstrap:
 
     def test_unstable_estimator_fails_alone(self, toy_ds, monkeypatch, one_worker):
         def patch():
-            monkeypatch.setattr(ratios, "_cpr_point", failing_after(
-                ratios._cpr_point, set(range(2, 102))))
+            monkeypatch.setattr(ratios, "_conditioning_point", failing_after(
+                ratios._conditioning_point, set(range(2, 102))))
         patch()
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert isinstance(out["CPR"], NonConvergenceError)
@@ -526,8 +543,8 @@ class TestSharedBootstrap:
             self, toy_ds, monkeypatch, workers):
         workers(2)
         alone = bootstrap_logistic(toy_ds, ("MPR",), 100, seed=4)["MPR"]
-        monkeypatch.setattr(ratios, "_cpr_point", failing_on(
-            ratios._cpr_point, resample_of(toy_ds, 4, {1, 60})))
+        monkeypatch.setattr(ratios, "_conditioning_point", failing_on(
+            ratios._conditioning_point, resample_of(toy_ds, 4, {1, 60})))
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert out["CPR"].metadata["failed_replicates"] == 2
         assert out["CPR"].metadata["failure_reasons"] == {
@@ -556,8 +573,8 @@ class TestSharedBootstrap:
         workers(2)
 
         def patch():
-            monkeypatch.setattr(ratios, "_cpr_point", failing_on(
-                ratios._cpr_point, lambda data: data is not toy_ds))
+            monkeypatch.setattr(ratios, "_conditioning_point", failing_on(
+                ratios._conditioning_point, lambda data: data is not toy_ds))
         patch()
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert isinstance(out["CPR"], NonConvergenceError)
