@@ -239,10 +239,16 @@ def stratified_from_dataset(ds: Dataset) -> StratifiedTable:
         raise DataError(
             "stratified pooling requires all-binary exposure and covariates"
         )
-    # strata numbered in the order sorted() gives the pattern tuples: a
-    # stable sort on the last column, then on each earlier one
-    order = np.lexsort(covs.T[::-1]) if covs.shape[1] else np.arange(ds.n)
-    ranked = covs[order]
+    # each row's pattern packed into big-endian 64-bit words, 64 covariates
+    # a word, the first covariate in the top bit: the words compare as
+    # sorted() compares the pattern tuples, so a stable sort on the last
+    # word, then on each earlier one, numbers the strata in that order
+    packed = np.packbits(covs.astype(bool), axis=1)
+    words = np.zeros((ds.n, 8 * (covs.shape[1] // 64 + 1)), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    keys = words.view(">u8")
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
     starts = np.ones(ds.n, dtype=bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     stratum = np.empty(ds.n, dtype=np.intp)

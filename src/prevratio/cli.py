@@ -15,6 +15,7 @@ given identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from typing import Any, Callable, Mapping
@@ -31,6 +32,13 @@ DEFAULT_ESTIMATE_METHODS = ("RobustPoisson", "LogBinomial", "POR",
                             "CPR", "MPR", "Schouten")
 
 _FORMATS = ("text", "json", "tsv")
+
+# glibc's mallopt parameters, and the largest thresholds its own dynamic
+# rule reaches on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX and twice that)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
 
 
 def _parse_methods(raw: str) -> tuple[str, ...]:
@@ -278,7 +286,28 @@ def cmd_table(args: argparse.Namespace) -> int:
     return _write_rows("Stratified 2x2 prevalence ratios", context, rows, args.format)
 
 
+def _keep_freed_memory() -> None:
+    """Have malloc keep freed heap memory for reuse, where it is glibc's.
+
+    glibc's defaults hand large freed blocks back to the OS, to be faulted
+    in again on the next allocation, and the study allocates and frees
+    about 0.75 MB of stacked IRLS temporaries a step. Setting either
+    threshold turns glibc's dynamic rule off, so both are set, to the
+    values that rule can reach. Forked workers inherit them. A libc
+    without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     args = parser.parse_args(argv)
     _check_args(parser, args)

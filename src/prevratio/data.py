@@ -48,11 +48,28 @@ class ModelSpec:
         return (self.exposure,) + self.covariates
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only, so a Dataset can adopt it without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen_array(values, ndim=1) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    """``values`` as a read-only float64 array.
+
+    A float64 array that no one can write to, neither itself nor any array
+    in its base chain, is taken as it is; anything else is copied.
+    """
+    adopt, base = type(values) is np.ndarray and values.dtype == np.float64, values
+    while adopt and base is not None:
+        adopt = type(base) is np.ndarray and not base.flags.writeable
+        base = base.base
+    if adopt:
+        arr = values
+    else:
+        arr = _read_only(np.array(values, dtype=float))
     if arr.ndim != ndim:
         raise DataError(f"expected a {ndim}-D array, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -117,7 +134,8 @@ class Dataset:
 
     def take_rows(self, idx: np.ndarray) -> "Dataset":
         """New Dataset from the given row indices (used by resampling)."""
-        return replace(self, y=self.y[idx], X=self.X[idx], weights=self.weights[idx])
+        return replace(self, y=_read_only(self.y[idx]), X=_read_only(self.X[idx]),
+                       weights=_read_only(self.weights[idx]))
 
     def frequency_weighted(self, counts: np.ndarray) -> "Dataset":
         """Rows with a nonzero count, each prior weight multiplied by its count.
@@ -126,8 +144,8 @@ class Dataset:
         repeated counts[i] times, without copying the repeats.
         """
         keep = np.flatnonzero(counts)
-        return replace(self, y=self.y[keep], X=self.X[keep],
-                       weights=self.weights[keep] * counts[keep])
+        return replace(self, y=_read_only(self.y[keep]), X=_read_only(self.X[keep]),
+                       weights=_read_only(self.weights[keep] * counts[keep]))
 
 
 def covariate_means(ds: Dataset) -> np.ndarray:
@@ -156,9 +174,11 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
     parsed = _parse_columns(path, wanted)
     data, n_dropped = parsed if parsed is not None else _parse_rows(path, spec, wanted)
 
-    # the outcome column becomes the intercept, so X is a view of ``data``
-    y = data[:, 0].copy()
+    # the outcome column becomes the intercept, so X is a view of ``data``,
+    # which the Dataset adopts
+    y = _read_only(data[:, 0].copy())
     data[:, 0] = 1.0
+    _read_only(data)
     X = data[:, :2 + len(spec.covariates)]
     weights = data[:, -1] if weight_column is not None else None
     names = (INTERCEPT_NAME, spec.exposure, *spec.covariates)

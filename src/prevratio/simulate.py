@@ -15,16 +15,18 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from statistics import _normal_dist_inv_cdf
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, INTERCEPT_NAME, ModelSpec, covariate_means
+from .data import Dataset, INTERCEPT_NAME, ModelSpec, _read_only, covariate_means
 from .errors import InvalidArgumentError, PrevRatioError
 from .glm import expit
 from .methods import METHODS, block_fits, estimate
 from .parallel import _fork_map
-from .variance import _STD_NORMAL, check_level
+from .variance import check_level
 
 DEFAULT_STUDY_METHODS = ("CPR", "MPR", "POR", "LogBinomial",
                          "RobustPoisson", "Schouten")
@@ -107,9 +109,12 @@ def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> list[Dataset]:
     """Draw one dataset per replicate from the toy process.
 
     Each replicate draws three uniform vectors from its own substream and
-    maps the second to normals by ``NormalDist.inv_cdf``, one replicate at
-    a time to keep the float list short; every later step works element by
-    element, so a replicate's data do not depend on the rest of its block.
+    maps the second to normals, one replicate at a time to keep the float
+    list short; every later step works element by element, so a
+    replicate's data do not depend on the rest of its block. The normals
+    come from the C function behind ``NormalDist().inv_cdf``, which only
+    checks 0 < p < 1 before calling it; the floored uniforms already are,
+    so the draws are bit for bit the same.
     """
     b0, b1, b2 = dgp_coefficients(cfg)
     u = np.empty((3, len(replicates), cfg.n))
@@ -117,15 +122,17 @@ def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> list[Dataset]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,)))
         for draw in u[:, i]:
             rng.random(out=draw)
-        u[1, i] = np.fromiter(map(_STD_NORMAL.inv_cdf, np.maximum(u[1, i], _U_FLOOR).tolist()),
+        p = np.maximum(u[1, i], _U_FLOOR).tolist()
+        u[1, i] = np.fromiter(map(_normal_dist_inv_cdf, p, repeat(0.0), repeat(1.0)),
                               float, cfg.n)
     x = (u[0] < cfg.p_exposure).astype(float)
     z = u[1]
-    y = (u[2] < expit(b0 + b1 * x + b2 * z)).astype(float)
+    # read-only, so the datasets adopt y's rows and each X without a copy
+    y = _read_only((u[2] < expit(b0 + b1 * x + b2 * z)).astype(float))
     return [
         Dataset(
             y=y[i],
-            X=np.column_stack([np.ones(cfg.n), x[i], z[i]]),
+            X=_read_only(np.column_stack([np.ones(cfg.n), x[i], z[i]])),
             column_names=(INTERCEPT_NAME, "x", "z"),
             spec=ModelSpec(outcome="y", exposure="x", covariates=("z",)),
         )

@@ -24,6 +24,21 @@ def stratify_by_row_loop(ds):
     return tuple(tuple(patterns[key]) for key in sorted(patterns))
 
 
+def stratify_by_lexsort(ds):
+    """Reference stratifier with one sort key per covariate, as it once was."""
+    exposure, covs = ds.X[:, 1], ds.X[:, 2:]
+    order = np.lexsort(covs.T[::-1]) if covs.shape[1] else np.arange(ds.n)
+    ranked = covs[order]
+    starts = np.ones(ds.n, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    stratum = np.empty(ds.n, dtype=np.intp)
+    stratum[order] = np.cumsum(starts) - 1
+    cell = np.where(exposure == 1.0, 0, 2) + (ds.y != 1.0)
+    sums = np.bincount(4 * stratum + cell, weights=ds.weights,
+                       minlength=4 * int(starts.sum()))
+    return tuple(tuple(row) for row in sums.reshape(-1, 4).tolist())
+
+
 class TestStratifiedTable:
     def test_requires_a_stratum(self):
         with pytest.raises(DataError):
@@ -254,6 +269,21 @@ class TestDatasetTabulation:
         ds = Dataset(y=(rng.random(n) < 0.3).astype(float), X=X, column_names=names,
                      weights=rng.uniform(0.1, 3.0, n))
         assert stratified_from_dataset(ds).strata == stratify_by_row_loop(ds)
+
+    @pytest.mark.parametrize("n_covariates", [0, 1, 6, 64, 65])
+    def test_stratified_matches_lexsort(self, n_covariates):
+        rng = np.random.default_rng(40 + n_covariates)
+        n = 3000
+        # sparse covariates when there are many, so patterns repeat
+        share = 0.4 if n_covariates < 10 else 0.02
+        covs = (rng.random((n, n_covariates)) < share).astype(float)
+        X = np.column_stack([np.ones(n), (rng.random(n) < 0.5).astype(float), covs])
+        names = (INTERCEPT_NAME, "x") + tuple(f"c{j}" for j in range(n_covariates))
+        ds = Dataset(y=(rng.random(n) < 0.3).astype(float), X=X, column_names=names,
+                     weights=rng.uniform(0.1, 3.0, n))
+        table = stratified_from_dataset(ds)
+        assert table.strata == stratify_by_lexsort(ds)
+        assert 1 < table.k < n or n_covariates == 0
 
     def test_stratified_requires_binary_covariates(self, toy_ds):
         with pytest.raises(DataError, match="binary"):

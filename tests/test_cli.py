@@ -1,12 +1,14 @@
+import ctypes
 import dataclasses
 import json
 import math
 import pathlib
+import types
 import warnings
 
 import pytest
 
-from prevratio import ToyConfig, fit_glm, methods, ratios, simulate_toy, write_csv
+from prevratio import ToyConfig, cli, fit_glm, methods, ratios, simulate_toy, write_csv
 from prevratio.glm import fit_stack
 from prevratio.cli import DEFAULT_ESTIMATE_METHODS, main, render_payload
 
@@ -449,3 +451,55 @@ def test_console_entry_point(toy_csv):
     )
     assert result.returncode == 0
     assert "MPR" in result.stdout
+
+
+class TestMallocPolicy:
+    """``main`` keeps freed heap memory for reuse, where libc is glibc."""
+
+    def test_main_sets_both_thresholds(self, monkeypatch, capsys, strata_csv):
+        opened, calls = [], []
+
+        def fake_cdll(name, *args, **kwargs):
+            opened.append(name)
+            return types.SimpleNamespace(mallopt=lambda *a: calls.append(a) or 1)
+
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        assert main(["table", "--input", strata_csv]) == 0
+        capsys.readouterr()
+        assert opened == [None]
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("libc", ["no mallopt", "no libc"])
+    def test_missing_mallopt_is_silent(self, monkeypatch, capsys, strata_csv, libc):
+        assert main(["table", "--input", strata_csv]) == 0
+        expected = capsys.readouterr()
+
+        def fake_cdll(name, *args, **kwargs):
+            if libc == "no libc":
+                raise OSError("no such library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        assert main(["table", "--input", strata_csv]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_glibc_accepts_the_thresholds(self):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is None:
+            pytest.skip("libc has no mallopt")
+        # mallopt returns 1 on success, 0 for a value out of range
+        assert mallopt(cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD) == 1
+        assert mallopt(cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD) == 1
+
+    def test_import_leaves_the_allocator_alone(self):
+        import subprocess
+        import sys
+        probe = ("import ctypes, numpy\n"
+                 "opened = []\n"
+                 "real = ctypes.CDLL\n"
+                 "ctypes.CDLL = lambda *a, **k: opened.append(a) or real(*a, **k)\n"
+                 "import prevratio.cli\n"
+                 "print(opened)\n")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prevratio import (DataError, Dataset, EXPOSURE_COL, INTERCEPT_NAME,
-                       ModelSpec, covariate_means, load_csv, write_csv)
+                       ModelSpec, covariate_means, data, load_csv, write_csv)
 
 
 class TestModelSpec:
@@ -97,6 +97,28 @@ class TestDataset:
         assert np.array_equal(sub.weights, [3.0, 3.0, 1.0])
         assert sub.column_names == ds.column_names
 
+    def test_caller_array_is_copied(self):
+        X = np.column_stack([np.ones(3), np.array([1.0, 0.0, 1.0])])
+        ds = self.make(X=X)
+        X[0, 1] = 0.0
+        assert ds.X[0, 1] == 1.0
+        # read-only, but writeable through its base
+        view = X.view()
+        view.setflags(write=False)
+        ds = self.make(X=view)
+        X[0, 1] = 1.0
+        assert ds.X[0, 1] == 0.0
+
+    def test_read_only_float_array_is_adopted(self):
+        X = np.column_stack([np.ones(3), np.array([1.0, 0.0, 1.0])])
+        X.setflags(write=False)
+        assert self.make(X=X).X is X
+        rows = X[:2]
+        assert self.make(X=rows, y=np.array([1.0, 0.0])).X is rows
+        ints = np.array([1, 0, 1])
+        ints.setflags(write=False)
+        assert self.make(y=ints).y.dtype == np.float64
+
 
 class TestHelpers:
     def test_covariate_means_weighted(self):
@@ -124,6 +146,25 @@ class TestCsv:
         assert np.array_equal(ds.X[:, 1], [1.0, 0.0, 1.0])
         assert np.array_equal(ds.X[:, 2], [0.5, -1.5, 2.0])
         assert ds.n_dropped == 0
+
+    def test_load_adopts_the_parsed_array(self, tmp_path, toy_spec, monkeypatch):
+        parsed = []
+
+        def parse_columns(path, wanted):
+            result = real(path, wanted)
+            parsed.append(result[0])
+            return result
+
+        real = data._parse_columns
+        monkeypatch.setattr(data, "_parse_columns", parse_columns)
+        path = self.write(tmp_path, "y,x,z,w\n1,1,0.5,2\n0,0,-1.5,1\n1,1,2.0,3\n")
+        ds = load_csv(path, toy_spec, weight_column="w")
+        assert np.shares_memory(ds.X, parsed[0])
+        assert np.shares_memory(ds.weights, parsed[0])
+        assert np.array_equal(ds.X, [[1.0, 1.0, 0.5], [1.0, 0.0, -1.5], [1.0, 1.0, 2.0]])
+        assert np.array_equal(ds.weights, [2.0, 1.0, 3.0])
+        with pytest.raises(ValueError):
+            parsed[0][0, 0] = 0.0
 
     def test_missing_column_named_in_error(self, tmp_path, toy_spec):
         path = self.write(tmp_path, "y,x\n1,1\n")

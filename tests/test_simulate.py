@@ -1,5 +1,6 @@
 import json
 import math
+from statistics import NormalDist, _normal_dist_inv_cdf
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from prevratio import (InvalidArgumentError, ToyConfig, dgp_coefficients,
                        replication_study, simulate_toy, true_conditional_pr,
                        true_marginal_pr)
 from prevratio.methods import METHODS
+from prevratio.simulate import _U_FLOOR
 
 LOGIT_02 = math.log(0.2 / 0.8)
 
@@ -119,6 +121,14 @@ class TestSimulateToy:
         ds = simulate_toy(ToyConfig(n=100000, seed=2))
         mask = (ds.X[:, 1] == 0.0) & (np.abs(ds.X[:, 2]) < 0.05)
         assert abs(ds.y[mask].mean() - 0.2) < 0.02
+
+    def test_c_inverse_cdf_is_normal_dist_inv_cdf(self):
+        u = np.random.default_rng(3).random(100_000)
+        p = np.append(np.maximum(u, _U_FLOOR), _U_FLOOR).tolist()
+        fast = np.array([_normal_dist_inv_cdf(q, 0.0, 1.0) for q in p])
+        checked = np.array([NormalDist().inv_cdf(q) for q in p])
+        assert np.array_equal(fast.view(np.int64), checked.view(np.int64))
+        assert np.isfinite(fast).all()
 
 
 @pytest.fixture(scope="module")
