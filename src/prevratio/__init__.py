@@ -18,9 +18,10 @@ from .errors import (DataError, DegenerateDenominatorError,
                      NonIdentifiableError, PrevRatioError, RankDeficientError)
 from .glm import (FAMILY_LINKS, FitResult, fit_glm, predict_prevalence,
                   separation_check)
+from . import methods
 from .methods import log_binomial_pr, robust_poisson_pr, schouten_pr
-from .ratios import (METHOD_LABELS, PrEstimate, bootstrap_prs,
-                     conditional_pr, marginal_pr, prevalence_odds_ratio)
+from .ratios import (PrEstimate, bootstrap_prs, conditional_pr, marginal_pr,
+                     prevalence_odds_ratio)
 from .simulate import (DEFAULT_STUDY_METHODS, MethodSummary, StudyReport,
                        ToyConfig, dgp_coefficients, replication_study,
                        simulate_toy, true_conditional_pr, true_marginal_pr)
@@ -28,6 +29,9 @@ from .variance import (IntervalEstimate, normal_quantile, ratio_interval,
                        sandwich_vcov)
 
 __version__ = "0.1.0"
+
+#: the name of every method, in the registry's order
+METHOD_LABELS = tuple(methods.METHODS)
 
 __all__ = [
     "DataError",

@@ -10,8 +10,11 @@ which has the same likelihood, score and information, so the model is
 fitted on the original rows with the same numbers; ``methods`` fits it
 and holds the dataset-level ``schouten_pr``.
 
-No continuity corrections are applied anywhere: a zero cell that makes a
-ratio undefined or infinite is reported as an error, not patched.
+A dataset's 2x2 tables are summed from its pattern table (see
+:mod:`data`), the distinct rows with their summed weights, rather than
+from its rows. No continuity corrections are applied anywhere: a zero
+cell that makes a ratio undefined or infinite is reported as an error,
+not patched.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, EXPOSURE_COL
+from .data import Dataset, EXPOSURE_COL, _distinct_rows
 from .errors import DataError, DegenerateDenominatorError
 from .glm import FitResult
 from .ratios import PrEstimate, _coefficient_ratio
@@ -211,51 +214,39 @@ def crude_table(ds: Dataset) -> StratifiedTable:
     """Collapse a dataset with a 0/1 exposure into a single 2x2 table.
 
     Covariates are ignored; weights enter the cells as summed prior
-    weights.
+    weights, summed over the pattern table when the dataset has one.
     """
-    x = ds.X[:, EXPOSURE_COL]
+    rows = _distinct_rows(ds)
+    x = rows.X[:, EXPOSURE_COL]
     if not np.isin(x, (0.0, 1.0)).all():
         raise DataError("a 2x2 table needs a 0/1 exposure")
-    w = ds.weights
-    a = float(w[(x == 1.0) & (ds.y == 1.0)].sum())
-    b = float(w[(x == 1.0) & (ds.y == 0.0)].sum())
-    c = float(w[(x == 0.0) & (ds.y == 1.0)].sum())
-    d = float(w[(x == 0.0) & (ds.y == 0.0)].sum())
+    w = rows.weights
+    a = float(w[(x == 1.0) & (rows.y == 1.0)].sum())
+    b = float(w[(x == 1.0) & (rows.y == 0.0)].sum())
+    c = float(w[(x == 0.0) & (rows.y == 1.0)].sum())
+    d = float(w[(x == 0.0) & (rows.y == 0.0)].sum())
     return StratifiedTable(strata=((a, b, c, d),))
 
 
 def stratified_from_dataset(ds: Dataset) -> StratifiedTable:
     """Cross-tabulate a dataset into 2x2 strata for Mantel-Haenszel pooling.
 
-    Requires the exposure and every covariate to be coded 0/1; strata are
-    the distinct covariate patterns. Weights enter the cells as summed
-    prior weights.
+    Requires the exposure and every covariate to be coded 0/1, so it reads
+    the dataset's pattern table; strata are the distinct covariate
+    patterns, in sorted order. Weights enter the cells as summed prior
+    weights.
     """
-    X = ds.X
-    exposure = X[:, EXPOSURE_COL]
-    covs = X[:, EXPOSURE_COL + 1:]
-    binary = np.isin(exposure, (0.0, 1.0)).all() and np.isin(covs, (0.0, 1.0)).all()
-    if not binary:
+    patterns = ds._patterns
+    if patterns is None:
         raise DataError(
             "stratified pooling requires all-binary exposure and covariates"
         )
-    # each row's pattern packed into big-endian 64-bit words, 64 covariates
-    # a word, the first covariate in the top bit: the words compare as
-    # sorted() compares the pattern tuples, so a stable sort on the last
-    # word, then on each earlier one, numbers the strata in that order
-    packed = np.packbits(covs.astype(bool), axis=1)
-    words = np.zeros((ds.n, 8 * (covs.shape[1] // 64 + 1)), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    keys = words.view(">u8")
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    starts = np.ones(ds.n, dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    stratum = np.empty(ds.n, dtype=np.intp)
-    stratum[order] = np.cumsum(starts) - 1
-    cell = np.where(exposure == 1.0, 0, 2) + (ds.y != 1.0)
-    # bincount adds the weights in row order, as a per-row loop would
-    sums = np.bincount(4 * stratum + cell, weights=ds.weights,
-                       minlength=4 * int(starts.sum()))
+    rows = patterns.rows
+    # a pattern is (covariates, exposure, outcome), so each cell of a stratum
+    # is one pattern, whose weight adds its rows' weights in row order
+    stratum = np.unique(rows.X[:, EXPOSURE_COL + 1:], axis=0, return_inverse=True)[1].ravel()
+    cell = np.where(rows.X[:, EXPOSURE_COL] == 1.0, 0, 2) + (rows.y != 1.0)
+    sums = np.bincount(4 * stratum + cell, weights=rows.weights,
+                       minlength=4 * (int(stratum.max()) + 1))
     strata = tuple(tuple(row) for row in sums.reshape(-1, 4).tolist())
     return StratifiedTable(strata=strata)

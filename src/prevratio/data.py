@@ -4,6 +4,15 @@ A :class:`Dataset` always carries an all-ones intercept as design column 0
 and the exposure as design column 1; covariates follow in declaration
 order. Arrays are frozen after construction so datasets can be shared
 across concurrent estimator runs.
+
+When every design column is coded 0/1, as with categorical covariates,
+the rows take at most 2**p distinct values, and every likelihood, table
+and average the package forms over the rows is a sum over those
+patterns. A dataset builds its pattern table once, on first use: the
+distinct rows as a dataset whose prior weights are the summed weights of
+their rows, and each row's pattern. The fits, the 2x2 tables, MPR's
+average and the bootstrap's resamples read it; a design with any other
+value has none, and those steps read the rows.
 """
 
 from __future__ import annotations
@@ -11,12 +20,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
-from .linalg import rmatvec_stack
+from .linalg import _BLOCK_ROWS, matvec_stack, rmatvec_stack
 
 #: index of the exposure column in every design matrix built here
 EXPOSURE_COL = 1
@@ -73,9 +83,27 @@ def _frozen_array(values, ndim=1) -> np.ndarray:
     return arr
 
 
+# design columns per float pattern key: with y they make 53 bits, the
+# integers a float64 holds exactly
+_KEY_COLUMNS = 52
+# rows checked before the first block: a few settle a continuous design
+_HEAD_ROWS = 16
+
+
+class _Patterns(NamedTuple):
+    """The distinct rows of a dataset, and the one each of its rows has."""
+
+    rows: "Dataset"  # prior weights: the summed weights of each pattern's rows
+    index: np.ndarray  # (n,) the pattern of each row
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Outcome vector, design matrix with named columns, and prior weights."""
+    """Outcome vector, design matrix with named columns, and prior weights.
+
+    An all-0/1 design also has a pattern table, its distinct rows with
+    summed weights, built on first use (see the module docstring).
+    """
 
     y: np.ndarray
     X: np.ndarray
@@ -132,6 +160,11 @@ class Dataset:
         except ValueError:
             raise DataError(f"no design column named {name!r}") from None
 
+    @cached_property
+    def _patterns(self) -> _Patterns | None:
+        """The pattern table when every design column is 0/1, else None."""
+        return _pattern_table(self)
+
     def take_rows(self, idx: np.ndarray) -> "Dataset":
         """New Dataset from the given row indices (used by resampling)."""
         return replace(self, y=_read_only(self.y[idx]), X=_read_only(self.X[idx]),
@@ -141,11 +174,79 @@ class Dataset:
         """Rows with a nonzero count, each prior weight multiplied by its count.
 
         The weighted likelihood equals that of the dataset with row i
-        repeated counts[i] times, without copying the repeats.
+        repeated counts[i] times, without copying the repeats. A dataset
+        with a pattern table hands the resample its table, from the same
+        counts: the drawn patterns, each weighted by the sum of its rows'
+        prior weights times their counts, which is the table the resample
+        would build.
         """
         keep = np.flatnonzero(counts)
-        return replace(self, y=_read_only(self.y[keep]), X=_read_only(self.X[keep]),
-                       weights=_read_only(self.weights[keep] * counts[keep]))
+        sub = replace(self, y=_read_only(self.y[keep]), X=_read_only(self.X[keep]),
+                      weights=_read_only(self.weights[keep] * counts[keep]))
+        patterns = self._patterns
+        if patterns is not None:
+            # undrawn rows add 0.0, so each sum is the resample's own, bit for bit
+            weights = np.bincount(patterns.index, self.weights * counts,
+                                  minlength=patterns.rows.n)
+            drawn = weights > 0.0
+            rows = patterns.rows
+            sub.__dict__["_patterns"] = _Patterns(  # fills the cached property
+                replace(rows, y=_read_only(rows.y[drawn]), X=_read_only(rows.X[drawn]),
+                        weights=_read_only(weights[drawn])),
+                _read_only((np.cumsum(drawn) - 1)[patterns.index[keep]]))
+        return sub
+
+
+def _distinct_rows(ds: Dataset) -> Dataset:
+    """The pattern rows of ``ds``, with summed weights, or ``ds`` itself without a table."""
+    return ds if ds._patterns is None else ds._patterns.rows
+
+
+def _binary(block: np.ndarray) -> bool:
+    return bool(((block == 0.0) | (block == 1.0)).all())
+
+
+def _pattern_table(ds: Dataset) -> _Patterns | None:
+    """The distinct rows of ``ds``, ordered by key, when its design is all 0/1; else None.
+
+    The design is checked on its first rows, then block by block, so a
+    continuous one is turned down at once. A row's key is the binary
+    number its design columns make, the first column in the top bit, one
+    exact float key per 52 columns with y as the lowest bit of the first.
+    Keys of at most log2(n) bits are counted into a table of every value
+    they can take; longer ones are sorted. The pattern weights add up
+    their rows' weights in row order.
+    """
+    X, y, n = ds.X, ds.y, ds.n
+    if not (_binary(X[:_HEAD_ROWS, 1:])
+            and all(_binary(X[s:s + _BLOCK_ROWS, 1:]) for s in range(0, n, _BLOCK_ROWS))):
+        return None
+    keys = []
+    for start in range(1, max(X.shape[1], 2), _KEY_COLUMNS):  # a y key without columns too
+        columns = X[:, start:start + _KEY_COLUMNS]
+        keys.append(matvec_stack(columns, 2.0 ** np.arange(columns.shape[1] - 1, -1, -1)))
+    keys[0] = 2.0 * keys[0] + y
+    keys = [key.astype(np.int64) for key in keys]
+    bits = X.shape[1]  # of the first key, when it is the only one
+    if len(keys) == 1 and 1 << bits <= n:
+        number = np.cumsum(np.bincount(keys[0], minlength=1 << bits) > 0) - 1
+        index = number[keys[0]]
+        first = np.empty(number[-1] + 1, dtype=np.intp)
+        first[index] = np.arange(n)  # any row of a pattern is the pattern
+    else:
+        order = np.lexsort(keys[::-1])
+        starts = np.zeros(n, dtype=bool)
+        starts[0] = True
+        for key in keys:
+            ranked = key[order]
+            starts[1:] |= ranked[1:] != ranked[:-1]
+        index = np.empty(n, dtype=np.intp)
+        index[order] = np.cumsum(starts) - 1
+        first = order[starts]
+    rows = Dataset(y=_read_only(y[first]), X=_read_only(X[first]), column_names=ds.column_names,
+                   weights=_read_only(np.bincount(index, ds.weights, minlength=len(first))),
+                   spec=ds.spec)
+    return _Patterns(rows, _read_only(index))
 
 
 def covariate_means(ds: Dataset) -> np.ndarray:

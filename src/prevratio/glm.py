@@ -18,18 +18,21 @@ the polish buys several more correct digits in beta at negligible cost
 :func:`fit_stack` runs these rules on a stack of same-shape problems at
 once, each problem with its own masks, iterations and errors; resampling
 loops use it to spread numpy's per-call overhead over many small fits.
-:func:`fit_glm` is the same kernel on a stack of one.
+:func:`fit_glm` is the same kernel on a stack of one. On a dataset with
+a pattern table (every design column 0/1) it fits the distinct rows with
+their summed weights, which have the same likelihood, and gives the
+fitted prevalences back row by row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _Patterns
 from .errors import (InvalidArgumentError, NonConvergenceError, NonIdentifiableError,
                      PrevRatioError, RankDeficientError)
 from .linalg import (cholesky_stack, gram_stack, inverse_from_factor, matvec_stack,
@@ -135,8 +138,8 @@ class FitResult:
     iterations: int
     deviance: float
     column_names: tuple[str, ...]
-    # mu of each training row, so its length is the fit's row count; the
-    # sandwich, the Schouten meat and separation_check read it
+    # mu of each row of the fitted dataset, also when the fit ran on its
+    # pattern table; the sandwich, the Schouten meat and separation_check read it
     fitted: np.ndarray
     deviance_path: tuple[float, ...]
 
@@ -348,11 +351,22 @@ def fit_glm(ds: Dataset, family_link: str, *, beta0: np.ndarray | None = None) -
     NonConvergenceError when the iteration limit is hit or no feasible
     non-increasing step exists (the log-binomial failure mode).
     """
-    result = fit_stack(ds.X[None], ds.y[None], ds.weights[None], family_link, ds.column_names,
+    patterns = ds._patterns
+    rows = ds if patterns is None else patterns.rows
+    result = fit_stack(rows.X[None], rows.y[None], rows.weights[None], family_link,
+                       ds.column_names,
                        beta0=None if beta0 is None else np.asarray(beta0, dtype=float)[None])[0]
     if isinstance(result, PrevRatioError):
         raise result
-    return result
+    return _on_rows(result, patterns)
+
+
+def _on_rows(result: FitResult | PrevRatioError,
+             patterns: _Patterns | None) -> FitResult | PrevRatioError:
+    """``result``, a fit to ``patterns.rows``, with the fitted mu of each row they stand for."""
+    if patterns is None or isinstance(result, PrevRatioError):
+        return result
+    return replace(result, fitted=result.fitted[patterns.index])
 
 
 def predict_prevalence(fit: FitResult, X: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ datasets, one stack per fit, and :func:`estimate` reads a method's
 estimate for one dataset of the block off it. The fits are
 independent, so :func:`block_fits` shares them out over the CPUs with
 :func:`parallel._fork_map`; inside a study block, itself a part of a
-forked map, they run one after another.
-Adding a method means adding one entry to ``METHODS`` (and its label to
-``ratios.METHOD_LABELS``).
+forked map, they run one after another. An all-0/1 dataset alone is
+fitted on its pattern table (see :mod:`data`), as ``fit_glm`` fits it.
+Adding a method means adding one entry to ``METHODS``; its name is then
+a valid ``PrEstimate.method`` and one of ``prevratio.METHOD_LABELS``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .classical import (_schouten_from_fit, _schouten_response, crude_pr, crude_
                         mantel_haenszel_pr, stratified_from_dataset)
 from .data import Dataset
 from .errors import PrevRatioError
-from .glm import FitResult, fit_stack
+from .glm import FitResult, _on_rows, fit_stack
 from .parallel import _fork_map
 from .ratios import (PrEstimate, _coefficient_ratio, conditional_pr, marginal_pr,
                      prevalence_odds_ratio)
@@ -105,17 +106,22 @@ def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
     it. The fits run on every CPU (see :func:`parallel._fork_map`), or
     one after another in this process when it is already a part of a
     forked map, as in the study; the results are the same either way.
+    A block of one dataset with a pattern table is fitted on the table,
+    in this process, as :func:`glm.fit_glm` fits it, with each fit's mu
+    given back row by row.
     """
-    X, y, w = _stack(block)
+    patterns = block[0]._patterns if len(block) == 1 else None
+    X, y, w = _stack(block if patterns is None else [patterns.rows])
     names = block[0].column_names
     kinds = [k for k in dict.fromkeys(METHODS[m].fit for m in methods) if k is not None]
 
-    def fit(kind: str) -> list:
-        if kind == "Schouten":
-            return fit_stack(X, *_schouten_response(y, w), "binomial-logit", names)
-        return fit_stack(X, y, w, kind, names)
-    parts = _fork_map(lambda part: [fit(kind) for kind in part], kinds)
-    return dict(zip(kinds, (results for part in parts for results in part)))
+    def fit(part: Sequence[str]) -> list:
+        return [fit_stack(X, *_schouten_response(y, w), "binomial-logit", names)
+                if kind == "Schouten" else fit_stack(X, y, w, kind, names) for kind in part]
+    # a table's fits take milliseconds, less than forking a worker
+    parts = _fork_map(fit, kinds) if patterns is None else [fit(kinds)]
+    return {kind: [_on_rows(result, patterns) for result in results]
+            for kind, results in zip(kinds, (results for part in parts for results in part))}
 
 
 def estimate(method: str, fits: dict, j: int, ds: Dataset, level: float,

@@ -24,22 +24,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, EXPOSURE_COL, covariate_means
+from .data import Dataset, EXPOSURE_COL, _distinct_rows, covariate_means
 from .errors import (DegenerateDenominatorError, InvalidArgumentError, NonConvergenceError,
                      PrevRatioError)
 from .glm import FitResult, expit, fit_glm
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
 from .variance import IntervalEstimate, check_level, ratio_interval
-
-METHOD_LABELS = (
-    "POR", "CPR", "MPR", "LogBinomial", "RobustPoisson",
-    "MantelHaenszel", "Schouten", "Crude",
-)
 
 #: estimators that bootstrap_prs can resample
 BOOTSTRAP_ESTIMATORS = ("CPR", "MPR")
@@ -49,6 +45,13 @@ _MIN_DENOMINATOR = 1e-12
 # the weight of CPR's one-row population
 _ONE_ROW_WEIGHT = np.ones(1)
 _ONE_ROW_WEIGHT.setflags(write=False)
+
+
+@cache
+def _method_names() -> frozenset[str]:
+    """The names of ``methods.METHODS``, which imports this module, so read on first use."""
+    from .methods import METHODS
+    return frozenset(METHODS)
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class PrEstimate:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in METHOD_LABELS:
+        if self.method not in _method_names():
             raise InvalidArgumentError(f"unknown method label {self.method!r}")
 
     @property
@@ -191,10 +194,12 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
     """Ratio of average predicted prevalences with the exposure toggled.
 
     Averages over the observed covariate distribution use the prior
-    weights when present.
+    weights when present; over a dataset's pattern table they are the
+    averages of its distinct rows with their summed weights.
     """
     _require_logistic(fit)
-    return _contrast("MPR", fit, ds, ds.X, ds.weights, level, {})
+    rows = _distinct_rows(ds)
+    return _contrast("MPR", fit, ds, rows.X, rows.weights, level, {})
 
 
 def prevalence_odds_ratio(fit: FitResult, level: float = 0.95) -> PrEstimate:
@@ -205,11 +210,20 @@ def prevalence_odds_ratio(fit: FitResult, level: float = 0.95) -> PrEstimate:
 
 def _percentile_interval(point: float, draws: np.ndarray,
                          level: float) -> IntervalEstimate:
+    """The percentile interval of ``draws`` around the full-data ``point``.
+
+    Raises DegenerateDenominatorError when the interval leaves the point
+    out, as the replicates of a separated fit can.
+    """
     alpha = (1.0 - level) / 2.0
-    lower, upper = np.quantile(draws, [alpha, 1.0 - alpha])
+    lower, upper = (float(q) for q in np.quantile(draws, [alpha, 1.0 - alpha]))
+    if not lower <= point <= upper:
+        raise DegenerateDenominatorError(
+            f"the percentile bootstrap interval ({lower:g}, {upper:g}) leaves out "
+            f"the full-data estimate {point:g}; the fit looks separated"
+        )
     se = float(np.std(draws, ddof=1)) if len(draws) > 1 else 0.0
-    return IntervalEstimate(point=point, se=se, lower=float(lower),
-                            upper=float(upper), level=level)
+    return IntervalEstimate(point=point, se=se, lower=lower, upper=upper, level=level)
 
 
 def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: int, *,
@@ -235,9 +249,10 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
     on its own counts against itself only. Each estimator maps to its
     estimate, or to the error that stopped it: its full-data estimate
     failed (a PrevRatioError, such as InvalidArgumentError for an
-    unusable ``at``), or more than 20% of its replicates failed
-    (NonConvergenceError). One estimator's failure leaves the others'
-    results intact.
+    unusable ``at``), more than 20% of its replicates failed
+    (NonConvergenceError), or its percentile interval leaves out its
+    full-data estimate (DegenerateDenominatorError). One estimator's
+    failure leaves the others' results intact.
     """
     estimators = tuple(dict.fromkeys(estimators))
     if not estimators or any(e not in BOOTSTRAP_ESTIMATORS for e in estimators):
@@ -257,7 +272,8 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
         if name == "CPR":
             rows = _conditioning_point(data, at), _ONE_ROW_WEIGHT
         else:
-            rows = data.X, data.weights
+            sample = _distinct_rows(data)
+            rows = sample.X, sample.weights
         p1, p0, _, _ = _arms(beta, *rows)
         return p1 / p0
 
@@ -309,9 +325,14 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
                 "resampling is unstable on this dataset"
             )
             continue
+        try:
+            interval = _percentile_interval(point, np.array(draws[name]), level)
+        except PrevRatioError as exc:
+            results[name] = exc
+            continue
         results[name] = PrEstimate(
             method=name,
-            interval=_percentile_interval(point, np.array(draws[name]), level),
+            interval=interval,
             exposure=ds.exposure_name,
             metadata={
                 "se_scale": "ratio",

@@ -297,6 +297,24 @@ class TestEstimate:
         assert [r["notes"] for r in rows] == [
             "outcome has no variation (weighted mean 1); coefficients diverge"] * 2
 
+    def test_boot_interval_leaving_out_the_point_fails_its_row(self, capsys, tmp_path):
+        # no case among the unexposed: MPR's resamples all lie far above its
+        # full-data point, and more than a fifth of CPR's fail
+        path = tmp_path / "separated.csv"
+        write_csv(simulate_toy(ToyConfig(n=40, seed=54, baseline_prevalence=0.1, pr_at_z0=3.0,
+                                         beta_z=1.0)), path)
+        code = main(ESTIMATE_ARGS + ["--input", str(path), "--methods", "cpr,mpr,por",
+                                     "--boot", "100", "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 1
+        assert [(r["method"], r["status"]) for r in rows] == [
+            ("CPR", "failed"), ("MPR", "failed"), ("POR", "failed")]
+        assert rows[0]["notes"].startswith("57 of 100 bootstrap replicates failed")
+        assert rows[1]["notes"] == (
+            "the percentile bootstrap interval (2.51061e+10, 2.83681e+11) leaves out the "
+            "full-data estimate 3.94047e+08; the fit looks separated")
+        assert rows[2]["notes"].startswith("the log-scale standard error")
+
     def test_boot_below_floor_rejected(self, capsys, toy_csv):
         with pytest.raises(SystemExit) as exc:
             run_estimate(capsys, toy_csv, "--boot", "50")

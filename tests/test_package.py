@@ -128,6 +128,32 @@ def test_one_fit_path():
     assert all("beta0" in (kw.arg for kw in call.keywords) for call in calls)
 
 
+def readers(name: str) -> set[str]:
+    """Like ``referrers``, with a class's methods named ``module.Class.method``."""
+    found = set()
+    for path in sorted(Path(prevratio.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            defs = ([(f"{top.name}.{d.name}", d) for d in top.body
+                     if isinstance(d, ast.FunctionDef)] if isinstance(top, ast.ClassDef)
+                    else [(getattr(top, "name", "<module>"), top)])
+            for label, node in defs:
+                if any(name in (getattr(n, "id", None), getattr(n, "attr", None))
+                       for n in ast.walk(node)):
+                    found.add(f"{path.stem}.{label}")
+    return found
+
+
+def test_one_pattern_table():
+    # the dataset's cached table is the one place that keys, sorts or packs rows
+    assert readers("_pattern_table") == {"data.Dataset._patterns"}
+    assert readers("lexsort") | readers("packbits") == {"data._pattern_table"}
+    # the fits, the 2x2 tables, MPR and the resamples read it
+    assert {"glm.fit_glm", "methods.block_fits", "classical.stratified_from_dataset",
+            "data.Dataset.frequency_weighted", "data._distinct_rows"} <= readers("_patterns")
+    assert {"classical.crude_table", "ratios.marginal_pr",
+            "ratios.bootstrap_prs"} <= readers("_distinct_rows")
+
+
 
 def test_logistic_estimators_take_the_fit():
     # every logistic-based estimator reads a fit it is handed and contrasts
