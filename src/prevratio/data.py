@@ -213,9 +213,8 @@ def _pattern_table(ds: Dataset) -> _Patterns | None:
     continuous one is turned down at once. A row's key is the binary
     number its design columns make, the first column in the top bit, one
     exact float key per 52 columns with y as the lowest bit of the first.
-    Keys of at most log2(n) bits are counted into a table of every value
-    they can take; longer ones are sorted. The pattern weights add up
-    their rows' weights in row order.
+    The keys are sorted, and the pattern weights add up their rows'
+    weights in row order.
     """
     X, y, n = ds.X, ds.y, ds.n
     if not (_binary(X[:_HEAD_ROWS, 1:])
@@ -226,23 +225,17 @@ def _pattern_table(ds: Dataset) -> _Patterns | None:
         columns = X[:, start:start + _KEY_COLUMNS]
         keys.append(matvec_stack(columns, 2.0 ** np.arange(columns.shape[1] - 1, -1, -1)))
     keys[0] = 2.0 * keys[0] + y
-    keys = [key.astype(np.int64) for key in keys]
-    bits = X.shape[1]  # of the first key, when it is the only one
-    if len(keys) == 1 and 1 << bits <= n:
-        number = np.cumsum(np.bincount(keys[0], minlength=1 << bits) > 0) - 1
-        index = number[keys[0]]
-        first = np.empty(number[-1] + 1, dtype=np.intp)
-        first[index] = np.arange(n)  # any row of a pattern is the pattern
-    else:
-        order = np.lexsort(keys[::-1])
-        starts = np.zeros(n, dtype=bool)
-        starts[0] = True
-        for key in keys:
-            ranked = key[order]
-            starts[1:] |= ranked[1:] != ranked[:-1]
-        index = np.empty(n, dtype=np.intp)
-        index[order] = np.cumsum(starts) - 1
-        first = order[starts]
+    # in the narrowest type that holds them, which sorts fastest (by radix up to 16 bits)
+    keys = [key.astype(np.min_scalar_type(int(key.max()))) for key in keys]
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(n, dtype=bool)
+    starts[0] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    index = np.empty(n, dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    first = order[starts]
     rows = Dataset(y=_read_only(y[first]), X=_read_only(X[first]), column_names=ds.column_names,
                    weights=_read_only(np.bincount(index, ds.weights, minlength=len(first))),
                    spec=ds.spec)

@@ -75,6 +75,11 @@ class TestNames:
         assert set(METHODS) == set(METHOD_LABELS)
         assert all(name == m.name for name, m in METHODS.items())
 
+    def test_labels_in_registry_order(self):
+        # the order the study lists methods in
+        assert METHOD_LABELS == ("CPR", "MPR", "POR", "LogBinomial", "RobustPoisson",
+                                 "Schouten", "Crude", "MantelHaenszel")
+
     def test_old_aliases_resolve_to_the_same_method(self):
         assert ALIASES == OLD_ALIASES
         for alias, name in OLD_ALIASES.items():

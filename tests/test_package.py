@@ -105,13 +105,17 @@ def test_bad_argument_is_typed(call, message):
 
 
 def referrers(name: str) -> set[str]:
-    """``module.function`` of every top-level definition in the package that names ``name``."""
+    """``module.function`` or ``module.Class.method`` of every definition that names ``name``."""
     found = set()
     for path in sorted(Path(prevratio.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if name in (getattr(node, "id", None), getattr(node, "attr", None)):
-                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+            owner = getattr(top, "name", "<module>")
+            defs = ([(f"{owner}.{d.name}" if isinstance(d, ast.FunctionDef) else owner, d)
+                     for d in top.body] if isinstance(top, ast.ClassDef) else [(owner, top)])
+            for label, node in defs:
+                if any(name in (getattr(n, "id", None), getattr(n, "attr", None))
+                       for n in ast.walk(node)):
+                    found.add(f"{path.stem}.{label}")
     return found
 
 
@@ -128,30 +132,15 @@ def test_one_fit_path():
     assert all("beta0" in (kw.arg for kw in call.keywords) for call in calls)
 
 
-def readers(name: str) -> set[str]:
-    """Like ``referrers``, with a class's methods named ``module.Class.method``."""
-    found = set()
-    for path in sorted(Path(prevratio.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            defs = ([(f"{top.name}.{d.name}", d) for d in top.body
-                     if isinstance(d, ast.FunctionDef)] if isinstance(top, ast.ClassDef)
-                    else [(getattr(top, "name", "<module>"), top)])
-            for label, node in defs:
-                if any(name in (getattr(n, "id", None), getattr(n, "attr", None))
-                       for n in ast.walk(node)):
-                    found.add(f"{path.stem}.{label}")
-    return found
-
-
 def test_one_pattern_table():
     # the dataset's cached table is the one place that keys, sorts or packs rows
-    assert readers("_pattern_table") == {"data.Dataset._patterns"}
-    assert readers("lexsort") | readers("packbits") == {"data._pattern_table"}
+    assert referrers("_pattern_table") == {"data.Dataset._patterns"}
+    assert referrers("lexsort") | referrers("packbits") == {"data._pattern_table"}
     # the fits, the 2x2 tables, MPR and the resamples read it
     assert {"glm.fit_glm", "methods.block_fits", "classical.stratified_from_dataset",
-            "data.Dataset.frequency_weighted", "data._distinct_rows"} <= readers("_patterns")
+            "data.Dataset.frequency_weighted", "data._distinct_rows"} <= referrers("_patterns")
     assert {"classical.crude_table", "ratios.marginal_pr",
-            "ratios.bootstrap_prs"} <= readers("_distinct_rows")
+            "ratios.bootstrap_prs"} <= referrers("_distinct_rows")
 
 
 

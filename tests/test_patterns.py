@@ -61,9 +61,9 @@ def row_key_reference(ds):
 
 
 class TestTable:
-    @pytest.mark.parametrize("n, k", [(5000, 3), (300, 6), (40, 8), (2000, 0)])
+    @pytest.mark.parametrize("n, k", [(5000, 3), (300, 6), (40, 8), (2000, 0), (500, 20)])
     def test_distinct_rows_summed_weights(self, n, k):
-        # n = 300 with 8 bits and n = 40 sort their keys; the others count them
+        # keys of 2 to 22 bits, sorted as 8-, 16- and 32-bit integers
         ds = binary_dataset(np.random.default_rng(n + k), n, k, weighted=True)
         table = ds._patterns
         unique, inverse = row_key_reference(ds)
