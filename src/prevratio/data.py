@@ -255,12 +255,12 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
     fields are treated as missing and rows with any missing value in a
     referenced column are dropped (the count lands in ``n_dropped``).
 
-    numpy's C parser reads the referenced columns. Files it cannot read
-    exactly as the csv module would (quotes, short rows, whitespace-only,
-    non-numeric or non-finite fields, a non-0/1 outcome, a blank first
-    data line, a letter n in a file with empty fields) are read row by row
-    instead, which gives the same arrays and the errors that cite the file
-    line.
+    numpy's C parser reads the referenced columns, as integers when the
+    file is integer-coded. Files it cannot read exactly as the csv module
+    would (quotes, short rows, whitespace-only, non-numeric or non-finite
+    fields, a non-0/1 outcome, a blank first data line) are read row by
+    row instead, which gives the same arrays and the errors that cite the
+    file line.
     """
     wanted = [spec.outcome, spec.exposure, *spec.covariates]
     if weight_column is not None:
@@ -289,7 +289,9 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     Returns ``(data, n_dropped)`` only when it equals what ``_parse_rows``
     returns. The file is read once in chunks to count its records and look
     for quotes, then parsed from disk, so a file without empty fields is
-    never held in memory whole.
+    never held in memory whole. A file with empty fields is read once more,
+    a 0 written into each of them (see ``_fill_empty_fields``), and parsed
+    from memory. Integer-coded files parse as int32 (see ``_loadtxt``).
     """
     with open(path) as handle:  # universal newlines, as np.loadtxt reads the file
         first = handle.readline()
@@ -302,31 +304,38 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
         # no records, or a blank first one (np.loadtxt warns on all-blank input)
         if not chunk or chunk[0] == "\n":
             return None
-        n_records, quoted = 0, False
+        n_records, quoted, ascii_text, ints, last = 0, False, first.isascii(), True, ""
         while chunk:
             n_records += chunk.count("\n")
             quoted = quoted or '"' in chunk
+            ascii_text = ascii_text and chunk.isascii()
+            # the int32 parse (see _loadtxt) would read a "-0", which may
+            # straddle two chunks, as +0; a "." is a float that would stop it,
+            # maybe only after most of the file
+            ints = (ints and "." not in chunk and "-0" not in last + chunk[0]
+                    and ("-" not in chunk or "-0" not in chunk))
             last = chunk[-1]
             chunk = handle.read(_SCAN_CHARS)
+        encoding = "ascii" if ascii_text else handle.encoding
     n_records += last != "\n"
     if quoted:
         return None
 
-    read = partial(np.loadtxt, delimiter=",", usecols=[header.index(name) for name in wanted],
-                   comments=None, ndmin=2)
+    usecols = [header.index(name) for name in wanted]
+    parse = partial(_loadtxt, usecols=usecols, ints=ints and ascii_text, encoding=encoding)
     try:
-        data = read(path, skiprows=1)
+        data = parse(path)
     except ValueError:  # an empty field, or input only the row loop can judge
-        with open(path) as handle:
-            handle.readline()
-            body = _spell_missing_as_nan(handle.read())
+        body, keep = _fill_empty_fields(path, usecols) or (None, None)
         if body is None:
             return None
         try:
-            data = read(io.StringIO(body))
+            data = parse(body)
         except ValueError:
             return None
-        data = data[~np.isnan(data).any(axis=1)]
+        del body  # freed before the kept rows are copied
+        data = data[keep]
+    data = data.astype(np.float64, copy=False)
     y = data[:, 0]
     if len(data) == 0 or not np.isfinite(data).all() or not np.all((y == 0.0) | (y == 1.0)):
         return None
@@ -335,23 +344,67 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     return data, n_records - len(data)
 
 
-def _spell_missing_as_nan(body: str) -> str | None:
-    """``body`` with every empty field written as ``nan``.
+def _loadtxt(source, usecols: list[int], ints: bool, encoding: str) -> np.ndarray:
+    """The ``usecols`` of every non-blank line of ``source``; raises ValueError.
 
-    None when ``body`` has an n or N: its own nan or inf would then be
-    taken for a missing field rather than rejected.
+    ``source`` is a path, whose header line is skipped, or the bytes of a
+    body. With ``ints`` an int32 parse comes first, and the float64 parse
+    only when it fails. numpy rejects a float or an integer outside int32,
+    and every int32 is exact as a float64, so the values are the float
+    parse's. ``ints`` must be False when the text holds "-0", which parses
+    as 0 where float gives -0.0, or a non-ASCII character, some of which
+    numpy's integer parser takes for digits.
     """
-    if "n" in body or "N" in body:
+    def read(dtype):
+        text = io.BytesIO(source) if isinstance(source, bytes) else source
+        return np.loadtxt(text, dtype=dtype, delimiter=",", usecols=usecols, comments=None,
+                          ndmin=2, skiprows=int(text is source), encoding=encoding)
+
+    if ints:
+        try:
+            return read(np.int32)
+        except ValueError:  # a float, or an integer outside int32
+            pass
+    return read(np.float64)
+
+
+def _fill_empty_fields(path, usecols: list[int]) -> tuple[bytes, np.ndarray] | None:
+    """The file's body with a 0 in every empty field, and which of its rows to keep.
+
+    A row is a non-blank line of the body, as ``np.loadtxt`` returns them;
+    it is kept unless one of its filled fields is in ``usecols``. None when
+    the body has no empty field, since filling cannot then mend its parse.
+    The file is read whole, once; the body is not copied before it is filled.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    if b"\r" in raw:  # universal newlines, as the text scan read the file
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = raw.index(b"\n") + 1  # the body's first byte
+    text = np.frombuffer(raw, dtype=np.uint8)
+    comma, newline = text == ord(","), text == ord("\n")
+    # a field is empty where a comma or a line end follows a comma, or a
+    # comma starts a line; ``at`` is where each empty field sits
+    empty = comma[:-1] & (comma[1:] | newline[1:])
+    empty |= newline[:-1] & comma[1:]
+    at = np.flatnonzero(empty) + 1
+    del comma, empty  # each as long as the file
+    at = at[at >= start]
+    if raw.endswith(b","):
+        at = np.append(at, len(raw))
+    if len(at) == 0:
         return None
-    # ",," twice: replace() does not rescan the comma it just wrote, so ",,,"
-    # keeps one empty field after the first pass
-    for old, new in ((",,", ",nan,"), (",,", ",nan,"), ("\n,", "\nnan,"), (",\n", ",nan\n")):
-        body = body.replace(old, new)
-    if body.startswith(","):
-        body = "nan" + body
-    if body.endswith(","):
-        body += "nan"
-    return body
+    ends = np.flatnonzero(newline)  # ends[0] ends the header
+    del newline
+    blank = ends[1:][np.diff(ends) == 1]  # the ends of blank lines, which np.loadtxt skips
+    rows = np.searchsorted(ends, at) - 1 - np.searchsorted(blank, at)
+    at = at.tolist()
+    columns = [raw.count(b",", raw.rfind(b"\n", 0, p) + 1, p) for p in at]
+    keep = np.ones(len(ends) - 1 + (raw[-1:] != b"\n") - len(blank), dtype=bool)
+    keep[rows[np.isin(columns, usecols)]] = False
+    view = memoryview(raw)
+    bounds = [start, *at, len(raw)]
+    return b"0".join([view[a:b] for a, b in zip(bounds, bounds[1:])]), keep
 
 
 def _parse_rows(path, spec: ModelSpec, wanted: list[str]) -> tuple[np.ndarray, int]:

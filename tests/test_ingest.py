@@ -113,6 +113,7 @@ CASES = {
     "empty last field, no trailing newline": "y,x,z\n1,1,0.5\n0,0,",
     "empty first field, first row": "y,x,z\n,1,0.5\n0,0,1\n",
     "empty with letters in unreferenced column": "y,x,z,u\n1,1,0.5,abc\n0,,1,2\n1,0,2,3\n",
+    "empty with n in unreferenced column": "y,x,z,u\n1,1,0.5,none\n0,,1,NA\n1,0,2,3\n",
     "blank lines": "y,x,z\n1,1,0.5\n\n0,0,1\n\n",
     "blank first line": "y,x,z\n\n1,1,0.5\n0,0,1\n",
     "only blank lines": "y,x,z\n\n\n",
@@ -152,6 +153,33 @@ CASES = {
     "missing column": "y,x\n1,1\n0,0\n",
     "duplicate header name": "y,x,z,z\n1,1,0.5,9\n0,0,1,8\n",
     "all rows dropped": "y,x,z\n1,1,\n0,,1.0\n",
+    # integer-coded files, which numpy parses as int32
+    "int": "y,x,z\n1,1,0\n0,0,-3\n1,1,2\n",
+    "int negative zero": "y,x,z\n1,-0,1\n0,0,-00\n1,1, -0 \n",
+    "int negative zero with empty field": "y,x,z\n1,-0,1\n0,,1\n1,1,0\n",
+    "int signs and padding": "y,x,z\n1,+1,007\n0, 1 ,\t2\n1,0,0000000000000000000001\n",
+    "int no-break space": "y,x,z\n1,1\xa0,1\n0,0,\xa02\n",
+    "int non-ascii digit lookalike": "y,x,z\n1,1,\u01fe1\n0,0,1\n",
+    "int non-ascii digit lookalike with empty field": "y,x,z\n1,,1\n0,0,\u01fe1\n",
+    "int32 limits": "y,x,z\n1,2147483647,-2147483647\n0,0,-2147483648\n",
+    "int beyond int32": "y,x,z\n1,2147483648,9007199254740993\n0,0,9223372036854775808\n",
+    "int beyond int32 with empty field": "y,x,z\n1,,2147483648\n0,0,9007199254740993\n",
+    "int empty at line start": "y,x,z\n,1,1\n0,0,1\n1,1,0\n",
+    "int empty at line end": "y,x,z\n1,1,\n0,0,1\n1,1,0\n",
+    "int empty run": "y,x,z,u,v\n1,,,,\n0,0,1,,\n1,1,0,3,\n",
+    "int empty unreferenced": "y,u,x,v,z\n1,,1,,0\n0,,0,5,1\n1,2,1,,1\n",
+    "int empty crlf": "y,x,z\r\n1,1,\r\n0,0,1\r\n,1,0\r\n1,1,1\r\n",
+    "int empty lone cr": "y,x,z\r1,,1\r0,0,1\r",
+    "int empty last, no trailing newline": "y,x,z\n1,1,1\n0,0,",
+    "int empty header field": "y,,x,z\n1,,1,0\n0,7,0,\n1,,1,1\n",
+    "blank lines with empty fields": "y,x,z\n1,1,1\n\n0,,1\n\n\n1,0,0\n0,1,\n\n",
+    "crlf blank lines with empty fields": "y,x,z\r\n1,1,1\r\n\r\n0,,1\r\n1,0,0\r\n",
+    "int nan with empty field": "y,x,z\n1,1,nan\n0,,1\n1,0,1\n",
+    "int inf after empty field": "y,x,z\n1,,1\n0,0,-inf\n1,1,0\n",
+    "nan in a dropped row": "y,x,z\n1,,nan\n0,0,1\n1,1,0\n",
+    "int outcome 2 with empty field": "y,x,z\n1,,1\n2,0,1\n",
+    "int whitespace only field with empty field": "y,x,z\n1,,1\n0, ,1\n1,1,0\n",
+    "int short row with empty field": "y,x,z\n1,,1\n0,0\n1,1,0\n",
 }
 
 
@@ -159,6 +187,17 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_row_loop(tmp_path, name):
     assert_same_as_row_loop(write(tmp_path / "d.csv", CASES[name]))
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 2, 3, 5])
+def test_small_scan_chunks_match_row_loop(tmp_path, monkeypatch, chunk_chars):
+    # a "-0", a quote or a line end split between two chunks of the text scan
+    monkeypatch.setattr(data_module, "_SCAN_CHARS", chunk_chars)
+    for name in sorted(CASES):
+        try:
+            assert_same_as_row_loop(write(tmp_path / "d.csv", CASES[name]))
+        except AssertionError as exc:
+            raise AssertionError(name) from exc
 
 
 @pytest.mark.parametrize("text", [
@@ -176,11 +215,21 @@ def test_weight_column_may_repeat_a_covariate(tmp_path):
     assert_same_as_row_loop(path, weight_column="z")
 
 
+INTEGER_CASES = [
+    "int", "int negative zero", "int negative zero with empty field", "int signs and padding",
+    "int no-break space", "int32 limits", "int beyond int32", "int beyond int32 with empty field",
+    "int empty at line start", "int empty at line end", "int empty run",
+    "int empty unreferenced", "int empty crlf", "int empty lone cr",
+    "int empty last, no trailing newline", "int empty header field", "nan in a dropped row"]
+
+
 @pytest.mark.parametrize("name", [
     "plain", "empty referenced", "empty unreferenced", "empty run", "empty everywhere",
     "empty last field, no trailing newline", "empty first field, first row", "blank lines",
     "crlf", "crlf blank line", "no trailing newline", "whitespace padded", "long row",
-    "number spellings"])
+    "number spellings", *INTEGER_CASES, "blank lines with empty fields",
+    "crlf blank lines with empty fields", "empty with letters in unreferenced column",
+    "empty with n in unreferenced column"])
 def test_numeric_files_skip_the_row_loop(tmp_path, monkeypatch, name):
     def row_loop(*args):
         raise AssertionError("row loop used")
@@ -226,6 +275,44 @@ def numeric_csv_texts(draw):
         *[st.one_of(values, st.just("")) for values in (finite, finite, weight)]),
         min_size=1, max_size=12))
     return "y,x,z,w\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+# integer fields within int32, which numpy's integer parse reads
+INTEGER_FIELDS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.integers(-2**31, 2**31 - 1).map(str),
+    st.sampled_from(["", "", "+1", "007", " 1 "]),
+)
+# at most one per file, as one field stops the integer parse of the whole file
+SPECIAL_FIELDS = st.sampled_from(["-0", "-00", " -0 ", "2147483648", "-2147483649",
+                                  str(2**53 + 1), str(2**63), "nan", "1.5"])
+
+
+@st.composite
+def integer_csv_texts(draw):
+    """Integer-coded files: empty fields, blank lines, an unreferenced text column."""
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])  # blank line
+            continue
+        rows.append([draw(st.sampled_from(["0", "1", "0", "1", ""])), draw(INTEGER_FIELDS),
+                     draw(st.sampled_from(["", "", "abc", "n/a", "-"])),
+                     *[draw(INTEGER_FIELDS) for _ in range(2)]])
+    if draw(st.integers(0, 2)) == 0:
+        row = draw(st.sampled_from(rows))
+        if row:
+            row[draw(st.sampled_from([0, 1, 3, 4]))] = draw(SPECIAL_FIELDS)
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = newline.join(["y,x,note,z,w", *map(",".join, rows)])
+    return text + newline if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=integer_csv_texts(), weighted=st.booleans())
+def test_integer_files_match_row_loop(tmp_path_factory, text, weighted):
+    path = write(tmp_path_factory.mktemp("csv") / "d.csv", text)
+    assert_same_as_row_loop(path, weight_column="w" if weighted else None)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -143,6 +143,15 @@ def test_one_pattern_table():
             "ratios.bootstrap_prs"} <= referrers("_distinct_rows")
 
 
+def test_one_csv_parse():
+    # np.loadtxt is called in one place, data._loadtxt: its int32 attempt and
+    # float fallback are the one parse of the disk and of the filled body alike
+    assert referrers("loadtxt") == {"data._loadtxt"}
+    calls = [node for path in Path(prevratio.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "loadtxt" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert len(calls) == 1
+
 
 def test_logistic_estimators_take_the_fit():
     # every logistic-based estimator reads a fit it is handed and contrasts
