@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -289,9 +290,9 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     Returns ``(data, n_dropped)`` only when it equals what ``_parse_rows``
     returns. The file is read once in chunks to count its records and look
     for quotes, then parsed from disk, so a file without empty fields is
-    never held in memory whole. A file with empty fields is read once more,
-    a 0 written into each of them (see ``_fill_empty_fields``), and parsed
-    from memory. Integer-coded files parse as int32 (see ``_loadtxt``).
+    never held in memory whole. When that parse fails, the file is read once
+    more, a 0 written into each empty field (see ``_fill_empty_fields``), and
+    parsed from memory. Integer-coded files parse as int32 (see ``_loadtxt``).
     """
     with open(path) as handle:  # universal newlines, as np.loadtxt reads the file
         first = handle.readline()
@@ -311,29 +312,32 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
             ascii_text = ascii_text and chunk.isascii()
             # the int32 parse (see _loadtxt) would read a "-0", which may
             # straddle two chunks, as +0; a "." is a float that would stop it,
-            # maybe only after most of the file
-            ints = (ints and "." not in chunk and "-0" not in last + chunk[0]
+            # maybe only after most of the file. A search for "-0" takes
+            # 2 ms a MB in text full of 0s, one for "-" alone 0.02 ms.
+            ints = (ints and "." not in chunk and last + chunk[0] != "-0"
                     and ("-" not in chunk or "-0" not in chunk))
             last = chunk[-1]
             chunk = handle.read(_SCAN_CHARS)
-        encoding = "ascii" if ascii_text else handle.encoding
+        encoding = handle.encoding
     n_records += last != "\n"
     if quoted:
         return None
 
     usecols = [header.index(name) for name in wanted]
-    parse = partial(_loadtxt, usecols=usecols, ints=ints and ascii_text, encoding=encoding)
-    try:
-        data = parse(path)
-    except ValueError:  # an empty field, or input only the row loop can judge
-        body, keep = _fill_empty_fields(path, usecols) or (None, None)
-        if body is None:
-            return None
-        try:
-            data = parse(body)
-        except ValueError:
-            return None
-        del body  # freed before the kept rows are copied
+    parse = partial(_loadtxt, usecols=usecols, encoding=encoding)
+    dtypes = (np.int32, np.float64) if ints and ascii_text else (np.float64,)
+    # the first dtype alone from disk: an empty referenced field fails it,
+    # and the file then goes to the fill, not to a float parse from disk
+    # that would fail at the same field
+    data, keep = parse(path, dtypes[:1]), None
+    if data is None:  # an empty field, a value int32 cannot hold, or a row-loop case
+        source, keep = _fill_empty_fields(path, usecols)
+        # the path, returned when no referenced field is empty, has failed as dtypes[0]
+        data = parse(source, dtypes if source is not path else dtypes[1:])
+        del source  # a filled body is freed before the kept rows are copied
+    if data is None:
+        return None
+    if keep is not None:
         data = data[keep]
     data = data.astype(np.float64, copy=False)
     y = data[:, 0]
@@ -344,67 +348,84 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     return data, n_records - len(data)
 
 
-def _loadtxt(source, usecols: list[int], ints: bool, encoding: str) -> np.ndarray:
-    """The ``usecols`` of every non-blank line of ``source``; raises ValueError.
+def _loadtxt(source, dtypes: tuple, usecols: list[int], encoding: str) -> np.ndarray | None:
+    """The ``usecols`` of every non-blank line of ``source``, or None.
 
     ``source`` is a path, whose header line is skipped, or the bytes of a
-    body. With ``ints`` an int32 parse comes first, and the float64 parse
-    only when it fails. numpy rejects a float or an integer outside int32,
-    and every int32 is exact as a float64, so the values are the float
-    parse's. ``ints`` must be False when the text holds "-0", which parses
-    as 0 where float gives -0.0, or a non-ASCII character, some of which
-    numpy's integer parser takes for digits.
+    body. It is parsed as each of ``dtypes`` in turn, and the first parse
+    that reads it whole is returned. numpy rejects a float or an integer
+    outside int32, and every int32 is exact as a float64, so an int32
+    parse gives the float parse's values. ``np.int32`` must not be tried
+    on text that holds "-0", which parses as 0 where float gives -0.0, or
+    a non-ASCII character, some of which numpy's integer parser takes for
+    digits.
     """
-    def read(dtype):
+    for dtype in dtypes:
         text = io.BytesIO(source) if isinstance(source, bytes) else source
-        return np.loadtxt(text, dtype=dtype, delimiter=",", usecols=usecols, comments=None,
-                          ndmin=2, skiprows=int(text is source), encoding=encoding)
-
-    if ints:
         try:
-            return read(np.int32)
-        except ValueError:  # a float, or an integer outside int32
+            with warnings.catch_warnings():
+                # numpy releases from 1.23 until the deprecation expired read
+                # a float, or an integer outside int32, into an integer
+                # column through a float, cast, with a DeprecationWarning
+                warnings.simplefilter("error", DeprecationWarning)
+                return np.loadtxt(text, dtype=dtype, delimiter=",", usecols=usecols,
+                                  comments=None, ndmin=2, skiprows=int(text is source),
+                                  encoding=encoding)
+        except (ValueError, DeprecationWarning):
             pass
-    return read(np.float64)
+    return None
 
 
-def _fill_empty_fields(path, usecols: list[int]) -> tuple[bytes, np.ndarray] | None:
+def _fill_empty_fields(path, usecols: list[int]) -> tuple[bytes, np.ndarray] | tuple[str, None]:
     """The file's body with a 0 in every empty field, and which of its rows to keep.
 
     A row is a non-blank line of the body, as ``np.loadtxt`` returns them;
-    it is kept unless one of its filled fields is in ``usecols``. None when
-    the body has no empty field, since filling cannot then mend its parse.
-    The file is read whole, once; the body is not copied before it is filled.
+    it is kept unless one of its filled fields is in ``usecols``. When none
+    is, the file parses as it stands, since ``np.loadtxt`` converts only
+    ``usecols``: the result is then ``(path, None)``. The file is read
+    whole, once, and every step over its bytes is a numpy one.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     if b"\r" in raw:  # universal newlines, as the text scan read the file
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    start = raw.index(b"\n") + 1  # the body's first byte
+    if not raw.endswith(b"\n"):  # so that every line ends in one
+        raw += b"\n"
     text = np.frombuffer(raw, dtype=np.uint8)
     comma, newline = text == ord(","), text == ord("\n")
+    ends = np.flatnonzero(newline)  # ends[0] ends the header
     # a field is empty where a comma or a line end follows a comma, or a
     # comma starts a line; ``at`` is where each empty field sits
-    empty = comma[:-1] & (comma[1:] | newline[1:])
+    empty = comma[1:] | newline[1:]
+    empty &= comma[:-1]
     empty |= newline[:-1] & comma[1:]
-    at = np.flatnonzero(empty) + 1
-    del comma, empty  # each as long as the file
-    at = at[at >= start]
-    if raw.endswith(b","):
-        at = np.append(at, len(raw))
-    if len(at) == 0:
-        return None
-    ends = np.flatnonzero(newline)  # ends[0] ends the header
     del newline
+    at = np.flatnonzero(empty) + 1
+    del empty
+    at = at[at > ends[0]]
+    line = np.searchsorted(ends, at)  # the header is line 0
+    line_start = ends[line - 1] + 1
+    # a field's column is the count of commas before it on its line: the
+    # sum of comma over [line_start, at), which reduceat takes window by
+    # window, as its int32 copy of comma would be four times the file
+    columns = np.empty(len(at), dtype=np.int32)
+    # the first empty field of each window of _SCAN_CHARS bytes, by line start
+    firsts = np.flatnonzero(np.diff(line_start // _SCAN_CHARS, prepend=-1))
+    for i, j in zip(firsts, [*firsts[1:], len(at)]):
+        lo = line_start[i]
+        spans = np.column_stack([line_start[i:j], at[i:j]]).ravel() - lo
+        columns[i:j] = np.add.reduceat(comma[lo:at[j - 1] + 1], spans, dtype=np.int32)[::2]
+    columns[at == line_start] = 0  # reduceat gives comma[line_start] for an empty span
+    del comma
+    referenced = np.isin(columns, usecols)
+    if not referenced.any():
+        return path, None
     blank = ends[1:][np.diff(ends) == 1]  # the ends of blank lines, which np.loadtxt skips
-    rows = np.searchsorted(ends, at) - 1 - np.searchsorted(blank, at)
-    at = at.tolist()
-    columns = [raw.count(b",", raw.rfind(b"\n", 0, p) + 1, p) for p in at]
-    keep = np.ones(len(ends) - 1 + (raw[-1:] != b"\n") - len(blank), dtype=bool)
-    keep[rows[np.isin(columns, usecols)]] = False
-    view = memoryview(raw)
-    bounds = [start, *at, len(raw)]
-    return b"0".join([view[a:b] for a, b in zip(bounds, bounds[1:])]), keep
+    keep = np.ones(len(ends) - 1 - len(blank), dtype=bool)
+    keep[(line - 1 - np.searchsorted(blank, at))[referenced]] = False
+    filled = np.insert(text[ends[0] + 1:], at - ends[0] - 1, ord("0"))
+    del text, raw
+    return filled.tobytes(), keep
 
 
 def _parse_rows(path, spec: ModelSpec, wanted: list[str]) -> tuple[np.ndarray, int]:

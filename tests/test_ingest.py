@@ -6,6 +6,7 @@ input the loader must return bit-identical arrays and the same
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,8 @@ CASES = {
     "int beyond int32": "y,x,z\n1,2147483648,9007199254740993\n0,0,9223372036854775808\n",
     "int beyond int32 with empty field": "y,x,z\n1,,2147483648\n0,0,9007199254740993\n",
     "int empty at line start": "y,x,z\n,1,1\n0,0,1\n1,1,0\n",
+    "int empty at line start, unreferenced": "u,y,x,z\n,1,1,0\n5,0,0,1\n,1,1,1\n",
+    "int empty at line start, next unreferenced": "y,u,x,z\n,5,1,0\n0,5,0,1\n1,,1,1\n",
     "int empty at line end": "y,x,z\n1,1,\n0,0,1\n1,1,0\n",
     "int empty run": "y,x,z,u,v\n1,,,,\n0,0,1,,\n1,1,0,3,\n",
     "int empty unreferenced": "y,u,x,v,z\n1,,1,,0\n0,,0,5,1\n1,2,1,,1\n",
@@ -201,6 +204,30 @@ def test_small_scan_chunks_match_row_loop(tmp_path, monkeypatch, chunk_chars):
 
 
 @pytest.mark.parametrize("text", [
+    "y,x,z\n1,1,2147483648\n0,0,1\n",
+    "y,x,z\n1,1,15e-1\n0,0,1\n",
+    "y,x,z\n1,,1\n0,0,2147483648\n1,1,0\n",
+])
+def test_int_parse_through_a_float_falls_back(tmp_path, monkeypatch, text):
+    # numpy releases from 1.23 until that deprecation expired read a float,
+    # or an integer outside int32, into an int32 column through a float,
+    # cast, with a DeprecationWarning hidden by default; the int32 attempt
+    # must fail on it instead
+    loadtxt = np.loadtxt
+
+    def through_a_float(*args, dtype=np.float64, **kwargs):
+        data = loadtxt(*args, dtype=np.float64, **kwargs)
+        if dtype is not np.int32:
+            return data
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return data.astype(np.int64).astype(np.int32)  # wraps, as the cast did
+
+    monkeypatch.setattr(np, "loadtxt", through_a_float)
+    assert_same_as_row_loop(write(tmp_path / "d.csv", text))
+
+
+@pytest.mark.parametrize("text", [
     "y,x,z,w\n1,1,0.5,2\n0,0,1,3.5\n1,1,2,0.25\n",
     "y,x,z,w\n1,1,0.5,\n0,0,1,3.5\n1,,2,0.25\n",
     "y,x,z,w\n1,1,0.5,nan\n0,0,1,3\n",
@@ -218,7 +245,8 @@ def test_weight_column_may_repeat_a_covariate(tmp_path):
 INTEGER_CASES = [
     "int", "int negative zero", "int negative zero with empty field", "int signs and padding",
     "int no-break space", "int32 limits", "int beyond int32", "int beyond int32 with empty field",
-    "int empty at line start", "int empty at line end", "int empty run",
+    "int empty at line start", "int empty at line start, unreferenced",
+    "int empty at line start, next unreferenced", "int empty at line end", "int empty run",
     "int empty unreferenced", "int empty crlf", "int empty lone cr",
     "int empty last, no trailing newline", "int empty header field", "nan in a dropped row"]
 
@@ -236,6 +264,29 @@ def test_numeric_files_skip_the_row_loop(tmp_path, monkeypatch, name):
     monkeypatch.setattr(data_module, "_parse_rows", row_loop)
     ds = load_csv(write(tmp_path / "d.csv", CASES[name]), SPEC)
     assert ds.n > 0
+
+
+@pytest.mark.parametrize("name, dtypes", [
+    ("plain", ["float64"]),
+    ("int", ["int32"]),
+    ("int empty unreferenced", ["int32"]),  # np.loadtxt converts only usecols
+    ("int empty at line end", ["int32", "int32"]),
+    ("empty referenced", ["float64", "float64"]),
+    ("int beyond int32", ["int32", "float64"]),  # no empty field, so parsed from disk again
+])
+def test_one_failed_parse_before_the_fill(tmp_path, monkeypatch, name, dtypes):
+    # an empty field fails the parse from disk once; the file then goes to
+    # the fill and is not parsed from disk again as a float
+    calls = []
+    loadtxt = np.loadtxt
+
+    def recording(*args, dtype=np.float64, **kwargs):
+        calls.append(np.dtype(dtype).name)
+        return loadtxt(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    load_csv(write(tmp_path / "d.csv", CASES[name]), SPEC)
+    assert calls == dtypes
 
 
 # fields a generated file may hold; a referenced column sees all of them
