@@ -10,9 +10,10 @@ the rows take at most 2**p distinct values, and every likelihood, table
 and average the package forms over the rows is a sum over those
 patterns. A dataset builds its pattern table once, on first use: the
 distinct rows as a dataset whose prior weights are the summed weights of
-their rows, and each row's pattern. The fits, the 2x2 tables, MPR's
-average and the bootstrap's resamples read it; a design with any other
-value has none, and those steps read the rows.
+their rows, and each row's pattern. The fits, the 2x2 tables, the
+covariate means, MPR's average and the bootstrap's resamples (the drawn
+patterns themselves) read it; a design with any other value has none,
+and those steps read the rows.
 """
 
 from __future__ import annotations
@@ -172,30 +173,22 @@ class Dataset:
                        weights=_read_only(self.weights[idx]))
 
     def frequency_weighted(self, counts: np.ndarray) -> "Dataset":
-        """Rows with a nonzero count, each prior weight multiplied by its count.
+        """The resample that draws row i counts[i] times, without copying the repeats.
 
-        The weighted likelihood equals that of the dataset with row i
-        repeated counts[i] times, without copying the repeats. A dataset
-        with a pattern table hands the resample its table, from the same
-        counts: the drawn patterns, each weighted by the sum of its rows'
-        prior weights times their counts, which is the table the resample
-        would build.
+        Its weighted likelihood equals that of the dataset with row i
+        repeated counts[i] times. A dataset with a pattern table returns
+        the drawn patterns, each weighted by the sum of its rows' prior
+        weights times their counts; any other returns the rows with a
+        nonzero count, each prior weight multiplied by its count.
         """
-        keep = np.flatnonzero(counts)
-        sub = replace(self, y=_read_only(self.y[keep]), X=_read_only(self.X[keep]),
-                      weights=_read_only(self.weights[keep] * counts[keep]))
-        patterns = self._patterns
-        if patterns is not None:
-            # undrawn rows add 0.0, so each sum is the resample's own, bit for bit
-            weights = np.bincount(patterns.index, self.weights * counts,
-                                  minlength=patterns.rows.n)
-            drawn = weights > 0.0
-            rows = patterns.rows
-            sub.__dict__["_patterns"] = _Patterns(  # fills the cached property
-                replace(rows, y=_read_only(rows.y[drawn]), X=_read_only(rows.X[drawn]),
-                        weights=_read_only(weights[drawn])),
-                _read_only((np.cumsum(drawn) - 1)[patterns.index[keep]]))
-        return sub
+        rows, weights = self, self.weights * counts
+        if self._patterns is not None:
+            # undrawn rows add 0.0, so each sum is the one the drawn rows' table has
+            rows = self._patterns.rows
+            weights = np.bincount(self._patterns.index, weights, minlength=rows.n)
+        keep = np.flatnonzero(weights)
+        return replace(self, y=_read_only(rows.y[keep]), X=_read_only(rows.X[keep]),
+                       weights=_read_only(weights[keep]))
 
 
 def _distinct_rows(ds: Dataset) -> Dataset:
@@ -244,8 +237,12 @@ def _pattern_table(ds: Dataset) -> _Patterns | None:
 
 
 def covariate_means(ds: Dataset) -> np.ndarray:
-    """Weighted mean of every design column (element 0 is exactly 1)."""
-    totals = rmatvec_stack(ds.X, ds.weights)
+    """Weighted mean of every design column (element 0 is exactly 1).
+
+    The sums run over the pattern table when the dataset has one.
+    """
+    rows = _distinct_rows(ds)
+    totals = rmatvec_stack(rows.X, rows.weights)
     return totals / totals[0]  # column 0 is all ones, so totals[0] is the weight sum
 
 

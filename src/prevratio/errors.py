@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how failed replicates are counted."""
+
+from collections import Counter
 
 
 class PrevRatioError(Exception):
@@ -54,3 +56,21 @@ class DegenerateDenominatorError(PrevRatioError):
     """A ratio denominator collapsed to (numerically) zero, or an estimate
     too degenerate to have a log-scale interval, as on a separated fit.
     """
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the PrevRatioError that stopped it.
+
+    The error is returned without its traceback, whose frames would keep
+    the failed call's data alive for as long as the error is kept.
+    """
+    try:
+        return fn(*args)
+    except PrevRatioError as exc:
+        return exc.with_traceback(None)
+
+
+def _failure_reasons(outcomes) -> dict[str, int]:
+    """How many of ``outcomes`` are errors, by error type name, sorted by name."""
+    counts = Counter(type(o).__name__ for o in outcomes if isinstance(o, PrevRatioError))
+    return dict(sorted(counts.items()))

@@ -10,10 +10,11 @@ study). ``estimate``, the study and the public :func:`log_binomial_pr`,
 one path: :func:`block_fits` fits every needed fit once to a block of
 datasets, one stack per fit, and :func:`estimate` reads a method's
 estimate for one dataset of the block off it. The fits are
-independent, so :func:`block_fits` shares them out over the CPUs with
-:func:`parallel._fork_map`; inside a study block, itself a part of a
-forked map, they run one after another. An all-0/1 dataset alone is
-fitted on its pattern table (see :mod:`data`), as ``fit_glm`` fits it.
+independent, so :func:`block_fits` shares a large design's fits out over
+the CPUs with :func:`parallel._fork_map`; a small one's, and those inside
+a study block, itself a part of a forked map, run one after another. An
+all-0/1 dataset alone is fitted on its pattern table (see :mod:`data`),
+as ``fit_glm`` fits it.
 Adding a method means adding one entry to ``METHODS``; its name is then
 a valid ``PrEstimate.method`` and one of ``prevratio.METHOD_LABELS``.
 """
@@ -80,6 +81,12 @@ METHODS = {m.name: m for m in (
 #: every accepted spelling, lower-cased with "_" read as "-", to its method
 ALIASES = {alias: m.name for m in METHODS.values() for alias in (m.name.lower(), *m.aliases)}
 
+# design elements of a block from which its fits are shared out over the
+# CPUs. On 2 cores, the 6 default methods of one p = 11 dataset took 17 ms
+# in this process and 25 ms forked at 1.1e5 elements, and 594 against
+# 295 ms at 3.3e6; the two cross between about 0.5e6 and 2e6.
+_FORK_SIZE = 1_000_000
+
 
 def _stack(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """X, y and weights of same-shape datasets as (R, n, p), (R, n), (R, n) stacks.
@@ -103,12 +110,13 @@ def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
 
     Maps each fit name, in the order the methods first read it, to one
     result per dataset: a FitResult, or the PrevRatioError that stopped
-    it. The fits run on every CPU (see :func:`parallel._fork_map`), or
-    one after another in this process when it is already a part of a
-    forked map, as in the study; the results are the same either way.
-    A block of one dataset with a pattern table is fitted on the table,
-    in this process, as :func:`glm.fit_glm` fits it, with each fit's mu
-    given back row by row.
+    it. The fits of a block of at least ``_FORK_SIZE`` design elements
+    run on every CPU (see :func:`parallel._fork_map`), unless this
+    process is already a part of a forked map, as in the study; others
+    run one after another in this process. The results are the same
+    either way. A block of one dataset with a pattern table is fitted on
+    the table, as :func:`glm.fit_glm` fits it, with each fit's mu given
+    back row by row.
     """
     patterns = block[0]._patterns if len(block) == 1 else None
     X, y, w = _stack(block if patterns is None else [patterns.rows])
@@ -118,8 +126,7 @@ def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
     def fit(part: Sequence[str]) -> list:
         return [fit_stack(X, *_schouten_response(y, w), "binomial-logit", names)
                 if kind == "Schouten" else fit_stack(X, y, w, kind, names) for kind in part]
-    # a table's fits take milliseconds, less than forking a worker
-    parts = _fork_map(fit, kinds) if patterns is None else [fit(kinds)]
+    parts = _fork_map(fit, kinds) if X.size >= _FORK_SIZE else [fit(kinds)]
     return {kind: [_on_rows(result, patterns) for result in results]
             for kind, results in zip(kinds, (results for part in parts for results in part))}
 

@@ -22,7 +22,6 @@ increase from zero.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Any, Mapping, Sequence
@@ -31,7 +30,7 @@ import numpy as np
 
 from .data import Dataset, EXPOSURE_COL, _distinct_rows, covariate_means
 from .errors import (DegenerateDenominatorError, InvalidArgumentError, NonConvergenceError,
-                     PrevRatioError)
+                     PrevRatioError, _failure_reasons, _outcome)
 from .glm import FitResult, expit, fit_glm
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
@@ -100,6 +99,19 @@ def _conditioning_point(ds: Dataset, at: Mapping[str, float] | None) -> np.ndarr
             x[j] = value
     x[EXPOSURE_COL] = 0.0
     return x[None]
+
+
+def _population(method: str, ds: Dataset, at: Mapping[str, float] | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``method`` averages its arms over, and their weights.
+
+    For CPR that is its conditioning point, a population of one row; for
+    MPR the sample, read off its pattern table when it has one.
+    """
+    if method == "CPR":
+        return _conditioning_point(ds, at), _ONE_ROW_WEIGHT
+    rows = _distinct_rows(ds)
+    return rows.X, rows.weights
 
 
 def _coefficient_ratio(method: str, fit: FitResult, vcov: np.ndarray,
@@ -184,10 +196,10 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     higher- or lower-risk scenarios than the average profile.
     """
     _require_logistic(fit)
-    x = _conditioning_point(ds, at)
+    x, w = _population("CPR", ds, at)
     conditioning = {name: float(v) for name, v in
                     zip(ds.column_names[EXPOSURE_COL + 1:], x[0, EXPOSURE_COL + 1:])}
-    return _contrast("CPR", fit, ds, x, _ONE_ROW_WEIGHT, level, {"conditioning": conditioning})
+    return _contrast("CPR", fit, ds, x, w, level, {"conditioning": conditioning})
 
 
 def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
@@ -198,8 +210,7 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
     averages of its distinct rows with their summed weights.
     """
     _require_logistic(fit)
-    rows = _distinct_rows(ds)
-    return _contrast("MPR", fit, ds, rows.X, rows.weights, level, {})
+    return _contrast("MPR", fit, ds, *_population("MPR", ds, None), level, {})
 
 
 def prevalence_odds_ratio(fit: FitResult, level: float = 0.95) -> PrEstimate:
@@ -239,8 +250,8 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
     independent substream derived from (seed, r), so the result does not
     depend on execution order; the replicates run on every available CPU
     and the result is bit for bit the same for any number of them. Each
-    resample is refitted once, as the drawn rows weighted by how often
-    they were drawn and starting from ``fit``'s coefficients, and every
+    resample, :meth:`Dataset.frequency_weighted` of its draw counts, is
+    refitted once, starting from ``fit``'s coefficients, and every
     requested estimator is read off that one refit.
 
     Every estimate is the point alone, computed as the public estimator
@@ -266,58 +277,33 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
     check_level(level)
     _require_logistic(fit)
 
-    def estimate(name: str, beta: np.ndarray, data: Dataset) -> float:
+    def point(name: str, beta: np.ndarray, data: Dataset) -> float:
         # the point alone, from the rows the public estimator reads; the
         # delta-method SE is of no use here
-        if name == "CPR":
-            rows = _conditioning_point(data, at), _ONE_ROW_WEIGHT
-        else:
-            sample = _distinct_rows(data)
-            rows = sample.X, sample.weights
-        p1, p0, _, _ = _arms(beta, *rows)
+        p1, p0, _, _ = _arms(beta, *_population(name, data, at))
         return p1 / p0
 
-    results: dict[str, PrEstimate | Exception] = {}
-    full: dict[str, float] = {}
-    for name in estimators:
-        try:
-            full[name] = estimate(name, fit.beta, ds)
-        except PrevRatioError as exc:
-            results[name] = exc
-    if not full:
+    full = {name: _outcome(point, name, fit.beta, ds) for name in estimators}
+    results = {name: v for name, v in full.items() if isinstance(v, PrevRatioError)}
+    names = [name for name in estimators if name not in results]
+    if not names:
         return results
 
-    def replicates(part: range) -> tuple[dict[str, list[float]], dict[str, Counter]]:
-        draws: dict[str, list[float]] = {name: [] for name in full}
-        failures: dict[str, Counter] = {name: Counter() for name in full}
-        for r in part:
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-            counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
-            data = ds.frequency_weighted(counts)
-            try:
-                refit = fit_glm(data, "binomial-logit", beta0=fit.beta)
-            except PrevRatioError as exc:
-                for name in full:
-                    failures[name][type(exc).__name__] += 1
-                continue
-            for name in full:
-                try:
-                    draws[name].append(estimate(name, refit.beta, data))
-                except PrevRatioError as exc:
-                    failures[name][type(exc).__name__] += 1
-        return draws, failures
+    def replicate(r: int) -> dict[str, float | PrevRatioError]:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
+        data = ds.frequency_weighted(counts)
+        refit = fit_glm(data, "binomial-logit", beta0=fit.beta)
+        return {name: _outcome(point, name, refit.beta, data) for name in names}
 
-    # each part's draws in replicate order, so the joined draws are the serial ones
-    draws: dict[str, list[float]] = {name: [] for name in full}
-    failures: dict[str, Counter] = {name: Counter() for name in full}
-    for part_draws, part_failures in _fork_map(replicates, range(reps)):
-        for name in full:
-            draws[name] += part_draws[name]
-            failures[name].update(part_failures[name])
-
-    for name, point in full.items():
-        n_failed = sum(failures[name].values())
-        reasons = dict(sorted(failures[name].items()))
+    # each replicate's outcome: a failed refit, or each estimator's point or
+    # error; the parts come back in replicate order, so the draws are the serial ones
+    outcomes = [outcome for part in _fork_map(
+        lambda part: [_outcome(replicate, r) for r in part], range(reps)) for outcome in part]
+    for name in names:
+        mine = [o if isinstance(o, PrevRatioError) else o[name] for o in outcomes]
+        reasons = _failure_reasons(mine)
+        n_failed = sum(reasons.values())
         if n_failed > 0.2 * reps:
             results[name] = NonConvergenceError(
                 f"{n_failed} of {reps} bootstrap replicates failed "
@@ -325,8 +311,9 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
                 "resampling is unstable on this dataset"
             )
             continue
+        draws = np.array([v for v in mine if not isinstance(v, PrevRatioError)])
         try:
-            interval = _percentile_interval(point, np.array(draws[name]), level)
+            interval = _percentile_interval(full[name], draws, level)
         except PrevRatioError as exc:
             results[name] = exc
             continue

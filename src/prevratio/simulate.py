@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from statistics import _normal_dist_inv_cdf
 from typing import Any, Mapping, Sequence
@@ -22,7 +21,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, INTERCEPT_NAME, ModelSpec, _read_only, covariate_means
-from .errors import InvalidArgumentError, PrevRatioError
+from .errors import InvalidArgumentError, PrevRatioError, _failure_reasons
 from .glm import expit
 from .methods import METHODS, block_fits, estimate
 from .parallel import _fork_map
@@ -204,18 +203,7 @@ class StudyReport:
                 "beta_z": self.config.beta_z,
             },
             "truth": dict(self.truth),
-            "methods": [
-                {
-                    "method": s.method,
-                    "n_ok": s.n_ok,
-                    "n_failed": s.n_failed,
-                    "mean_estimate": s.mean_estimate,
-                    "empirical_se": s.empirical_se,
-                    "mean_ci_width": s.mean_ci_width,
-                    "coverage": s.coverage,
-                }
-                for s in self.summaries
-            ],
+            "methods": [asdict(s) for s in self.summaries],
             "replicate_estimates": {m: list(v) for m, v in
                                     self.replicate_estimates.items()},
             "replicate_true_cpr": list(self.replicate_true_cpr),
@@ -322,42 +310,32 @@ def replication_study(cfg: ToyConfig, reps: int,
     mpr_truth = true_marginal_pr(coeffs)
     por_truth = math.exp(coeffs[1])
 
-    points: dict[str, list] = {m: [] for m in methods}
-    widths: dict[str, list] = {m: [] for m in methods}
-    covered: dict[str, list] = {m: [] for m in methods}
-    failures: dict[str, Counter] = {m: Counter() for m in methods}
-    cpr_truths = []
-
     blocks = [range(start, min(start + _BLOCK_SIZE, reps))
               for start in range(0, reps, _BLOCK_SIZE)]
-    parts = _fork_map(lambda part: _study_rows(cfg, part, methods, level), blocks)
-    for part in parts:
-        for zbar, estimates in part:
-            truths = {"cpr": true_conditional_pr(coeffs, zbar), "mpr": mpr_truth,
-                      "por": por_truth}
-            cpr_truths.append(truths["cpr"])
-            for m, interval in estimates.items():
-                if isinstance(interval, PrevRatioError):
-                    points[m].append(None)
-                    failures[m][type(interval).__name__] += 1
-                    continue
-                target = truths[METHODS[m].target]
-                points[m].append(interval.point)
-                widths[m].append(interval.width)
-                covered[m].append(interval.lower <= target <= interval.upper)
+    rows = [row for part in _fork_map(lambda part: _study_rows(cfg, part, methods, level),
+                                      blocks) for row in part]
+    cpr_truths = [true_conditional_pr(coeffs, zbar) for zbar, _ in rows]
+    # each replicate's truth by target
+    truths = {"cpr": cpr_truths, "mpr": [mpr_truth] * reps, "por": [por_truth] * reps}
 
-    summaries = []
+    summaries, points, failure_reasons = [], {}, {}
     for m in methods:
-        ok = [p for p in points[m] if p is not None]
+        # each replicate's interval, or the error that stopped it
+        outcomes = [intervals[m] for _, intervals in rows]
+        ok = [(interval, truth) for interval, truth in zip(outcomes, truths[METHODS[m].target])
+              if not isinstance(interval, PrevRatioError)]
+        estimates = [interval.point for interval, _ in ok]
         n_ok = len(ok)
+        points[m] = tuple(None if isinstance(o, PrevRatioError) else o.point for o in outcomes)
+        failure_reasons[m] = _failure_reasons(outcomes)
         summaries.append(MethodSummary(
             method=m,
             n_ok=n_ok,
             n_failed=reps - n_ok,
-            mean_estimate=float(np.mean(ok)) if n_ok else None,
-            empirical_se=float(np.std(ok, ddof=1)) if n_ok > 1 else None,
-            mean_ci_width=float(np.mean(widths[m])) if n_ok else None,
-            coverage=float(np.mean(covered[m])) if n_ok else None,
+            mean_estimate=float(np.mean(estimates)) if n_ok else None,
+            empirical_se=float(np.std(estimates, ddof=1)) if n_ok > 1 else None,
+            mean_ci_width=float(np.mean([iv.width for iv, _ in ok])) if n_ok else None,
+            coverage=float(np.mean([iv.lower <= t <= iv.upper for iv, t in ok])) if n_ok else None,
         ))
 
     truth = {
@@ -374,7 +352,7 @@ def replication_study(cfg: ToyConfig, reps: int,
         methods=methods,
         truth=truth,
         summaries=tuple(summaries),
-        replicate_estimates={m: tuple(points[m]) for m in methods},
+        replicate_estimates=points,
         replicate_true_cpr=tuple(cpr_truths),
-        failure_reasons={m: dict(sorted(failures[m].items())) for m in methods},
+        failure_reasons=failure_reasons,
     )

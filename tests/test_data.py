@@ -66,11 +66,23 @@ class TestDataset:
             self.make(weights=np.array([1.0, np.inf, 1.0]))
 
     def test_frequency_weighted_keeps_drawn_rows(self):
-        ds = self.make(weights=np.array([1.0, 2.0, 3.0]))
+        # z is not 0/1, so there is no pattern table: the resample is the drawn rows
+        ds = self.make(X=np.column_stack([np.ones(3), [1.0, 0.0, 1.0], [0.5, 1.0, 2.0]]),
+                       column_names=(INTERCEPT_NAME, "x", "z"),
+                       weights=np.array([1.0, 2.0, 3.0]))
         sub = ds.frequency_weighted(np.array([2, 0, 1]))
         assert np.array_equal(sub.y, [1.0, 1.0])
         assert np.array_equal(sub.X, ds.X[[0, 2]])
         assert np.array_equal(sub.weights, [2.0, 3.0])
+        assert sub.column_names == ds.column_names
+
+    def test_frequency_weighted_draws_patterns_of_a_binary_design(self):
+        # rows 0 and 2 share their pattern, the one drawn: it is weighted 1 * 2 + 3 * 1
+        ds = self.make(weights=np.array([1.0, 2.0, 3.0]))
+        sub = ds.frequency_weighted(np.array([2, 0, 1]))
+        assert np.array_equal(sub.y, [1.0])
+        assert np.array_equal(sub.X, [[1.0, 1.0]])
+        assert np.array_equal(sub.weights, [5.0])
         assert sub.column_names == ds.column_names
 
     def test_name_count_must_match(self):

@@ -136,11 +136,41 @@ def test_one_pattern_table():
     # the dataset's cached table is the one place that keys, sorts or packs rows
     assert referrers("_pattern_table") == {"data.Dataset._patterns"}
     assert referrers("lexsort") | referrers("packbits") == {"data._pattern_table"}
-    # the fits, the 2x2 tables, MPR and the resamples read it
+    # the fits, the 2x2 tables, the resamples, the covariate means and MPR read it
     assert {"glm.fit_glm", "methods.block_fits", "classical.stratified_from_dataset",
             "data.Dataset.frequency_weighted", "data._distinct_rows"} <= referrers("_patterns")
-    assert {"classical.crude_table", "ratios.marginal_pr",
-            "ratios.bootstrap_prs"} <= referrers("_distinct_rows")
+    assert referrers("_distinct_rows") == {"classical.crude_table", "data.covariate_means",
+                                           "ratios._population"}
+
+
+def test_one_row_choice_for_cpr_and_mpr():
+    # _population alone picks the rows CPR and MPR average over, for the
+    # estimators and the bootstrap alike
+    assert referrers("_conditioning_point") == {"ratios._population"}
+    assert {"ratios.conditional_pr", "ratios.marginal_pr",
+            "ratios.bootstrap_prs"} <= referrers("_population")
+    tree = ast.parse((Path(prevratio.__file__).parent / "ratios.py").read_text())
+    branches = {top.name for top in tree.body for node in ast.walk(top)
+                if isinstance(node, ast.Compare) and any(
+                    getattr(n, "value", None) in ("CPR", "MPR") for n in ast.walk(node))}
+    assert branches == {"_population"}
+
+
+def test_one_failure_count():
+    # the bootstrap and the study count failed replicates in one place
+    assert referrers("Counter") == {"errors._failure_reasons"}
+    assert {"ratios.bootstrap_prs", "simulate.replication_study"} <= referrers("_failure_reasons")
+
+
+def test_no_instance_dict_writes():
+    # a cached property fills itself; no code stores into an instance's __dict__
+    writes = [node for path in Path(prevratio.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+              and getattr(node.value, "attr", None) == "__dict__"
+              or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "attr", None) == "__dict__"]
+    assert writes == []
 
 
 def test_one_csv_parse():

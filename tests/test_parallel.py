@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import prevratio
-from prevratio import ToyConfig, bootstrap_prs, errors, fit_glm, parallel, replication_study
+from prevratio import (ToyConfig, bootstrap_prs, errors, fit_glm, methods, parallel,
+                       replication_study)
 from prevratio.errors import (DataError, DegenerateDenominatorError, InvalidArgumentError,
                               NonConvergenceError, NonIdentifiableError, PrevRatioError,
                               RankDeficientError)
@@ -158,12 +159,17 @@ ALL_METHODS = ("RobustPoisson", "LogBinomial", "POR", "CPR", "MPR", "Schouten", 
     # the error must come back with its type and message
     (ToyConfig(baseline_prevalence=0.40, pr_at_z0=2.2, beta_z=1.0, n=1000, seed=3), True),
 ], ids=["all-fit", "log-binomial-fails"])
-def test_block_fits_same_bits_for_any_worker_count(workers, cfg, log_binomial_fails):
+def test_block_fits_same_bits_for_any_worker_count(workers, monkeypatch, cfg,
+                                                   log_binomial_fails):
     ds = prevratio.simulate_toy(cfg)
+    monkeypatch.setattr(methods, "_FORK_SIZE", 0)  # so that this small design forks too
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     runs = []
     for k in (1, 2, 3):
         workers(k)
         runs.append(block_fits([ds], ALL_METHODS))
+    assert len(forks) == 0 + 1 + 2
     kinds = ["poisson-log", "binomial-log", "binomial-logit", "Schouten"]
     for run in runs:
         assert list(run) == kinds
@@ -182,6 +188,16 @@ def test_block_fits_same_bits_for_any_worker_count(workers, cfg, log_binomial_fa
                 assert str(other) == str(first)
     assert isinstance(runs[0]["binomial-log"][0], NonConvergenceError) == log_binomial_fails
     assert_no_children()
+
+
+def test_block_fits_of_a_small_design_fork_no_worker(workers, monkeypatch):
+    def fork():
+        pytest.fail("the fits of a small design forked a child process")
+    workers(2)
+    monkeypatch.setattr(os, "fork", fork)
+    ds = prevratio.simulate_toy(ToyConfig(n=1000, seed=5))
+    assert ds.X.size < methods._FORK_SIZE
+    assert all(len(fits) == 1 for fits in block_fits([ds], ALL_METHODS).values())
 
 
 def all_error_classes():

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from prevratio import (INTERCEPT_NAME, Dataset, FitResult, PrevRatioError, bootstrap_prs,
-                       crude_table, data, fit_glm, stratified_from_dataset)
+                       crude_table, fit_glm, stratified_from_dataset)
 from prevratio.classical import _schouten_response
 from prevratio.glm import _POLISH_STEPS, DEVIANCE_TOL, expit, fit_stack
 from prevratio.methods import block_fits
@@ -253,16 +253,20 @@ class TestBootstrap:
             runs.append([(est.interval, est.metadata["failure_reasons"]) for est in out.values()])
         assert runs[0] == runs[1] == runs[2]
 
-    def test_resample_table_is_the_one_it_would_build(self, monkeypatch):
-        ds = binary_dataset(np.random.default_rng(6), 3000, 4, weighted=True)
-        counts = np.bincount(np.random.default_rng(0).integers(0, ds.n, size=ds.n),
+    @settings(max_examples=60, deadline=None)
+    @given(designs(), st.integers(0, 2**32 - 1))
+    def test_resample_table_is_the_one_it_would_build(self, ds, seed):
+        # the resample is the table that the drawn rows, repeated by count, build
+        counts = np.bincount(np.random.default_rng(seed).integers(0, ds.n, size=ds.n),
                              minlength=ds.n)
-        ds._patterns
-        with monkeypatch.context() as patch:  # the resample's table comes with it
-            patch.setattr(data, "_pattern_table", None)
-            sub = ds.frequency_weighted(counts)
-            table = sub._patterns
-        fresh = Dataset(y=sub.y, X=sub.X, column_names=sub.column_names, weights=sub.weights)
-        for a, b in zip(table, fresh._patterns):
-            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("y", "X", "weights")
-                       ) if isinstance(a, Dataset) else np.array_equal(a, b)
+        keep = np.flatnonzero(counts)
+        drawn = Dataset(y=ds.y[keep], X=ds.X[keep], column_names=ds.column_names,
+                        weights=ds.weights[keep] * counts[keep])
+        table = drawn._patterns.rows
+        sub = ds.frequency_weighted(counts)
+        for f in ("y", "X", "weights"):
+            assert getattr(sub, f).tobytes() == getattr(table, f).tobytes()
+        assert sub.column_names == ds.column_names
+        # and its own table is itself
+        assert np.array_equal(sub._patterns.index, np.arange(sub.n))
+        assert sub._patterns.rows.weights.tobytes() == sub.weights.tobytes()
