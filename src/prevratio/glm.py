@@ -13,7 +13,10 @@ strictly below one. Convergence uses the relative deviance change
 iterations. After the criterion fires, up to two extra guarded Newton steps
 polish the optimum: the deviance rule certifies the step *before* last, so
 the polish buys several more correct digits in beta at negligible cost
-(saturated-model identities downstream rely on that precision).
+(saturated-model identities downstream rely on that precision). The polish
+stops early at a step that moves the deviance by at most 4 units in its
+last place, a change of rounding size; so a fit takes the same steps
+whichever order its rows are summed in.
 
 :func:`fit_stack` runs these rules on a stack of same-shape problems at
 once, each problem with its own masks, iterations and errors; resampling
@@ -21,18 +24,19 @@ loops use it to spread numpy's per-call overhead over many small fits.
 :func:`fit_glm` is the same kernel on a stack of one. On a dataset with
 a pattern table (every design column 0/1) it fits the distinct rows with
 their summed weights, which have the same likelihood, and gives the
-fitted prevalences back row by row.
+fitted prevalences back row by row. A bootstrap refit runs the Newton loop
+alone, from a one-step estimate, and reads only the coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, _Patterns
+from .data import Dataset, _distinct_rows, _Patterns
 from .errors import (InvalidArgumentError, NonConvergenceError, NonIdentifiableError,
                      PrevRatioError, RankDeficientError)
 from .linalg import (cholesky_stack, gram_stack, inverse_from_factor, matvec_stack,
@@ -42,6 +46,8 @@ MAX_ITERATIONS = 100
 DEVIANCE_TOL = 1e-8
 _MAX_HALVINGS = 20
 _POLISH_STEPS = 2
+# a polish step that moves the deviance by at most this many ulps ends the polish
+_POLISH_ULPS = 4
 # accepted steps may not increase deviance beyond float-noise slack
 _DEV_SLACK = 1e-11
 # log link feasibility: mu < 1 - 1e-10, i.e. eta <= log(1 - 1e-10)
@@ -170,20 +176,24 @@ def _collinear(column_names: tuple[str, ...], column: int) -> NonIdentifiableErr
     return err
 
 
-def _newton_direction(fam: _Family, X, y, w, eta) -> tuple[np.ndarray, np.ndarray]:
-    """The IRLS step of each problem, and its status: _ACCEPTED or a bad column.
-
-    The step is the score form (X'WX)^-1 X'(w (y - mu) s(mu)), with
-    s = irls_weight * dlink/dmu, so no link derivative is divided by. A
-    problem whose X'WX is rank deficient gets the column as its status and
-    a step of no use.
-    """
-    mu = fam.inverse_link(eta)
+def _score(fam: _Family, X, y, w, mu) -> np.ndarray:
+    """X'(w (y - mu) s(mu)) of each problem, with s = irls_weight * dlink/dmu."""
     score = y - mu
     score *= w
     if fam.score_scale is not None:
         score *= fam.score_scale(mu)
-    rhs = rmatvec_stack(X, score)[..., None]
+    return rmatvec_stack(X, score)
+
+
+def _newton_direction(fam: _Family, X, y, w, eta) -> tuple[np.ndarray, np.ndarray]:
+    """The IRLS step of each problem, and its status: _ACCEPTED or a bad column.
+
+    The step is the score form (X'WX)^-1 X'(w (y - mu) s(mu)), so no link
+    derivative is divided by. A problem whose X'WX is rank deficient gets
+    the column as its status and a step of no use.
+    """
+    mu = fam.inverse_link(eta)
+    rhs = _score(fam, X, y, w, mu)[..., None]
     L, status = cholesky_stack(gram_stack(X, w * fam.irls_weight(mu)))
     if (status >= 0).any():
         L[status >= 0] = np.eye(L.shape[-1])  # a stand-in, so the stack solves
@@ -219,29 +229,30 @@ def _newton_step(fam: _Family, X, y, w, beta, eta, dev):
     return status, cand, eta_new, dev_new
 
 
-def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
-              column_names: tuple[str, ...], *,
-              beta0: np.ndarray | None = None) -> list[FitResult | PrevRatioError]:
-    """Fit ``family_link`` by IRLS to every problem of a stack at once.
+class _Newton(NamedTuple):
+    """Where the Newton loop left each problem of a stack."""
 
-    ``X`` is (R, n, p), ``y`` and ``weights`` are (R, n), and ``beta0``,
-    if given, is (R, p). Every problem keeps its own step halving,
-    convergence test, polish steps, iteration count and deviance path, as
-    if fitted alone, and gets its own result: a FitResult, or the
-    NonConvergenceError or NonIdentifiableError that stopped it. Weights
-    may be zero, so rows that only pad problems to one length count for
-    nothing. This is the IRLS implementation behind :func:`fit_glm`.
-    """
+    errors: list  # the error that stopped each problem, or None
+    beta: np.ndarray
+    eta: np.ndarray
+    dev: np.ndarray
+    iterations: np.ndarray
+    paths: list  # each problem's deviances, one per accepted step after the start
+
+
+def _irls(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
+          column_names: tuple[str, ...], beta0: np.ndarray | None) -> _Newton:
+    """The Newton loop of :func:`fit_stack`: its start checks, steps, tests and polish."""
     if family_link not in _FAMILIES:
         raise InvalidArgumentError(f"unknown family/link {family_link!r}")
     fam = _FAMILIES[family_link]
     R, _, p = X.shape
-    results: list = [None] * R
+    errors: list = [None] * R
 
     ybar = np.sum(y * weights, axis=-1) / np.sum(weights, axis=-1)
     done = ~((ybar > 0.0) & (ybar < 1.0))
     for i in np.flatnonzero(done):
-        results[i] = NonConvergenceError(
+        errors[i] = NonConvergenceError(
             f"outcome has no variation (weighted mean {ybar[i]:g}); coefficients diverge"
         )
     if beta0 is None:
@@ -263,7 +274,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
     polish = np.full(R, -1)  # polish steps left once converged; -1 while iterating
 
     def fail(i: int, err: PrevRatioError) -> None:
-        results[i] = err
+        errors[i] = err
         done[i] = True
 
     while True:
@@ -307,20 +318,28 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
         polish[i_tested[converged]] = _POLISH_STEPS
 
         # polishing: stop at a failed step (weights can degenerate once
-        # converged), at an unchanged deviance, or after the last step
+        # converged), at a deviance change of rounding size, or after the last step
         done[act[~iterating & ~accepted]] = True
         i_polished = acc[~tested]
         iterations[i_polished] += 1
         polish[i_polished] -= 1
-        done[i_polished[(dev[i_polished] == previous[~tested])
-                        | (polish[i_polished] == 0)]] = True
+        settled = (np.abs(dev[i_polished] - previous[~tested])
+                   <= _POLISH_ULPS * np.spacing(np.abs(dev[i_polished])))
+        done[i_polished[settled | (polish[i_polished] == 0)]] = True
+    return _Newton(errors, beta, eta, dev, iterations, paths)
 
+
+def _finish(X: np.ndarray, weights: np.ndarray, family_link: str,
+            column_names: tuple[str, ...], newton: _Newton) -> list[FitResult | PrevRatioError]:
+    """Each problem's FitResult, with its fitted mu and covariance, or the error that stopped it."""
+    fam = _FAMILIES[family_link]
+    results = list(newton.errors)
     fitted = np.flatnonzero([r is None for r in results])
     if fitted.size:
-        sub = slice(None) if fitted.size == R else fitted
-        mu = fam.inverse_link(eta[sub])
+        sub = slice(None) if fitted.size == len(results) else fitted
+        mu = fam.inverse_link(newton.eta[sub])
         L, bad = cholesky_stack(gram_stack(X[sub], weights[sub] * fam.irls_weight(mu)))
-        L[bad >= 0] = np.eye(p)
+        L[bad >= 0] = np.eye(X.shape[-1])
         vcov = inverse_from_factor(L)
         for j, i in enumerate(fitted):
             if bad[j] >= 0:
@@ -328,24 +347,43 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
                 continue
             results[i] = FitResult(
                 family_link=family_link,
-                beta=beta[i].copy(),
+                beta=newton.beta[i].copy(),
                 vcov=vcov[j],
-                iterations=int(iterations[i]),
-                deviance=float(dev[i]),
+                iterations=int(newton.iterations[i]),
+                deviance=float(newton.dev[i]),
                 column_names=column_names,
                 fitted=mu[j],
-                deviance_path=tuple(paths[i]),
+                deviance_path=tuple(newton.paths[i]),
             )
     return results
+
+
+def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
+              column_names: tuple[str, ...], *,
+              beta0: np.ndarray | None = None) -> list[FitResult | PrevRatioError]:
+    """Fit ``family_link`` by IRLS to every problem of a stack at once.
+
+    ``X`` is (R, n, p), ``y`` and ``weights`` are (R, n), and ``beta0``,
+    if given, is (R, p). Every problem keeps its own step halving,
+    convergence test, polish steps, iteration count and deviance path, as
+    if fitted alone, and gets its own result: a FitResult, or the
+    NonConvergenceError or NonIdentifiableError that stopped it. The
+    polish ends after ``_POLISH_STEPS`` steps, or sooner at a step that
+    changes the deviance by at most ``_POLISH_ULPS`` units in its last
+    place. Weights may be zero, so rows that only pad problems to one
+    length count for nothing. This is the IRLS implementation behind
+    :func:`fit_glm`; :func:`_refit` runs its Newton loop alone.
+    """
+    return _finish(X, weights, family_link, column_names,
+                   _irls(X, y, weights, family_link, column_names, beta0))
 
 
 def fit_glm(ds: Dataset, family_link: str, *, beta0: np.ndarray | None = None) -> FitResult:
     """Maximum-likelihood fit of ``family_link`` to ``ds`` via IRLS.
 
     ``beta0`` starts the iteration from given coefficients instead of the
-    intercept-only start; resampling loops pass the full-data estimate,
-    which is close to every replicate's optimum. Its linear predictor must
-    be feasible for the family.
+    intercept-only start, such as a fit to similar data, which is close to
+    this one's optimum. Its linear predictor must be feasible for the family.
 
     Raises NonIdentifiableError for collinear designs and
     NonConvergenceError when the iteration limit is hit or no feasible
@@ -359,6 +397,29 @@ def fit_glm(ds: Dataset, family_link: str, *, beta0: np.ndarray | None = None) -
     if isinstance(result, PrevRatioError):
         raise result
     return _on_rows(result, patterns)
+
+
+def _refit(fit: FitResult, ds: Dataset) -> np.ndarray:
+    """The coefficients of ``fit``'s model on ``ds``, a resample of the data ``fit`` fits.
+
+    The Newton loop starts at the one-step estimate beta + vcov U(beta),
+    with beta and vcov from ``fit`` and U the score on the resample's own
+    (distinct) rows; a start that is not finite falls back to beta. It
+    runs to the resample's maximum-likelihood estimate as :func:`fit_glm`
+    does, but computes neither the fitted mu nor the covariance. Raises
+    the error that stops the loop, as fit_glm does.
+    """
+    fam = _FAMILIES[fit.family_link]
+    rows = _distinct_rows(ds)
+    mu = fam.inverse_link(matvec_stack(rows.X, fit.beta))
+    start = fit.beta + fit.vcov @ _score(fam, rows.X, rows.y, rows.weights, mu)
+    if not np.isfinite(start).all():
+        start = fit.beta
+    newton = _irls(rows.X[None], rows.y[None], rows.weights[None], fit.family_link,
+                   fit.column_names, start[None])
+    if newton.errors[0] is not None:
+        raise newton.errors[0]
+    return newton.beta[0]
 
 
 def _on_rows(result: FitResult | PrevRatioError,

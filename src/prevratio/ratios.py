@@ -31,7 +31,7 @@ import numpy as np
 from .data import Dataset, EXPOSURE_COL, _distinct_rows, covariate_means
 from .errors import (DegenerateDenominatorError, InvalidArgumentError, NonConvergenceError,
                      PrevRatioError, _failure_reasons, _outcome)
-from .glm import FitResult, expit, fit_glm
+from .glm import FitResult, _refit, expit
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
 from .variance import IntervalEstimate, check_level, ratio_interval
@@ -251,8 +251,11 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
     depend on execution order; the replicates run on every available CPU
     and the result is bit for bit the same for any number of them. Each
     resample, :meth:`Dataset.frequency_weighted` of its draw counts, is
-    refitted once, starting from ``fit``'s coefficients, and every
-    requested estimator is read off that one refit.
+    refitted once, and every requested estimator is read off that one
+    refit. A refit starts at the one-step estimate beta + vcov U(beta),
+    from ``fit``'s coefficients and covariance and the score U on the
+    resample's own rows, and runs to the resample's maximum-likelihood
+    estimate; it computes the coefficients only, no covariance.
 
     Every estimate is the point alone, computed as the public estimator
     computes it, so none fails on a delta-method SE it does not use. A
@@ -293,8 +296,8 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
         data = ds.frequency_weighted(counts)
-        refit = fit_glm(data, "binomial-logit", beta0=fit.beta)
-        return {name: _outcome(point, name, refit.beta, data) for name in names}
+        beta = _refit(fit, data)
+        return {name: _outcome(point, name, beta, data) for name in names}
 
     # each replicate's outcome: a failed refit, or each estimator's point or
     # error; the parts come back in replicate order, so the draws are the serial ones

@@ -8,8 +8,8 @@ import warnings
 
 import pytest
 
-from prevratio import ToyConfig, cli, fit_glm, methods, ratios, simulate_toy, write_csv
-from prevratio.glm import fit_stack
+from prevratio import ToyConfig, cli, glm, methods, ratios, simulate_toy, write_csv
+from prevratio.glm import _irls, _refit
 from prevratio.cli import DEFAULT_ESTIMATE_METHODS, main, render_payload
 
 
@@ -176,10 +176,10 @@ class TestEstimate:
     def test_boot_fits_each_resample_once(self, capsys, toy_csv, monkeypatch, one_worker):
         families = []
 
-        def counting_fit(ds, family_link, **kwargs):
-            families.append(family_link)
-            return fit_glm(ds, family_link, **kwargs)
-        monkeypatch.setattr(ratios, "fit_glm", counting_fit)
+        def counting_refit(fit, ds):
+            families.append(fit.family_link)
+            return _refit(fit, ds)
+        monkeypatch.setattr(ratios, "_refit", counting_refit)
         boot = ("--boot", "150", "--format", "json")
         _, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
         assert families.count("binomial-logit") == 150
@@ -196,11 +196,11 @@ class TestEstimate:
         # each fit appends a line, so the children's fits are counted too
         log = tmp_path / "fits"
 
-        def counting_fit(ds, family_link, **kwargs):
+        def counting_refit(fit, ds):
             with open(log, "a") as fh:
-                fh.write(family_link + "\n")
-            return fit_glm(ds, family_link, **kwargs)
-        monkeypatch.setattr(ratios, "fit_glm", counting_fit)
+                fh.write(fit.family_link + "\n")
+            return _refit(fit, ds)
+        monkeypatch.setattr(ratios, "_refit", counting_refit)
         workers(2)
         boot = ("--boot", "150", "--format", "json")
         _, out, _ = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr", *boot)
@@ -210,18 +210,14 @@ class TestEstimate:
         assert out == serial
 
     def test_boot_reuses_the_full_data_fit(self, capsys, toy_csv, monkeypatch, one_worker):
+        # every Newton loop that starts cold is a full-data fit
         full_fits = []
 
-        def counting_stack(X, y, w, family_link, *args, **kwargs):
-            full_fits.append(family_link)
-            return fit_stack(X, y, w, family_link, *args, **kwargs)
-
-        def counting_fit(ds, family_link, **kwargs):
-            if kwargs.get("beta0") is None:
+        def counting_loop(X, y, w, family_link, column_names, beta0):
+            if beta0 is None:
                 full_fits.append(family_link)
-            return fit_glm(ds, family_link, **kwargs)
-        monkeypatch.setattr(methods, "fit_stack", counting_stack)
-        monkeypatch.setattr(ratios, "fit_glm", counting_fit)
+            return _irls(X, y, w, family_link, column_names, beta0)
+        monkeypatch.setattr(glm, "_irls", counting_loop)
         boot = ("--boot", "100", "--format", "json")
         _, out, _ = run_estimate(capsys, toy_csv, "--methods", "por,cpr,mpr", *boot)
         assert full_fits == ["binomial-logit"]
@@ -309,9 +305,9 @@ class TestEstimate:
         assert code == 1
         assert [(r["method"], r["status"]) for r in rows] == [
             ("CPR", "failed"), ("MPR", "failed"), ("POR", "failed")]
-        assert rows[0]["notes"].startswith("57 of 100 bootstrap replicates failed")
+        assert rows[0]["notes"].startswith("65 of 100 bootstrap replicates failed")
         assert rows[1]["notes"] == (
-            "the percentile bootstrap interval (2.51061e+10, 2.83681e+11) leaves out the "
+            "the percentile bootstrap interval (9.11261e+09, 3.2358e+11) leaves out the "
             "full-data estimate 3.94047e+08; the fit looks separated")
         assert rows[2]["notes"].startswith("the log-scale standard error")
 

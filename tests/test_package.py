@@ -122,14 +122,16 @@ def referrers(name: str) -> set[str]:
 def test_one_fit_path():
     # the registry builds every estimator's fit; only the bootstrap refits its resamples
     assert referrers("fit_stack") == {"glm.fit_glm", "methods.block_fits"}
-    assert referrers("fit_glm") == {"ratios.bootstrap_prs"}
-    # and each refit starts from a fit it was handed: no fit_glm call starts cold
+    assert referrers("fit_glm") == set()
+    assert referrers("_refit") == {"ratios.bootstrap_prs"}
+    # one Newton loop: fit_stack runs it and then its finish, a refit runs it alone
+    assert referrers("_irls") == {"glm.fit_stack", "glm._refit"}
+    assert referrers("_finish") == {"glm.fit_stack"}
+    # and each refit starts from the fit it was handed: its one call passes it on
     calls = [node for path in Path(prevratio.__file__).parent.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call)
-             and "fit_glm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert calls
-    assert all("beta0" in (kw.arg for kw in call.keywords) for call in calls)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refit"]
+    assert [ast.unparse(call) for call in calls] == ["_refit(fit, data)"]
 
 
 def test_one_pattern_table():
@@ -139,8 +141,9 @@ def test_one_pattern_table():
     # the fits, the 2x2 tables, the resamples, the covariate means and MPR read it
     assert {"glm.fit_glm", "methods.block_fits", "classical.stratified_from_dataset",
             "data.Dataset.frequency_weighted", "data._distinct_rows"} <= referrers("_patterns")
+    # the refits start on the resample's own rows, its drawn patterns when tabled
     assert referrers("_distinct_rows") == {"classical.crude_table", "data.covariate_means",
-                                           "ratios._population"}
+                                           "glm._refit", "ratios._population"}
 
 
 def test_one_row_choice_for_cpr_and_mpr():
@@ -205,4 +208,6 @@ def test_one_exposure_contrast():
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "expit"}
     assert callers == {"_arms"}
     assert {"ratios._contrast", "ratios.bootstrap_prs"} <= referrers("_arms")
+    # a refit's one-step start reads the score of glm's Newton step, in glm
+    assert referrers("_score") == {"glm._newton_direction", "glm._refit"}
     assert {"ratios.conditional_pr", "ratios.marginal_pr"} <= referrers("_contrast")

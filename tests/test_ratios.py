@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from prevratio import (Dataset, DegenerateDenominatorError, FitResult,
                        conditional_pr, crude_pr, fit_glm, log_binomial_pr,
                        marginal_pr, prevalence_odds_ratio, robust_poisson_pr,
                        simulate_toy)
-from prevratio import ratios
+from prevratio import glm, ratios
+from prevratio.glm import _finish, _irls, _refit
+from prevratio.linalg import matvec_stack, rmatvec_stack
 from prevratio.ratios import _percentile_interval
 from conftest import table_dataset, random_logistic_dataset
 
@@ -103,7 +106,7 @@ class TestConditionalPr:
 
         def no_refit(*args, **kwargs):
             raise AssertionError("the level is checked before any fit")
-        monkeypatch.setattr(ratios, "fit_glm", no_refit)
+        monkeypatch.setattr(ratios, "_refit", no_refit)
         with pytest.raises(InvalidArgumentError, match=message):
             bootstrap_prs(fit, toy_ds, ("CPR", "MPR"), 100, seed=0, level=level)
 
@@ -456,6 +459,12 @@ def resample_of(ds, seed, replicates):
     return lambda data: data is not ds and data.weights.tobytes() in keys
 
 
+def one_step_start(full, X, y, w):
+    """A refit's start: the full-data beta plus vcov times the score on the rows X, y, w."""
+    mu = glm.expit(matvec_stack(X, full.beta))
+    return full.beta + full.vcov @ rmatvec_stack(X, w * (y - mu))
+
+
 class TestSharedBootstrap:
     @pytest.mark.parametrize("seed", [2, 11])
     def test_matches_row_copy_refits(self, toy_ds, seed):
@@ -479,7 +488,8 @@ class TestSharedBootstrap:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
             counts = np.bincount(rng.integers(0, toy_ds.n, size=toy_ds.n), minlength=toy_ds.n)
             data = toy_ds.frequency_weighted(counts)
-            fit = fit_glm(data, "binomial-logit", beta0=full.beta)
+            fit = fit_glm(data, "binomial-logit",
+                          beta0=one_step_start(full, data.X, data.y, data.weights))
             for name, fn in estimate.items():
                 draws[name].append(fn(fit, data))
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=seed)
@@ -512,12 +522,12 @@ class TestSharedBootstrap:
                                                          monkeypatch, one_worker):
         calls = []
 
-        def flaky_fit(ds, family_link, **kwargs):
+        def flaky_refit(fit, ds):
             calls.append(None)
             if len(calls) == 5:
                 raise NonConvergenceError("forced failure")
-            return fit_glm(ds, family_link, **kwargs)
-        monkeypatch.setattr(ratios, "fit_glm", flaky_fit)
+            return _refit(fit, ds)
+        monkeypatch.setattr(ratios, "_refit", flaky_refit)
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert len(calls) == 100
         for est in out.values():
@@ -558,11 +568,11 @@ class TestSharedBootstrap:
         workers(2)
         bad = resample_of(toy_ds, 4, {77})
 
-        def flaky_fit(ds, family_link, **kwargs):
+        def flaky_refit(fit, ds):
             if bad(ds):
                 raise NonConvergenceError("forced failure")
-            return fit_glm(ds, family_link, **kwargs)
-        monkeypatch.setattr(ratios, "fit_glm", flaky_fit)
+            return _refit(fit, ds)
+        monkeypatch.setattr(ratios, "_refit", flaky_refit)
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         for est in out.values():
             assert est.metadata["failed_replicates"] == 1
@@ -585,18 +595,50 @@ class TestSharedBootstrap:
             bootstrap_one(toy_ds, "CPR", 100, seed=4)
 
     def test_full_data_fit_passed_in(self, toy_ds, monkeypatch, one_worker):
-        # every refit starts from the passed-in fit; none starts cold
+        # every refit starts from the passed-in fit's one-step estimate; none starts cold
         full = fit_glm(toy_ds, "binomial-logit")
         expected = bootstrap_prs(full, toy_ds, ("CPR", "MPR"), 100, seed=5)
         starts = []
 
-        def counting_fit(ds, family_link, **kwargs):
-            starts.append(kwargs.get("beta0"))
-            return fit_glm(ds, family_link, **kwargs)
-        monkeypatch.setattr(ratios, "fit_glm", counting_fit)
+        def recording_loop(X, y, w, family_link, column_names, beta0):
+            starts.append((X[0], y[0], w[0], beta0))
+            return _irls(X, y, w, family_link, column_names, beta0)
+        monkeypatch.setattr(glm, "_irls", recording_loop)
         assert bootstrap_prs(full, toy_ds, ("CPR", "MPR"), 100, seed=5) == expected
         assert len(starts) == 100
-        assert all(beta0 is full.beta for beta0 in starts)
+        for X, y, w, beta0 in starts:
+            assert np.array_equal(beta0, one_step_start(full, X, y, w)[None])
+
+    def test_start_that_is_not_finite_falls_back_to_the_fit(self, toy_ds):
+        full = fit_glm(toy_ds, "binomial-logit")
+        data = toy_ds.frequency_weighted(np.arange(toy_ds.n) % 3)
+        broken = dataclasses.replace(full, vcov=np.full_like(full.vcov, np.inf))
+        assert np.array_equal(_refit(broken, data),
+                              fit_glm(data, "binomial-logit", beta0=full.beta).beta)
+        assert not np.array_equal(_refit(full, data), _refit(broken, data))
+
+    def test_refits_take_three_newton_steps_and_no_covariance(self, toy_ds, monkeypatch,
+                                                              one_worker):
+        # from the one-step start each refit takes 3 iterations (from the
+        # full-data coefficients they took 4 or 5, 430 in all), and none
+        # computes its fitted mu or covariance
+        full = fit_glm(toy_ds, "binomial-logit")
+        iterations, finishes = [], []
+
+        def counting_loop(*args):
+            newton = _irls(*args)
+            iterations.extend(newton.iterations.tolist())
+            return newton
+
+        def counting_finish(*args):
+            finishes.append(None)
+            return _finish(*args)
+        monkeypatch.setattr(glm, "_irls", counting_loop)
+        monkeypatch.setattr(glm, "_finish", counting_finish)
+        bootstrap_prs(full, toy_ds, ("CPR", "MPR"), 100, seed=9)
+        assert sum(iterations) == 300
+        assert iterations == [3] * 100
+        assert finishes == []
 
     def test_full_data_failure_is_per_estimator(self, toy_ds):
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4,
