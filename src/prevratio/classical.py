@@ -10,11 +10,11 @@ which has the same likelihood, score and information, so the model is
 fitted on the original rows with the same numbers; ``methods`` fits it
 and holds the dataset-level ``schouten_pr``.
 
-A dataset's 2x2 tables are summed from its pattern table (see
-:mod:`data`), the distinct rows with their summed weights, rather than
-from its rows. No continuity corrections are applied anywhere: a zero
-cell that makes a ratio undefined or infinite is reported as an error,
-not patched.
+``_cells`` alone codes and sums a dataset's 2x2 cells: one stratum for
+the crude table, one per covariate pattern for Mantel-Haenszel, over
+the pattern table (see :mod:`data`) when the dataset has one. No
+continuity corrections are applied anywhere: a zero cell that makes a
+ratio undefined or infinite is reported as an error, not patched.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ class StratifiedTable:
     def from_csv(cls, path) -> "StratifiedTable":
         """Read strata from a CSV with header stratum,a,b,c,d."""
         with open(path, newline="") as fh:
+            if fh.read(1) != "\ufeff":  # a leading byte-order mark names no column
+                fh.seek(0)
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError(f"{path}: empty file, expected a header row")
@@ -210,22 +212,27 @@ def _schouten_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
     })
 
 
+def _cells(rows: Dataset, stratum: np.ndarray | int) -> StratifiedTable:
+    """The 2x2 cells of ``rows`` per stratum, ``stratum`` numbering each row's from 0.
+
+    Each cell adds its rows' weights in row order; the exposure must be 0/1.
+    """
+    x = rows.X[:, EXPOSURE_COL]
+    if not np.isin(x, (0.0, 1.0)).all():
+        raise DataError("a 2x2 table needs a 0/1 exposure")
+    cell = np.where(x == 1.0, 0, 2) + (rows.y != 1.0)
+    sums = np.bincount(4 * stratum + cell, weights=rows.weights,
+                       minlength=4 * (int(np.max(stratum)) + 1))
+    return StratifiedTable(strata=tuple(tuple(row) for row in sums.reshape(-1, 4).tolist()))
+
+
 def crude_table(ds: Dataset) -> StratifiedTable:
     """Collapse a dataset with a 0/1 exposure into a single 2x2 table.
 
     Covariates are ignored; weights enter the cells as summed prior
     weights, summed over the pattern table when the dataset has one.
     """
-    rows = _distinct_rows(ds)
-    x = rows.X[:, EXPOSURE_COL]
-    if not np.isin(x, (0.0, 1.0)).all():
-        raise DataError("a 2x2 table needs a 0/1 exposure")
-    w = rows.weights
-    a = float(w[(x == 1.0) & (rows.y == 1.0)].sum())
-    b = float(w[(x == 1.0) & (rows.y == 0.0)].sum())
-    c = float(w[(x == 0.0) & (rows.y == 1.0)].sum())
-    d = float(w[(x == 0.0) & (rows.y == 0.0)].sum())
-    return StratifiedTable(strata=((a, b, c, d),))
+    return _cells(_distinct_rows(ds), 0)
 
 
 def stratified_from_dataset(ds: Dataset) -> StratifiedTable:
@@ -244,9 +251,5 @@ def stratified_from_dataset(ds: Dataset) -> StratifiedTable:
     rows = patterns.rows
     # a pattern is (covariates, exposure, outcome), so each cell of a stratum
     # is one pattern, whose weight adds its rows' weights in row order
-    stratum = np.unique(rows.X[:, EXPOSURE_COL + 1:], axis=0, return_inverse=True)[1].ravel()
-    cell = np.where(rows.X[:, EXPOSURE_COL] == 1.0, 0, 2) + (rows.y != 1.0)
-    sums = np.bincount(4 * stratum + cell, weights=rows.weights,
-                       minlength=4 * (int(stratum.max()) + 1))
-    strata = tuple(tuple(row) for row in sums.reshape(-1, 4).tolist())
-    return StratifiedTable(strata=strata)
+    return _cells(rows, np.unique(rows.X[:, EXPOSURE_COL + 1:], axis=0,
+                                  return_inverse=True)[1].ravel())

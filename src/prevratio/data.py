@@ -12,8 +12,9 @@ patterns. A dataset builds its pattern table once, on first use: the
 distinct rows as a dataset whose prior weights are the summed weights of
 their rows, and each row's pattern. The fits, the 2x2 tables, the
 covariate means, MPR's average and the bootstrap's resamples (the drawn
-patterns themselves) read it; a design with any other value has none,
-and those steps read the rows.
+patterns themselves) read it. One scan of the design, block by block,
+is the 0/1 check; a design with any other value has no table, and those
+steps read the rows.
 """
 
 from __future__ import annotations
@@ -88,8 +89,6 @@ def _frozen_array(values, ndim=1) -> np.ndarray:
 # design columns per float pattern key: with y they make 53 bits, the
 # integers a float64 holds exactly
 _KEY_COLUMNS = 52
-# rows checked before the first block: a few settle a continuous design
-_HEAD_ROWS = 16
 
 
 class _Patterns(NamedTuple):
@@ -196,23 +195,18 @@ def _distinct_rows(ds: Dataset) -> Dataset:
     return ds if ds._patterns is None else ds._patterns.rows
 
 
-def _binary(block: np.ndarray) -> bool:
-    return bool(((block == 0.0) | (block == 1.0)).all())
-
-
 def _pattern_table(ds: Dataset) -> _Patterns | None:
     """The distinct rows of ``ds``, ordered by key, when its design is all 0/1; else None.
 
-    The design is checked on its first rows, then block by block, so a
-    continuous one is turned down at once. A row's key is the binary
-    number its design columns make, the first column in the top bit, one
-    exact float key per 52 columns with y as the lowest bit of the first.
-    The keys are sorted, and the pattern weights add up their rows'
-    weights in row order.
+    The design is checked block by block, so a continuous one is turned
+    down at its first block of rows. A row's key is the binary number its
+    design columns make, the first column in the top bit, one exact float
+    key per 52 columns with y as the lowest bit of the first. The keys are
+    sorted, and the pattern weights add up their rows' weights in row order.
     """
     X, y, n = ds.X, ds.y, ds.n
-    if not (_binary(X[:_HEAD_ROWS, 1:])
-            and all(_binary(X[s:s + _BLOCK_ROWS, 1:]) for s in range(0, n, _BLOCK_ROWS))):
+    blocks = (X[s:s + _BLOCK_ROWS, 1:] for s in range(0, n, _BLOCK_ROWS))
+    if not all(((block == 0.0) | (block == 1.0)).all() for block in blocks):
         return None
     keys = []
     for start in range(1, max(X.shape[1], 2), _KEY_COLUMNS):  # a y key without columns too
@@ -292,7 +286,7 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     parsed from memory. Integer-coded files parse as int32 (see ``_loadtxt``).
     """
     with open(path) as handle:  # universal newlines, as np.loadtxt reads the file
-        first = handle.readline()
+        first = handle.readline().removeprefix("\ufeff")  # np.loadtxt skips this line
         if not first or '"' in first:
             return None
         header = next(csv.reader([first]), [])
@@ -432,6 +426,8 @@ def _parse_rows(path, spec: ModelSpec, wanted: list[str]) -> tuple[np.ndarray, i
     for a non-numeric or non-finite field and for a non-0/1 outcome.
     """
     with open(path, newline="") as handle:
+        if handle.read(1) != "\ufeff":  # a leading byte-order mark names no column
+            handle.seek(0)
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -195,8 +195,6 @@ def _newton_direction(fam: _Family, X, y, w, eta) -> tuple[np.ndarray, np.ndarra
     mu = fam.inverse_link(eta)
     rhs = _score(fam, X, y, w, mu)[..., None]
     L, status = cholesky_stack(gram_stack(X, w * fam.irls_weight(mu)))
-    if (status >= 0).any():
-        L[status >= 0] = np.eye(L.shape[-1])  # a stand-in, so the stack solves
     return status, np.linalg.solve(L.transpose(0, 2, 1), np.linalg.solve(L, rhs))[..., 0]
 
 
@@ -339,7 +337,6 @@ def _finish(X: np.ndarray, weights: np.ndarray, family_link: str,
         sub = slice(None) if fitted.size == len(results) else fitted
         mu = fam.inverse_link(newton.eta[sub])
         L, bad = cholesky_stack(gram_stack(X[sub], weights[sub] * fam.irls_weight(mu)))
-        L[bad >= 0] = np.eye(X.shape[-1])
         vcov = inverse_from_factor(L)
         for j, i in enumerate(fitted):
             if bad[j] >= 0:
@@ -437,10 +434,7 @@ def predict_prevalence(fit: FitResult, X: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(
             f"design has shape {X.shape}, expected (*, {len(fit.beta)})"
         )
-    eta = matvec_stack(X, fit.beta)
-    if fit.family_link == "binomial-logit":
-        return expit(eta)
-    mu = np.exp(eta)
+    mu = _FAMILIES[fit.family_link].inverse_link(matvec_stack(X, fit.beta))
     if fit.family_link == "binomial-log" and np.any(mu >= 1.0):
         raise InvalidArgumentError(
             "binomial-log prediction >= 1: not a valid prevalence"

@@ -10,7 +10,8 @@ Matrices are plain float numpy arrays in stacks of shape (R, p, p), as
 the batched IRLS kernel uses them. The factorization is numpy's
 Cholesky, one call per stack. The rank-deficiency check reads the pivots
 off the factor, so it names the column a column-by-column factorization
-would stop at.
+would stop at; :func:`cholesky_stack` alone gives such a matrix the
+identity as its factor, so a stack always solves.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ def cholesky_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``bad[i]`` is -1 when A[i] is positive definite with every squared
     pivot above the threshold. Otherwise it is the first column whose
     squared pivot is at most the threshold, or else the column at which
-    A[i] stops being positive definite; the factor of such a matrix is not
-    usable. The whole stack is factored in one call; only when that fails
-    are the matrices factored one by one.
+    A[i] stops being positive definite, and its factor is the identity, a
+    stand-in so the stack solves. The stack is factored in one call; only
+    when that fails are the matrices factored one by one.
     """
     threshold = _PIVOT_REL * np.max(np.diagonal(A, axis1=1, axis2=2), axis=1, initial=0.0)
     try:
@@ -89,7 +90,9 @@ def cholesky_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # unfactored columns have a zero pivot; not (> threshold) also catches
     # a NaN pivot from an infinite entry
     weak = ~(np.diagonal(L, axis1=1, axis2=2) ** 2 > threshold[:, None])
-    return L, np.where(weak.any(axis=1), np.argmax(weak, axis=1), -1)
+    bad = np.where(weak.any(axis=1), np.argmax(weak, axis=1), -1)
+    L[bad >= 0] = np.eye(A.shape[-1])
+    return L, bad
 
 
 def inverse_from_factor(L: np.ndarray) -> np.ndarray:

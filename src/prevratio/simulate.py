@@ -21,7 +21,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, INTERCEPT_NAME, ModelSpec, _read_only, covariate_means
-from .errors import InvalidArgumentError, PrevRatioError, _failure_reasons
+from .errors import InvalidArgumentError, PrevRatioError, _failure_reasons, _outcome
 from .glm import expit
 from .methods import METHODS, block_fits, estimate
 from .parallel import _fork_map
@@ -257,12 +257,8 @@ def _study_rows(cfg: ToyConfig, blocks: Sequence[range], methods: Sequence[str],
         block = _simulate_block(cfg, replicates)
         fits = block_fits(block, methods)
         for j, ds in enumerate(block):
-            intervals = {}
-            for m in methods:
-                try:
-                    intervals[m] = estimate(m, fits, j, ds, level).interval
-                except PrevRatioError as exc:
-                    intervals[m] = exc
+            intervals = {m: _outcome(lambda m: estimate(m, fits, j, ds, level).interval, m)
+                         for m in methods}
             zbar = float(covariate_means(ds)[2])
             results.append((zbar, intervals))
         # dropped before the next block is drawn, or both blocks' fits peak together

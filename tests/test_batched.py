@@ -143,6 +143,8 @@ def test_cholesky_stack_names_each_bad_column():
     L, bad = cholesky_stack(stack)
     assert bad.tolist() == [-1, 1, 0, 0, 1, -1]
     assert np.array_equal(L[0], np.linalg.cholesky(good))
+    # each bad matrix gets the identity as a stand-in factor, so the stack solves
+    assert np.array_equal(L[1:5], np.broadcast_to(np.eye(2), (4, 2, 2)))
     assert np.array_equal(L[5], L[0])
 
 

@@ -444,6 +444,16 @@ class TestTable:
         payload = json.loads(capsys.readouterr().out)
         assert render_payload(payload, "text") == text
 
+    def test_byte_order_mark_names_no_column(self, capsys, tmp_path, strata_csv):
+        # spreadsheet programs write a UTF-8 byte-order mark before the header
+        bom = tmp_path / "bom.csv"
+        bom.write_text("\ufeff" + pathlib.Path(strata_csv).read_text(), encoding="utf-8")
+        runs = []
+        for path in (strata_csv, str(bom)):
+            code = main(["table", "--input", path, "--format", "json"])
+            runs.append((code, json.loads(capsys.readouterr().out)["rows"]))
+        assert runs[0][0] == 0 and runs[1] == runs[0]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_count_is_data_error(self, capsys, tmp_path, value):
         path = tmp_path / "strata.csv"

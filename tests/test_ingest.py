@@ -92,6 +92,10 @@ def assert_same_as_row_loop(path, spec=SPEC, weight_column=None):
         assert got == want
         return
     assert not isinstance(got, str), got
+    assert_same_dataset(got, want)
+
+
+def assert_same_dataset(got, want):
     for name in ("y", "X", "weights"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -287,6 +291,38 @@ def test_one_failed_parse_before_the_fill(tmp_path, monkeypatch, name, dtypes):
     monkeypatch.setattr(np, "loadtxt", recording)
     load_csv(write(tmp_path / "d.csv", CASES[name]), SPEC)
     assert calls == dtypes
+
+
+# spreadsheet programs write a UTF-8 byte-order mark before the header
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("name", ["plain", "int", "empty referenced", "int empty at line end",
+                                  "crlf", "blank lines with empty fields"])
+def test_byte_order_mark_on_the_fast_path(tmp_path, monkeypatch, name):
+    def row_loop(*args):
+        raise AssertionError("row loop used")
+    monkeypatch.setattr(data_module, "_parse_rows", row_loop)
+    assert_same_dataset(load_csv(write(tmp_path / "bom.csv", BOM + CASES[name]), SPEC),
+                        load_csv(write(tmp_path / "d.csv", CASES[name]), SPEC))
+
+
+@pytest.mark.parametrize("text", [
+    'y,x,z\n1,1,"0.5"\n0,,1\n1,0,2\n',  # a quoted field sends the file to the row loop
+    '"y",x,z\n1,1,0.5\n0,0,1\n',  # a quoted first name, right after the mark
+])
+def test_byte_order_mark_in_the_row_loop(tmp_path, monkeypatch, text):
+    paths = []
+    parse_rows = data_module._parse_rows
+
+    def recording(path, *args):
+        paths.append(path)
+        return parse_rows(path, *args)
+
+    monkeypatch.setattr(data_module, "_parse_rows", recording)
+    bom, plain = write(tmp_path / "bom.csv", BOM + text), write(tmp_path / "d.csv", text)
+    assert_same_dataset(load_csv(bom, SPEC), load_csv(plain, SPEC))
+    assert paths == [bom, plain]
 
 
 # fields a generated file may hold; a referenced column sees all of them

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import prevratio
+import prevratio.data
 from prevratio import (IntervalEstimate, InvalidArgumentError, MethodSummary, PrEstimate,
                        ToyConfig, bootstrap_prs, fit_glm, normal_quantile, replication_study,
                        sandwich_vcov, simulate_toy)
@@ -163,6 +164,56 @@ def test_one_failure_count():
     # the bootstrap and the study count failed replicates in one place
     assert referrers("Counter") == {"errors._failure_reasons"}
     assert {"ratios.bootstrap_prs", "simulate.replication_study"} <= referrers("_failure_reasons")
+    # and keep each failure as a value, its traceback dropped, in one place
+    assert {"ratios.bootstrap_prs", "simulate._study_rows"} <= referrers("_outcome")
+
+
+def test_one_stand_in_factor():
+    # a rank-deficient matrix's factor is replaced by the identity in one place
+    assert referrers("eye") == {"linalg.cholesky_stack"}
+
+
+def test_one_cross_tabulation():
+    # the crude table and the Mantel-Haenszel strata code and sum their cells in one place
+    assert {r for r in referrers("bincount") if r.startswith("classical.")} == {"classical._cells"}
+    assert referrers("_cells") == {"classical.crude_table", "classical.stratified_from_dataset"}
+
+
+def test_one_inverse_link_table():
+    # every inverse link is read off _FAMILIES: no glm definition but its table
+    # names expit, and predictions take no exp of their own
+    assert {r for r in referrers("expit") if r.startswith("glm.")} == {"glm.<module>"}
+    assert "glm.predict_prevalence" in referrers("inverse_link") - referrers("exp")
+
+
+def test_one_binary_design_check():
+    # the pattern table checks the design for 0/1 in one scan of its blocks,
+    # with no separate look at its first rows
+    assert not hasattr(prevratio.data, "_HEAD_ROWS")
+    assert referrers("_HEAD_ROWS") == set()
+
+
+def test_no_dead_names():
+    # every top-level function, class and constant is named by another
+    # top-level statement of the package, is exported, or is the console entry
+    tops = [(path.stem, top) for path in sorted(Path(prevratio.__file__).parent.glob("*.py"))
+            for top in ast.parse(path.read_text()).body]
+    named = [{getattr(n, "id", None) for n in ast.walk(top)}
+             | {getattr(n, "attr", None) for n in ast.walk(top)} for _, top in tops]
+    dead = []
+    for i, (module, top) in enumerate(tops):
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names = [top.name]
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        dead += [f"{module}.{name}" for name in names
+                 if not any(name in other for j, other in enumerate(named) if j != i)
+                 and name not in prevratio.__all__ and f"{module}.{name}" != "cli.main"
+                 and not name.startswith("__")]
+    assert dead == []
 
 
 def test_no_instance_dict_writes():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from prevratio import (InvalidArgumentError, ToyConfig, dgp_coefficients,
-                       replication_study, simulate_toy, true_conditional_pr,
+from prevratio import (DEFAULT_STUDY_METHODS, InvalidArgumentError, PrevRatioError, ToyConfig,
+                       dgp_coefficients, replication_study, simulate_toy, true_conditional_pr,
                        true_marginal_pr)
 from prevratio.methods import METHODS
-from prevratio.simulate import _U_FLOOR
+from prevratio.simulate import _U_FLOOR, _study_rows
 
 LOGIT_02 = math.log(0.2 / 0.8)
 
@@ -210,6 +210,15 @@ class TestReplicationStudy:
             assert "InvalidArgumentError" not in rep.failure_reasons[s.method]
         assert any("DegenerateDenominatorError" in reasons
                    for reasons in rep.failure_reasons.values())
+
+    def test_failed_estimates_keep_no_traceback(self):
+        # a kept traceback's frames would hold the block's datasets and fits
+        # alive for as long as the study keeps the error
+        rows = _study_rows(ToyConfig(n=4), [range(32)], DEFAULT_STUDY_METHODS, 0.95)
+        errors = [o for _, intervals in rows for o in intervals.values()
+                  if isinstance(o, PrevRatioError)]
+        assert errors
+        assert [e for e in errors if e.__traceback__ is not None] == []
 
     def test_log_bounds_beyond_700_fail_for_mpr(self):
         # one MPR estimate here has representable bounds, but a log bound beyond 700
