@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, EXPOSURE_COL, _distinct_rows
+from .data import Dataset, EXPOSURE_COL, _distinct_rows, _open_text
 from .errors import DataError, DegenerateDenominatorError
 from .glm import FitResult
 from .ratios import PrEstimate, _coefficient_ratio
@@ -65,10 +65,8 @@ class StratifiedTable:
 
     @classmethod
     def from_csv(cls, path) -> "StratifiedTable":
-        """Read strata from a CSV with header stratum,a,b,c,d."""
-        with open(path, newline="") as fh:
-            if fh.read(1) != "\ufeff":  # a leading byte-order mark names no column
-                fh.seek(0)
+        """Read strata from a UTF-8 CSV with header stratum,a,b,c,d."""
+        with _open_text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError(f"{path}: empty file, expected a header row")
@@ -171,18 +169,8 @@ def schouten_expand(ds: Dataset) -> Dataset:
     data equal the risk on the original data.
     """
     events = np.flatnonzero(ds.y == 1.0)
-    idx = np.concatenate([np.arange(ds.n), events])
-    expanded = ds.take_rows(idx)
-    y = np.array(expanded.y)
-    y[ds.n:] = 0.0
-    return Dataset(
-        y=y,
-        X=expanded.X,
-        column_names=ds.column_names,
-        weights=expanded.weights,
-        n_dropped=ds.n_dropped,
-        spec=ds.spec,
-    )
+    expanded = ds.take_rows(np.concatenate([np.arange(ds.n), events]))
+    return replace(expanded, y=np.concatenate([ds.y, np.zeros(len(events))]))
 
 
 def _schouten_response(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -269,7 +269,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     toy = ToyConfig(n=args.n, seed=args.seed)
     report = replication_study(toy, args.reps, methods=args.methods, level=args.level)
     if args.out is not None:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
     if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -167,7 +168,7 @@ class Dataset:
         return _pattern_table(self)
 
     def take_rows(self, idx: np.ndarray) -> "Dataset":
-        """New Dataset from the given row indices (used by resampling)."""
+        """New Dataset from the given row indices, in their order, repeats included."""
         return replace(self, y=_read_only(self.y[idx]), X=_read_only(self.X[idx]),
                        weights=_read_only(self.weights[idx]))
 
@@ -224,9 +225,8 @@ def _pattern_table(ds: Dataset) -> _Patterns | None:
     index = np.empty(n, dtype=np.intp)
     index[order] = np.cumsum(starts) - 1
     first = order[starts]
-    rows = Dataset(y=_read_only(y[first]), X=_read_only(X[first]), column_names=ds.column_names,
-                   weights=_read_only(np.bincount(index, ds.weights, minlength=len(first))),
-                   spec=ds.spec)
+    rows = replace(ds, y=_read_only(y[first]), X=_read_only(X[first]),
+                   weights=_read_only(np.bincount(index, ds.weights, minlength=len(first))))
     return _Patterns(rows, _read_only(index))
 
 
@@ -243,16 +243,16 @@ def covariate_means(ds: Dataset) -> np.ndarray:
 def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Dataset:
     """Read a comma-delimited file into a Dataset for ``spec``.
 
-    The file must have a header row; referenced columns must exist. Empty
-    fields are treated as missing and rows with any missing value in a
-    referenced column are dropped (the count lands in ``n_dropped``).
+    The file must be UTF-8 with a header row; referenced columns must
+    exist. Empty fields are treated as missing and rows with any missing
+    value in a referenced column are dropped (the count lands in ``n_dropped``).
 
     numpy's C parser reads the referenced columns, as integers when the
     file is integer-coded. Files it cannot read exactly as the csv module
-    would (quotes, short rows, whitespace-only, non-numeric or non-finite
-    fields, a non-0/1 outcome, a blank first data line) are read row by
-    row instead, which gives the same arrays and the errors that cite the
-    file line.
+    would (quotes below a one-line header, short rows, whitespace-only,
+    non-numeric or non-finite fields, a non-0/1 outcome, a blank first
+    data line) are read row by row instead, which gives the same arrays
+    and the errors that cite the file line.
     """
     wanted = [spec.outcome, spec.exposure, *spec.covariates]
     if weight_column is not None:
@@ -272,6 +272,16 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
                    n_dropped=n_dropped, spec=spec)
 
 
+@contextmanager
+def _open_text(path, newline: str | None = None):
+    """``path`` as UTF-8 text less a leading byte-order mark; DataError if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason}); save it as UTF-8") from None
+
+
 _SCAN_CHARS = 1 << 20
 
 
@@ -285,12 +295,10 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     more, a 0 written into each empty field (see ``_fill_empty_fields``), and
     parsed from memory. Integer-coded files parse as int32 (see ``_loadtxt``).
     """
-    with open(path) as handle:  # universal newlines, as np.loadtxt reads the file
-        first = handle.readline().removeprefix("\ufeff")  # np.loadtxt skips this line
-        if not first or '"' in first:
-            return None
-        header = next(csv.reader([first]), [])
-        if any(name not in header for name in wanted):
+    with _open_text(path) as handle:  # universal newlines, as np.loadtxt reads the file
+        first = handle.readline()  # np.loadtxt skips this line
+        header = next(csv.reader([first]))  # a quoted name that runs on keeps a line end
+        if any(name not in header for name in wanted) or header[-1].endswith("\n"):
             return None
         chunk = handle.read(_SCAN_CHARS)
         # no records, or a blank first one (np.loadtxt warns on all-blank input)
@@ -309,13 +317,12 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
                     and ("-" not in chunk or "-0" not in chunk))
             last = chunk[-1]
             chunk = handle.read(_SCAN_CHARS)
-        encoding = handle.encoding
     n_records += last != "\n"
     if quoted:
         return None
 
     usecols = [header.index(name) for name in wanted]
-    parse = partial(_loadtxt, usecols=usecols, encoding=encoding)
+    parse = partial(_loadtxt, usecols=usecols)
     dtypes = (np.int32, np.float64) if ints and ascii_text else (np.float64,)
     # the first dtype alone from disk: an empty referenced field fails it,
     # and the file then goes to the fill, not to a float parse from disk
@@ -339,11 +346,12 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     return data, n_records - len(data)
 
 
-def _loadtxt(source, dtypes: tuple, usecols: list[int], encoding: str) -> np.ndarray | None:
+def _loadtxt(source, dtypes: tuple, usecols: list[int]) -> np.ndarray | None:
     """The ``usecols`` of every non-blank line of ``source``, or None.
 
-    ``source`` is a path, whose header line is skipped, or the bytes of a
-    body. It is parsed as each of ``dtypes`` in turn, and the first parse
+    ``source`` is a path, whose header line is skipped, or the UTF-8 bytes
+    of a body, which hold no byte-order mark ("utf-8-sig" reads bytes 3-5x
+    slower). It is parsed as each of ``dtypes`` in turn, and the first parse
     that reads it whole is returned. numpy rejects a float or an integer
     outside int32, and every int32 is exact as a float64, so an int32
     parse gives the float parse's values. ``np.int32`` must not be tried
@@ -361,7 +369,7 @@ def _loadtxt(source, dtypes: tuple, usecols: list[int], encoding: str) -> np.nda
                 warnings.simplefilter("error", DeprecationWarning)
                 return np.loadtxt(text, dtype=dtype, delimiter=",", usecols=usecols,
                                   comments=None, ndmin=2, skiprows=int(text is source),
-                                  encoding=encoding)
+                                  encoding="utf-8")
         except (ValueError, DeprecationWarning):
             pass
     return None
@@ -425,25 +433,20 @@ def _parse_rows(path, spec: ModelSpec, wanted: list[str]) -> tuple[np.ndarray, i
     Returns ``(data, n_dropped)``; raises DataError citing the file line
     for a non-numeric or non-finite field and for a non-0/1 outcome.
     """
-    with open(path, newline="") as handle:
-        if handle.read(1) != "\ufeff":  # a leading byte-order mark names no column
-            handle.seek(0)
+    with _open_text(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        indices = {}
-        for name in wanted:
-            if name not in header:
-                raise DataError(f"{path}: no column named {name!r}")
-            indices[name] = header.index(name)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: file is empty")
+        missing = [name for name in wanted if name not in header]
+        if missing:
+            raise DataError(f"{path}: no column named {missing[0]!r}")
+        columns = [header.index(name) for name in wanted]
 
         rows: list[list[float]] = []
         dropped_lines: list[int] = []
         for line_no, record in enumerate(reader, start=2):
-            fields = [record[indices[name]].strip() if indices[name] < len(record) else ""
-                      for name in wanted]
+            fields = [record[i].strip() if i < len(record) else "" for i in columns]
             if any(f == "" for f in fields):
                 dropped_lines.append(line_no)
                 continue
@@ -484,10 +487,8 @@ def write_csv(ds: Dataset, path, *, weight_column: str = "weight") -> None:
     """
     outcome = ds.spec.outcome if ds.spec is not None else "y"
     header = [outcome, *ds.column_names[1:], weight_column]
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i in range(ds.n):
-            writer.writerow([repr(float(ds.y[i])),
-                             *(repr(float(v)) for v in ds.X[i, 1:]),
-                             repr(float(ds.weights[i]))])
+        writer.writerows([repr(float(v)) for v in (ds.y[i], *ds.X[i, 1:], ds.weights[i])]
+                         for i in range(ds.n))

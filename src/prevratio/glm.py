@@ -155,6 +155,13 @@ class FitResult:
         return float(self.beta[self.column_names.index(name)])
 
 
+def _check_columns(fit: FitResult, ds: Dataset) -> None:
+    """Raise InvalidArgumentError unless ``fit``'s design columns are ``ds``'s."""
+    if tuple(fit.column_names) != ds.column_names:
+        raise InvalidArgumentError(
+            f"the fit's columns {fit.column_names} are not the dataset's {ds.column_names}")
+
+
 def _feasible(eta: np.ndarray, fam: _Family) -> np.ndarray:
     return np.isfinite(eta).all(axis=-1) & (eta <= fam.eta_max).all(axis=-1)
 

@@ -21,7 +21,7 @@ a valid ``PrEstimate.method`` and one of ``prevratio.METHOD_LABELS``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -139,7 +139,9 @@ def estimate(method: str, fits: dict, j: int, ds: Dataset, level: float,
     method's own.
     """
     m = METHODS[method]
-    fit = None if m.fit is None else fits[m.fit][j]
+    if m.fit is None:  # a 2x2-table estimate does not know the exposure's name
+        return replace(m.from_fit(None, ds, level, at), exposure=ds.exposure_name)
+    fit = fits[m.fit][j]
     if isinstance(fit, PrevRatioError):
         raise fit
     return m.from_fit(fit, ds, level, at)

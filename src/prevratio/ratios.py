@@ -31,7 +31,7 @@ import numpy as np
 from .data import Dataset, EXPOSURE_COL, _distinct_rows, covariate_means
 from .errors import (DegenerateDenominatorError, InvalidArgumentError, NonConvergenceError,
                      PrevRatioError, _failure_reasons, _outcome)
-from .glm import FitResult, _refit, expit
+from .glm import FitResult, _check_columns, _refit, expit
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
 from .variance import IntervalEstimate, check_level, ratio_interval
@@ -158,6 +158,7 @@ def _contrast(method: str, fit: FitResult, ds: Dataset, X: np.ndarray, w: np.nda
     The SE is on the ratio scale, propagated through ``fit.vcov``; the Wald
     interval is built on the log scale.
     """
+    _check_columns(fit, ds)
     p1, p0, rows1, rows0 = _arms(fit.beta, X, w)
     wsum = float(w.sum())
     slope1, slope0 = (w * p * (1.0 - p) for p in (rows1, rows0))
@@ -233,7 +234,7 @@ def _percentile_interval(point: float, draws: np.ndarray,
             f"the percentile bootstrap interval ({lower:g}, {upper:g}) leaves out "
             f"the full-data estimate {point:g}; the fit looks separated"
         )
-    se = float(np.std(draws, ddof=1)) if len(draws) > 1 else 0.0
+    se = float(np.std(draws, ddof=1))
     return IntervalEstimate(point=point, se=se, lower=lower, upper=upper, level=level)
 
 
@@ -279,6 +280,7 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
         raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {seed}")
     check_level(level)
     _require_logistic(fit)
+    _check_columns(fit, ds)
 
     def point(name: str, beta: np.ndarray, data: Dataset) -> float:
         # the point alone, from the rows the public estimator reads; the

@@ -147,6 +147,8 @@ def simulate_toy(cfg: ToyConfig, replicate: int = 0) -> Dataset:
     matches serial. Normals come from the inverse CDF of uniform draws,
     keeping the stream portable across BLAS/platform variation.
     """
+    if replicate < 0:
+        raise InvalidArgumentError(f"replicate must be non-negative, got {replicate}")
     return _simulate_block(cfg, [replicate])[0]
 
 

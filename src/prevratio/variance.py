@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateDenominatorError, InvalidArgumentError
-from .glm import FitResult
+from .glm import FitResult, _check_columns
 from .linalg import gram_stack
 
 _STD_NORMAL = NormalDist()
@@ -100,6 +100,7 @@ def ratio_interval(point: float, log_var: float, level: float = 0.95) -> Interva
 
 def sandwich_vcov(fit: FitResult, ds: Dataset) -> np.ndarray:
     """HC0 robust covariance B^-1 M B^-1 for a fit on ``ds``, at its fitted mu."""
+    _check_columns(fit, ds)
     if len(fit.fitted) != ds.n:
         raise InvalidArgumentError(f"the fit has {len(fit.fitted)} rows, the dataset {ds.n}")
     return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - fit.fitted)) ** 2)

@@ -256,3 +256,21 @@ def test_criterion_11_log_binomial_failure_surfacing():
            f"logistic fit converges in {logistic.iterations} iterations and "
            f"marginal PR = {mpr.point:.4f} "
            f"({mpr.interval.lower:.4f}, {mpr.interval.upper:.4f})")
+
+
+def test_criterion_12_headline_contrast():
+    # the paper's claim: where the log-binomial fit fails, CPR and MPR from
+    # the logistic fit of the same data stay stable and keep their coverage
+    cfg = ToyConfig(n=1000, baseline_prevalence=0.40, pr_at_z0=2.2, beta_z=1.0)
+    rep = replication_study(cfg, 300)
+    band = 4.5 * math.sqrt(0.95 * 0.05 / 300)
+    cpr, mpr, lb = (rep.summary(m) for m in ("CPR", "MPR", "LogBinomial"))
+    ok = (cpr.n_failed == mpr.n_failed == 0
+          and all(abs(s.coverage - 0.95) <= band for s in (cpr, mpr))
+          and lb.n_failed > 150
+          and rep.failure_reasons["LogBinomial"] == {"NonConvergenceError": lb.n_failed})
+    report(12, ok,
+           f"log-binomial fails {lb.n_failed} of 300 replicates "
+           f"({dict(rep.failure_reasons['LogBinomial'])}); CPR and MPR fail "
+           f"{cpr.n_failed} and {mpr.n_failed}, coverage {cpr.coverage:.3f} and "
+           f"{mpr.coverage:.3f} (within 0.95 +/- {band:.3f})")

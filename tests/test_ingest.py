@@ -6,6 +6,9 @@ input the loader must return bit-identical arrays and the same
 """
 
 import csv
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import prevratio.data as data_module
-from prevratio import DataError, Dataset, INTERCEPT_NAME, ModelSpec, load_csv
+from prevratio import DataError, Dataset, INTERCEPT_NAME, ModelSpec, StratifiedTable, load_csv
 
 SPEC = ModelSpec(outcome="y", exposure="x", covariates=("z",))
 
@@ -23,7 +26,7 @@ def row_loop_load_csv(path, spec, *, weight_column=None):
     wanted = [spec.outcome, spec.exposure, *spec.covariates]
     if weight_column is not None:
         wanted.append(weight_column)
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -104,7 +107,7 @@ def assert_same_dataset(got, want):
 
 
 def write(path, text):
-    with open(path, "w", newline="") as fh:  # keep \r\n as written
+    with open(path, "w", encoding="utf-8", newline="") as fh:  # keep \r\n as written
         fh.write(text)
     return path
 
@@ -129,6 +132,11 @@ CASES = {
     "quoted fields": 'y,x,z\n"1",1,0.5\n0,"0",1\n',
     "quoted comma and newline": 'y,x,z,u\n1,1,0.5,"a,b"\n0,0,1,"c\nd"\n1,0,2,e\n',
     "quoted header": '"y","x","z"\n1,1,0.5\n0,0,1\n',
+    "quoted header name runs on": 'y,x,z,"u\nv"\n1,1,0.5,2\n0,0,1,3\n',
+    # the row loop reads the rest of the file into the name the quote opens
+    "quoted header name never closes": 'y,x,z,"u\n1,1,0.5,2\n0,0,1,3\n',
+    "quote in a header name, then one that never closes":
+        'y,x,z,u",v,"w\n1,1,0.5,2,3,4\n0,0,1,1,1,1\n',
     "quoted newline in unreferenced field": 'y,x,z,u\n1,1,0.5,"a\n0,0,1,b"\n1,0,2,c\n',
     "quoted comma shifts columns": 'u,v,y,x,z\n"a,1",1,0,5,9\n0,0,1,1,2\n',
     "crlf": "y,x,z\r\n1,1,0.5\r\n0,,1\r\n1,0,2\r\n",
@@ -261,7 +269,7 @@ INTEGER_CASES = [
     "crlf", "crlf blank line", "no trailing newline", "whitespace padded", "long row",
     "number spellings", *INTEGER_CASES, "blank lines with empty fields",
     "crlf blank lines with empty fields", "empty with letters in unreferenced column",
-    "empty with n in unreferenced column"])
+    "empty with n in unreferenced column", "quoted header"])
 def test_numeric_files_skip_the_row_loop(tmp_path, monkeypatch, name):
     def row_loop(*args):
         raise AssertionError("row loop used")
@@ -298,7 +306,7 @@ BOM = "\ufeff"
 
 
 @pytest.mark.parametrize("name", ["plain", "int", "empty referenced", "int empty at line end",
-                                  "crlf", "blank lines with empty fields"])
+                                  "crlf", "blank lines with empty fields", "quoted header"])
 def test_byte_order_mark_on_the_fast_path(tmp_path, monkeypatch, name):
     def row_loop(*args):
         raise AssertionError("row loop used")
@@ -309,7 +317,7 @@ def test_byte_order_mark_on_the_fast_path(tmp_path, monkeypatch, name):
 
 @pytest.mark.parametrize("text", [
     'y,x,z\n1,1,"0.5"\n0,,1\n1,0,2\n',  # a quoted field sends the file to the row loop
-    '"y",x,z\n1,1,0.5\n0,0,1\n',  # a quoted first name, right after the mark
+    '"y",x,z\n1,1,"0.5"\n0,0,1\n',  # and a quoted first name, right after the mark
 ])
 def test_byte_order_mark_in_the_row_loop(tmp_path, monkeypatch, text):
     paths = []
@@ -323,6 +331,48 @@ def test_byte_order_mark_in_the_row_loop(tmp_path, monkeypatch, text):
     bom, plain = write(tmp_path / "bom.csv", BOM + text), write(tmp_path / "d.csv", text)
     assert_same_dataset(load_csv(bom, SPEC), load_csv(plain, SPEC))
     assert paths == [bom, plain]
+
+
+# a non-ASCII name in a column the model does not read, with its ASCII twin
+NON_ASCII = "y,x,z,S\u00e3o\n1,1,0.5,3\n0,0,1,4\n1,1,2,5\n"
+ASCII_TWIN = "y,x,z,Sao\n1,1,0.5,3\n0,0,1,4\n1,1,2,5\n"
+
+
+def test_non_ascii_name_on_the_fast_path(tmp_path, monkeypatch):
+    def row_loop(*args):
+        raise AssertionError("row loop used")
+    monkeypatch.setattr(data_module, "_parse_rows", row_loop)
+    assert_same_dataset(load_csv(write(tmp_path / "a.csv", NON_ASCII), SPEC),
+                        load_csv(write(tmp_path / "b.csv", ASCII_TWIN), SPEC))
+
+
+def test_utf8_whatever_the_locale(tmp_path):
+    # files are read as UTF-8 under an ASCII locale too, without UTF-8 mode
+    files = [write(tmp_path / name, text) for name, text in [
+        ("bom.csv", BOM + CASES["plain"]), ("plain.csv", CASES["plain"]),
+        ("name.csv", NON_ASCII), ("twin.csv", ASCII_TWIN)]]
+    code = ("import sys; from prevratio import ModelSpec, load_csv\n"
+            "spec = ModelSpec('y', 'x', ('z',))\n"
+            "for path in sys.argv[1:]:\n"
+            "    ds = load_csv(path, spec)\n"
+            "    print(ds.y.tobytes().hex(), ds.X.tobytes().hex(), ds.n_dropped)\n")
+    src = os.path.dirname(os.path.dirname(data_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, files)], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert len(out) == 4 and out[0] == out[1] and out[2] == out[3]
+
+
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path):
+    # a Latin-1 export: "\xe3" starts a UTF-8 sequence that "o" does not continue
+    for text in (CASES["plain"].replace("z", "S\xe3o"), "y,x,z,u\n1,1,0.5,S\xe3o\n"):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv: not UTF-8 text"):
+            load_csv(path, ModelSpec(outcome="y", exposure="x"))
+    path.write_bytes("stratum,a,b,c,d\nS\xe3o,1,2,3,4\n".encode("latin-1"))
+    with pytest.raises(DataError, match="latin1.csv: not UTF-8 text"):
+        StratifiedTable.from_csv(path)
 
 
 # fields a generated file may hold; a referenced column sees all of them

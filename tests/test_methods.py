@@ -12,7 +12,7 @@ from prevratio import (INTERCEPT_NAME, METHOD_LABELS, Dataset, ModelSpec, NonCon
                        prevalence_odds_ratio, replication_study, robust_poisson_pr,
                        schouten_pr, simulate_toy, stratified_from_dataset, write_csv)
 from prevratio.cli import _parse_methods, main
-from prevratio.methods import ALIASES, METHODS, _stack
+from prevratio.methods import ALIASES, METHODS, _stack, block_fits, estimate
 
 # every spelling the command line accepted before the registry, to its method
 OLD_ALIASES = {
@@ -152,6 +152,13 @@ class TestOneEstimationPath:
 
 
 class TestPublicEstimators:
+    def test_every_method_names_the_dataset_exposure(self, binary_csv):
+        # the crude and Mantel-Haenszel tables know no names; the registry's
+        # estimate labels them as the fitted methods are labelled
+        ds = load_csv(binary_csv, ModelSpec(outcome="y", exposure="c1", covariates=("x", "c2")))
+        fits = block_fits([ds], METHOD_LABELS)
+        assert {estimate(m, fits, 0, ds, 0.95).exposure for m in METHOD_LABELS} == {"c1"}
+
     def test_log_binomial_failure_is_the_fit_error(self):
         # a prevalence near 1 at high z: the log-binomial fit fails here
         ds = simulate_toy(ToyConfig(baseline_prevalence=0.40, pr_at_z0=2.2, beta_z=1.0, seed=0))

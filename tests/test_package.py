@@ -11,8 +11,8 @@ import pytest
 import prevratio
 import prevratio.data
 from prevratio import (IntervalEstimate, InvalidArgumentError, MethodSummary, PrEstimate,
-                       ToyConfig, bootstrap_prs, fit_glm, normal_quantile, replication_study,
-                       sandwich_vcov, simulate_toy)
+                       ToyConfig, bootstrap_prs, conditional_pr, fit_glm, marginal_pr,
+                       normal_quantile, replication_study, sandwich_vcov, simulate_toy)
 from prevratio.glm import fit_stack, predict_prevalence
 
 
@@ -33,6 +33,9 @@ def test_star_import_binds_every_exported_name():
 
 TOY = simulate_toy(ToyConfig(n=200, seed=1))
 STACK = (TOY.X[None], TOY.y[None], TOY.weights[None])
+# the toy data less its confounder: a fit to it has fewer columns than TOY
+TOY_X = dataclasses.replace(TOY, X=TOY.X[:, :2], column_names=TOY.column_names[:2])
+COLUMNS = "the fit's columns ('(Intercept)', 'x') are not the dataset's ('(Intercept)', 'x', 'z')"
 
 
 def fit_stack_from(family_link, beta0):
@@ -94,6 +97,13 @@ BAD_ARGUMENTS = {
     "sandwich-rows": (lambda: sandwich_vcov(fit_glm(TOY, "poisson-log"),
                                             simulate_toy(ToyConfig(n=100, seed=1))),
                       "the fit has 200 rows, the dataset 100"),
+    "toy-replicate": (lambda: simulate_toy(ToyConfig(), replicate=-1),
+                      "replicate must be non-negative, got -1"),
+    "cpr-columns": (lambda: conditional_pr(fit_glm(TOY_X, "binomial-logit"), TOY), COLUMNS),
+    "mpr-columns": (lambda: marginal_pr(fit_glm(TOY_X, "binomial-logit"), TOY), COLUMNS),
+    "boot-columns": (lambda: bootstrap_prs(fit_glm(TOY_X, "binomial-logit"), TOY, ("MPR",), 100,
+                                           seed=0), COLUMNS),
+    "sandwich-columns": (lambda: sandwich_vcov(fit_glm(TOY_X, "poisson-log"), TOY), COLUMNS),
 }
 
 
@@ -262,3 +272,28 @@ def test_one_exposure_contrast():
     # a refit's one-step start reads the score of glm's Newton step, in glm
     assert referrers("_score") == {"glm._newton_direction", "glm._refit"}
     assert {"ratios.conditional_pr", "ratios.marginal_pr"} <= referrers("_contrast")
+
+
+def src_trees():
+    return [ast.parse(path.read_text())
+            for path in sorted(Path(prevratio.__file__).parent.glob("*.py"))]
+
+
+def test_every_open_names_its_encoding():
+    # text is read and written as UTF-8 whatever the locale: every builtin
+    # open() names its encoding or opens the file as bytes
+    opens = [node for tree in src_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"]
+    assert opens
+    for call in opens:
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        binary = isinstance(mode, ast.Constant) and "b" in mode.value
+        assert binary or "encoding" in {k.arg for k in call.keywords}, ast.unparse(call)
+
+
+def test_no_byte_order_mark_literal():
+    # the "utf-8-sig" codec drops a leading byte-order mark; no code looks for one
+    assert not [node.value for tree in src_trees() for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "\ufeff" in node.value]

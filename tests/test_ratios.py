@@ -194,7 +194,7 @@ class TestMarginalPr:
         idx = np.repeat(np.arange(4), w.astype(int))
         ds_e = Dataset(y=y[idx], X=np.column_stack([np.ones(8), x[idx], z[idx]]),
                        column_names=(INTERCEPT_NAME, "x", "z"))
-        fit = fake_logistic_fit([-1.0, 0.8, 0.3])
+        fit = fake_logistic_fit([-1.0, 0.8, 0.3], names=ds_w.column_names)
         mw = marginal_pr(fit, ds_w)
         me = marginal_pr(fit, ds_e)
         assert mw.point == pytest.approx(me.point, rel=1e-14)
