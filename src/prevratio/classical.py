@@ -19,13 +19,12 @@ ratio undefined or infinite is reported as an error, not patched.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, EXPOSURE_COL, _distinct_rows, _open_text
+from .data import Dataset, EXPOSURE_COL, _distinct_rows, _records
 from .errors import DataError, DegenerateDenominatorError
 from .glm import FitResult
 from .ratios import PrEstimate, _coefficient_ratio
@@ -65,33 +64,20 @@ class StratifiedTable:
 
     @classmethod
     def from_csv(cls, path) -> "StratifiedTable":
-        """Read strata from a UTF-8 CSV with header stratum,a,b,c,d."""
-        with _open_text(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file, expected a header row")
-            missing = [c for c in _TABLE_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-            strata = []
-            for lineno, row in enumerate(reader, start=2):
-                cells = []
-                for col in ("a", "b", "c", "d"):
-                    raw = (row[col] or "").strip()
-                    try:
-                        v = float(raw)
-                    except ValueError:
-                        raise DataError(
-                            f"{path} line {lineno}: column {col!r} has "
-                            f"non-numeric value {raw!r}"
-                        ) from None
-                    if not math.isfinite(v):
-                        raise DataError(
-                            f"{path} line {lineno}: column {col!r} has "
-                            f"non-finite value {raw!r}"
-                        )
-                    cells.append(v)
-                strata.append(tuple(cells))
+        """Read strata from a UTF-8 CSV with header stratum,a,b,c,d; blank lines are skipped."""
+        strata = []
+        for line, fields in _records(path, _TABLE_COLUMNS):
+            if not any(fields):
+                continue
+            try:
+                cells = tuple(float(f) for f in fields[1:])
+            except ValueError as exc:
+                raise DataError(f"{path}, line {line}: {exc}") from None
+            for name, v in zip(_TABLE_COLUMNS[1:], cells):
+                if not math.isfinite(v):
+                    raise DataError(f"{path}, line {line}: column {name!r} is {v!r}, "
+                                    "not a finite number")
+            strata.append(cells)
         return cls(strata=tuple(strata))
 
 

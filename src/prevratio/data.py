@@ -427,11 +427,12 @@ def _fill_empty_fields(path, usecols: list[int]) -> tuple[bytes, np.ndarray] | t
     return filled.tobytes(), keep
 
 
-def _parse_rows(path, spec: ModelSpec, wanted: list[str]) -> tuple[np.ndarray, int]:
-    """The ``wanted`` columns read record by record with the csv module.
+def _records(path, wanted):
+    """``(line, fields)`` of every csv record below the header, ``line`` the one it starts on.
 
-    Returns ``(data, n_dropped)``; raises DataError citing the file line
-    for a non-numeric or non-finite field and for a non-0/1 outcome.
+    ``fields`` are the record's ``wanted`` fields, stripped, with "" for
+    those a short record lacks; of two columns with the same name the first
+    is read. Raises DataError for an empty file or a missing column.
     """
     with _open_text(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -442,38 +443,45 @@ def _parse_rows(path, spec: ModelSpec, wanted: list[str]) -> tuple[np.ndarray, i
         if missing:
             raise DataError(f"{path}: no column named {missing[0]!r}")
         columns = [header.index(name) for name in wanted]
+        line = reader.line_num + 1
+        for record in reader:
+            yield line, [record[i].strip() if i < len(record) else "" for i in columns]
+            line = reader.line_num + 1
 
-        rows: list[list[float]] = []
-        dropped_lines: list[int] = []
-        for line_no, record in enumerate(reader, start=2):
-            fields = [record[i].strip() if i < len(record) else "" for i in columns]
-            if any(f == "" for f in fields):
-                dropped_lines.append(line_no)
-                continue
-            try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise DataError(f"{path}, line {line_no}: {exc}") from None
-            if values[0] not in (0.0, 1.0):
-                raise DataError(
-                    f"{path}, line {line_no}: outcome {spec.outcome!r} is "
-                    f"{values[0]!r}, expected 0 or 1"
-                )
-            rows.append(values)
 
-    n_dropped = len(dropped_lines)
+def _parse_rows(path, spec: ModelSpec, wanted: list[str]) -> tuple[np.ndarray, int]:
+    """The ``wanted`` columns read record by record with the csv module.
+
+    Returns ``(data, n_dropped)``; raises DataError citing the file line
+    for a non-numeric or non-finite field and for a non-0/1 outcome.
+    """
+    rows: list[list[float]] = []
+    lines: list[int] = []  # the line each kept row starts on
+    n_dropped = 0
+    for line, fields in _records(path, wanted):
+        if "" in fields:
+            n_dropped += 1
+            continue
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise DataError(f"{path}, line {line}: {exc}") from None
+        if values[0] not in (0.0, 1.0):
+            raise DataError(
+                f"{path}, line {line}: outcome {spec.outcome!r} is "
+                f"{values[0]!r}, expected 0 or 1"
+            )
+        rows.append(values)
+        lines.append(line)
+
     if not rows:
         raise DataError(f"{path}: no complete rows after dropping {n_dropped} with missing values")
 
     data = np.array(rows)
     if not np.isfinite(data).all():
         row, col = (int(i) for i in np.argwhere(~np.isfinite(data))[0])
-        line_no = row + 2
-        for dropped in dropped_lines:  # ascending; each one shifts the row down
-            if dropped <= line_no:
-                line_no += 1
         raise DataError(
-            f"{path}, line {line_no}: column {wanted[col]!r} is "
+            f"{path}, line {lines[row]}: column {wanted[col]!r} is "
             f"{float(data[row, col])!r}, not a finite number"
         )
     return data, n_dropped

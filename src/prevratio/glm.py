@@ -246,8 +246,13 @@ class _Newton(NamedTuple):
 
 
 def _irls(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
-          column_names: tuple[str, ...], beta0: np.ndarray | None) -> _Newton:
-    """The Newton loop of :func:`fit_stack`: its start checks, steps, tests and polish."""
+          column_names: tuple[str, ...], start: np.ndarray | None = None) -> _Newton:
+    """The Newton loop of :func:`fit_stack`: its start, steps, tests and polish.
+
+    Without ``start`` each problem starts at its intercept-only fit, which
+    is feasible for every family. ``start`` (R, p) is :func:`_refit`'s:
+    finite coefficients of a logistic fit, for which any is feasible.
+    """
     if family_link not in _FAMILIES:
         raise InvalidArgumentError(f"unknown family/link {family_link!r}")
     fam = _FAMILIES[family_link]
@@ -260,20 +265,13 @@ def _irls(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
         errors[i] = NonConvergenceError(
             f"outcome has no variation (weighted mean {ybar[i]:g}); coefficients diverge"
         )
-    if beta0 is None:
+    if start is None:
         beta = np.zeros((R, p))
         beta[:, 0] = fam.start_intercept(np.where(done, 0.5, ybar))
     else:
-        beta = np.array(beta0, dtype=float)
-        if beta.shape != (R, p) or not np.all(np.isfinite(beta)):
-            raise InvalidArgumentError(
-                f"beta0 must be {p} finite coefficients per problem, got shape {beta.shape}"
-            )
+        beta = start.copy()
     eta = matvec_stack(X, beta)
-    feasible = _feasible(eta, fam)
-    if not feasible[~done].all():
-        raise InvalidArgumentError(f"beta0 is not a feasible start for {family_link}")
-    dev = _deviance(fam, y, eta, weights, feasible)
+    dev = fam.deviance(y, eta, weights)
     paths = [[d] for d in dev.tolist()]
     iterations = np.zeros(R, dtype=int)
     polish = np.full(R, -1)  # polish steps left once converged; -1 while iterating
@@ -363,12 +361,11 @@ def _finish(X: np.ndarray, weights: np.ndarray, family_link: str,
 
 
 def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
-              column_names: tuple[str, ...], *,
-              beta0: np.ndarray | None = None) -> list[FitResult | PrevRatioError]:
+              column_names: tuple[str, ...]) -> list[FitResult | PrevRatioError]:
     """Fit ``family_link`` by IRLS to every problem of a stack at once.
 
-    ``X`` is (R, n, p), ``y`` and ``weights`` are (R, n), and ``beta0``,
-    if given, is (R, p). Every problem keeps its own step halving,
+    ``X`` is (R, n, p) and ``y`` and ``weights`` are (R, n). Each problem
+    starts at its intercept-only fit and keeps its own step halving,
     convergence test, polish steps, iteration count and deviance path, as
     if fitted alone, and gets its own result: a FitResult, or the
     NonConvergenceError or NonIdentifiableError that stopped it. The
@@ -379,15 +376,11 @@ def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: st
     :func:`fit_glm`; :func:`_refit` runs its Newton loop alone.
     """
     return _finish(X, weights, family_link, column_names,
-                   _irls(X, y, weights, family_link, column_names, beta0))
+                   _irls(X, y, weights, family_link, column_names))
 
 
-def fit_glm(ds: Dataset, family_link: str, *, beta0: np.ndarray | None = None) -> FitResult:
+def fit_glm(ds: Dataset, family_link: str) -> FitResult:
     """Maximum-likelihood fit of ``family_link`` to ``ds`` via IRLS.
-
-    ``beta0`` starts the iteration from given coefficients instead of the
-    intercept-only start, such as a fit to similar data, which is close to
-    this one's optimum. Its linear predictor must be feasible for the family.
 
     Raises NonIdentifiableError for collinear designs and
     NonConvergenceError when the iteration limit is hit or no feasible
@@ -396,8 +389,7 @@ def fit_glm(ds: Dataset, family_link: str, *, beta0: np.ndarray | None = None) -
     patterns = ds._patterns
     rows = ds if patterns is None else patterns.rows
     result = fit_stack(rows.X[None], rows.y[None], rows.weights[None], family_link,
-                       ds.column_names,
-                       beta0=None if beta0 is None else np.asarray(beta0, dtype=float)[None])[0]
+                       ds.column_names)[0]
     if isinstance(result, PrevRatioError):
         raise result
     return _on_rows(result, patterns)

@@ -81,19 +81,6 @@ class TestKernelMatchesSingleFits:
             assert abs(batched.iterations - alone.iterations) <= 1
             assert batched.deviance == pytest.approx(alone.deviance, rel=1e-12)
 
-    def test_warm_start_per_problem(self):
-        block = toy_block(4)
-        cold = fit_block(block, "binomial-logit")
-        starts = np.stack([f.beta for f in cold])
-        warm = fit_stack(*_stack(block), "binomial-logit", NAMES, beta0=starts)
-        for c, w in zip(cold, warm):
-            assert w.beta == pytest.approx(c.beta, rel=1e-10, abs=1e-12)
-            assert w.iterations < c.iterations
-
-    def test_start_shape_checked(self):
-        with pytest.raises(ValueError, match="beta0"):
-            fit_stack(*_stack(toy_block(2)), "binomial-logit", NAMES, beta0=np.zeros((1, 3)))
-
 
 class TestOneBadReplicate:
     @pytest.mark.parametrize("family", FAMILIES)

@@ -80,8 +80,21 @@ class TestStratifiedTable:
     def test_from_csv_non_finite_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("stratum,a,b,c,d\n1,1,2,3,4\n2,1,2,nan,4\n")
-        with pytest.raises(DataError, match="line 3: column 'c' has non-finite value 'nan'"):
+        with pytest.raises(DataError, match="line 3: column 'c' is nan, not a finite number"):
             StratifiedTable.from_csv(path)
+
+    def test_from_csv_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty.csv: file is empty"):
+            StratifiedTable.from_csv(path)
+
+    def test_from_csv_reads_the_first_of_two_like_named_columns(self, tmp_path):
+        # as load_csv does; blank lines hold no stratum
+        path = tmp_path / "strata.csv"
+        path.write_text("stratum,a,b,c,d,a\n1,10,90,5,95,0\n\n2,30,20,15,35,0\n\n")
+        assert StratifiedTable.from_csv(path).strata == ((10.0, 90.0, 5.0, 95.0),
+                                                         (30.0, 20.0, 15.0, 35.0))
 
 
 class TestCrudePr:

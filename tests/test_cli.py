@@ -213,10 +213,10 @@ class TestEstimate:
         # every Newton loop that starts cold is a full-data fit
         full_fits = []
 
-        def counting_loop(X, y, w, family_link, column_names, beta0):
-            if beta0 is None:
+        def counting_loop(X, y, w, family_link, column_names, start=None):
+            if start is None:
                 full_fits.append(family_link)
-            return _irls(X, y, w, family_link, column_names, beta0)
+            return _irls(X, y, w, family_link, column_names, start)
         monkeypatch.setattr(glm, "_irls", counting_loop)
         boot = ("--boot", "100", "--format", "json")
         _, out, _ = run_estimate(capsys, toy_csv, "--methods", "por,cpr,mpr", *boot)
@@ -461,8 +461,16 @@ class TestTable:
         code = main(["table", "--input", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == (f"error: {path} line 3: column 'b' has non-finite "
-                                f"value {value!r}\n")
+        assert captured.err == (f"error: {path}, line 3: column 'b' is {float(value)!r}, "
+                                "not a finite number\n")
+
+    def test_error_cites_the_line_its_record_starts_on(self, capsys, tmp_path):
+        # the "x" sits on line 4, below a stratum name that spans two lines
+        path = tmp_path / "strata.csv"
+        path.write_text('stratum,a,b,c,d\n"s\n1",1,2,3,4\n2,x,2,3,4\n')
+        assert main(["table", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}, line 4: could not convert string to float: 'x'\n")
 
 
 def test_console_entry_point(toy_csv):

@@ -104,24 +104,6 @@ class TestIrlsBehavior:
         assert np.abs(score).max() < 1e-6 * ds.n
 
 
-class TestWarmStart:
-    def test_start_at_optimum_gives_same_fit_sooner(self, toy_ds):
-        cold = fit_glm(toy_ds, "binomial-logit")
-        warm = fit_glm(toy_ds, "binomial-logit", beta0=cold.beta)
-        assert warm.beta == pytest.approx(cold.beta, rel=1e-10, abs=1e-12)
-        assert warm.vcov == pytest.approx(cold.vcov, rel=1e-9)
-        assert warm.iterations < cold.iterations
-
-    def test_start_is_validated(self, toy_ds):
-        with pytest.raises(ValueError, match="beta0"):
-            fit_glm(toy_ds, "binomial-logit", beta0=np.zeros(2))
-        with pytest.raises(ValueError, match="beta0"):
-            fit_glm(toy_ds, "binomial-logit", beta0=[0.0, np.nan, 0.0])
-        # exp(eta) >= 1 everywhere: no valid log-binomial prevalence
-        with pytest.raises(ValueError, match="feasible"):
-            fit_glm(toy_ds, "binomial-log", beta0=[1.0, 0.0, 0.0])
-
-
 class TestFailureModes:
     def test_unknown_family(self, toy_ds):
         with pytest.raises(InvalidArgumentError, match="'binomial-probit'"):

@@ -38,13 +38,14 @@ def row_loop_load_csv(path, spec, *, weight_column=None):
                 raise DataError(f"{path}: no column named {name!r}")
             indices[name] = header.index(name)
 
-        rows = []
-        dropped_lines = []
-        for line_no, record in enumerate(reader, start=2):
+        # a record starts on the line after the one the previous record ends on
+        rows, lines, n_dropped, end = [], [], 0, reader.line_num
+        for record in reader:
+            line_no, end = end + 1, reader.line_num
             fields = [record[indices[name]].strip() if indices[name] < len(record) else ""
                       for name in wanted]
             if any(f == "" for f in fields):
-                dropped_lines.append(line_no)
+                n_dropped += 1
                 continue
             try:
                 values = [float(f) for f in fields]
@@ -56,20 +57,16 @@ def row_loop_load_csv(path, spec, *, weight_column=None):
                     f"{values[0]!r}, expected 0 or 1"
                 )
             rows.append(values)
+            lines.append(line_no)
 
-    n_dropped = len(dropped_lines)
     if not rows:
         raise DataError(f"{path}: no complete rows after dropping {n_dropped} with missing values")
 
     data = np.array(rows)
     if not np.isfinite(data).all():
         row, col = (int(i) for i in np.argwhere(~np.isfinite(data))[0])
-        line_no = row + 2
-        for dropped in dropped_lines:
-            if dropped <= line_no:
-                line_no += 1
         raise DataError(
-            f"{path}, line {line_no}: column {wanted[col]!r} is "
+            f"{path}, line {lines[row]}: column {wanted[col]!r} is "
             f"{float(data[row, col])!r}, not a finite number"
         )
     y = data[:, 0]
@@ -138,6 +135,11 @@ CASES = {
     "quote in a header name, then one that never closes":
         'y,x,z,u",v,"w\n1,1,0.5,2,3,4\n0,0,1,1,1,1\n',
     "quoted newline in unreferenced field": 'y,x,z,u\n1,1,0.5,"a\n0,0,1,b"\n1,0,2,c\n',
+    # errors below a record that spans lines cite the line the bad record starts on
+    "quoted newline, then non-numeric": 'y,x,z,u\n1,1,0.5,"a\nb"\n0,0,oops,c\n',
+    "quoted newline, then outcome 2": 'y,x,z,u\n1,"1\n",0.5,a\n2,0,1,b\n',
+    "quoted newline, then inf after empty field": 'y,x,z,u\n1,1,0.5,"a\nb"\n0,0,,c\n1,0,inf,d\n',
+    "quoted newline in header, then non-numeric": 'y,x,z,"u\nv"\n1,1,0.5,2\n0,0,oops,3\n',
     "quoted comma shifts columns": 'u,v,y,x,z\n"a,1",1,0,5,9\n0,0,1,1,2\n',
     "crlf": "y,x,z\r\n1,1,0.5\r\n0,,1\r\n1,0,2\r\n",
     "crlf blank line": "y,x,z\r\n1,1,0.5\r\n\r\n0,0,1\r\n",
@@ -202,6 +204,19 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_row_loop(tmp_path, name):
     assert_same_as_row_loop(write(tmp_path / "d.csv", CASES[name]))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("quoted newline, then non-numeric", "line 4: could not convert string to float: 'oops'"),
+    ("quoted newline, then inf after empty field",
+     "line 5: column 'z' is inf, not a finite number"),
+])
+def test_error_cites_the_line_its_record_starts_on(tmp_path, name, message):
+    # the field in error sits on line 4 or 5, below a quoted field that spans two lines
+    path = write(tmp_path / "d.csv", CASES[name])
+    with pytest.raises(DataError) as info:
+        load_csv(path, SPEC)
+    assert str(info.value) == f"{path}, {message}"
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 2, 3, 5])

@@ -13,7 +13,7 @@ import prevratio.data
 from prevratio import (IntervalEstimate, InvalidArgumentError, MethodSummary, PrEstimate,
                        ToyConfig, bootstrap_prs, conditional_pr, fit_glm, marginal_pr,
                        normal_quantile, replication_study, sandwich_vcov, simulate_toy)
-from prevratio.glm import fit_stack, predict_prevalence
+from prevratio.glm import predict_prevalence
 
 
 def test_every_exported_name_resolves():
@@ -32,14 +32,9 @@ def test_star_import_binds_every_exported_name():
 
 
 TOY = simulate_toy(ToyConfig(n=200, seed=1))
-STACK = (TOY.X[None], TOY.y[None], TOY.weights[None])
 # the toy data less its confounder: a fit to it has fewer columns than TOY
 TOY_X = dataclasses.replace(TOY, X=TOY.X[:, :2], column_names=TOY.column_names[:2])
 COLUMNS = "the fit's columns ('(Intercept)', 'x') are not the dataset's ('(Intercept)', 'x', 'z')"
-
-
-def fit_stack_from(family_link, beta0):
-    return fit_stack(*STACK, family_link, TOY.column_names, beta0=np.array(beta0))
 
 
 BAD_ARGUMENTS = {
@@ -48,12 +43,6 @@ BAD_ARGUMENTS = {
     "predict-log-above-1": (
         lambda: predict_prevalence(fit_glm(TOY, "binomial-log"), [[1.0, 1.0, 50.0]]),
         "binomial-log prediction >= 1: not a valid prevalence"),
-    "beta0-shape": (lambda: fit_stack_from("binomial-logit", [[0.0, 0.0]]),
-                    "beta0 must be 3 finite coefficients per problem, got shape (1, 2)"),
-    "beta0-not-finite": (lambda: fit_stack_from("binomial-logit", [[0.0, np.nan, 0.0]]),
-                         "beta0 must be 3 finite coefficients per problem, got shape (1, 3)"),
-    "beta0-infeasible": (lambda: fit_stack_from("binomial-log", [[1.0, 0.0, 0.0]]),
-                         "beta0 is not a feasible start for binomial-log"),
     "boot-estimators": (lambda: bootstrap_prs(fit_glm(TOY, "binomial-logit"), TOY, ("POR",),
                                               100, seed=0),
                         "estimators must be 'CPR' and/or 'MPR', got ('POR',)"),
@@ -143,6 +132,32 @@ def test_one_fit_path():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refit"]
     assert [ast.unparse(call) for call in calls] == ["_refit(fit, data)"]
+
+
+def test_one_warm_start():
+    # a fit starts at its intercept-only coefficients; only a refit passes a start
+    defs = [node for tree in src_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)]
+    assert not [d.name for d in defs
+                if "beta0" in {a.arg for a in ast.walk(d.args) if isinstance(a, ast.arg)}]
+    assert list(inspect.signature(fit_glm).parameters) == ["ds", "family_link"]
+    with_start = {f"{path.stem}.{top.name}"
+                  for path in sorted(Path(prevratio.__file__).parent.glob("*.py"))
+                  for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_irls"
+                  and len(node.args) + len(node.keywords) > 5}
+    assert with_start == {"glm._refit"}
+
+
+def test_one_record_loop():
+    # the row loop and the table reader read csv records, and number their
+    # lines, through one loop
+    assert referrers("_records") == {"data._parse_rows", "classical.StratifiedTable.from_csv"}
+    assert referrers("DictReader") == set()
+    numbered = [ast.unparse(node) for tree in src_trees() for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "enumerate"
+                and (len(node.args) > 1 or node.keywords)]
+    assert numbered == []
 
 
 def test_one_pattern_table():

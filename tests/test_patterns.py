@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from prevratio import (INTERCEPT_NAME, Dataset, FitResult, PrevRatioError, bootstrap_prs,
                        crude_table, fit_glm, stratified_from_dataset)
 from prevratio.classical import _schouten_response
-from prevratio.glm import DEVIANCE_TOL, expit, fit_stack
+from prevratio.glm import DEVIANCE_TOL, _irls, expit, fit_stack
 from prevratio.methods import block_fits
 from prevratio.ratios import _percentile_interval
 
@@ -28,12 +28,11 @@ def binary_dataset(rng, n, k, *, weighted, share=None):
                    weights=rng.uniform(0.1, 3.0, n) if weighted else None)
 
 
-def row_fit(ds, kind, beta0=None):
+def row_fit(ds, kind):
     """The fit of ``kind`` on the dataset's own rows, as fit_glm made it without a table."""
     y, w = _schouten_response(ds.y, ds.weights) if kind == "Schouten" else (ds.y, ds.weights)
     family = "binomial-logit" if kind == "Schouten" else kind
-    return fit_stack(ds.X[None], y[None], w[None], family, ds.column_names,
-                     beta0=None if beta0 is None else beta0[None])[0]
+    return fit_stack(ds.X[None], y[None], w[None], family, ds.column_names)[0]
 
 
 def converged_at(fit):
@@ -252,7 +251,10 @@ def row_bootstrap(ds, fit, reps, seed):
         keep = np.flatnonzero(counts)
         drawn = Dataset(y=ds.y[keep], X=ds.X[keep], column_names=ds.column_names,
                         weights=ds.weights[keep] * counts[keep])
-        beta = row_fit(drawn, "binomial-logit", beta0=fit.beta).beta
+        newton = _irls(drawn.X[None], drawn.y[None], drawn.weights[None], "binomial-logit",
+                       drawn.column_names, fit.beta[None])
+        assert newton.errors == [None]
+        beta = newton.beta[0]
         means = drawn.weights @ drawn.X / drawn.weights.sum()
         means[1] = 0.0
         for name, X, w in (("CPR", means[None], np.ones(1)), ("MPR", drawn.X, drawn.weights)):

@@ -488,8 +488,10 @@ class TestSharedBootstrap:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
             counts = np.bincount(rng.integers(0, toy_ds.n, size=toy_ds.n), minlength=toy_ds.n)
             data = toy_ds.frequency_weighted(counts)
-            fit = fit_glm(data, "binomial-logit",
-                          beta0=one_step_start(full, data.X, data.y, data.weights))
+            start = one_step_start(full, data.X, data.y, data.weights)
+            newton = _irls(data.X[None], data.y[None], data.weights[None], "binomial-logit",
+                           data.column_names, start[None])
+            fit = dataclasses.replace(full, beta=newton.beta[0])
             for name, fn in estimate.items():
                 draws[name].append(fn(fit, data))
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=seed)
@@ -600,21 +602,22 @@ class TestSharedBootstrap:
         expected = bootstrap_prs(full, toy_ds, ("CPR", "MPR"), 100, seed=5)
         starts = []
 
-        def recording_loop(X, y, w, family_link, column_names, beta0):
-            starts.append((X[0], y[0], w[0], beta0))
-            return _irls(X, y, w, family_link, column_names, beta0)
+        def recording_loop(X, y, w, family_link, column_names, start=None):
+            starts.append((X[0], y[0], w[0], start))
+            return _irls(X, y, w, family_link, column_names, start)
         monkeypatch.setattr(glm, "_irls", recording_loop)
         assert bootstrap_prs(full, toy_ds, ("CPR", "MPR"), 100, seed=5) == expected
         assert len(starts) == 100
-        for X, y, w, beta0 in starts:
-            assert np.array_equal(beta0, one_step_start(full, X, y, w)[None])
+        for X, y, w, start in starts:
+            assert np.array_equal(start, one_step_start(full, X, y, w)[None])
 
     def test_start_that_is_not_finite_falls_back_to_the_fit(self, toy_ds):
         full = fit_glm(toy_ds, "binomial-logit")
         data = toy_ds.frequency_weighted(np.arange(toy_ds.n) % 3)
         broken = dataclasses.replace(full, vcov=np.full_like(full.vcov, np.inf))
-        assert np.array_equal(_refit(broken, data),
-                              fit_glm(data, "binomial-logit", beta0=full.beta).beta)
+        from_fit = _irls(data.X[None], data.y[None], data.weights[None], "binomial-logit",
+                         data.column_names, full.beta[None])
+        assert np.array_equal(_refit(broken, data), from_fit.beta[0])
         assert not np.array_equal(_refit(full, data), _refit(broken, data))
 
     def test_refits_take_three_newton_steps_and_no_covariance(self, toy_ds, monkeypatch,
