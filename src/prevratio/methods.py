@@ -9,12 +9,11 @@ study). ``estimate``, the study and the public :func:`log_binomial_pr`,
 :func:`robust_poisson_pr` and :func:`schouten_pr`, defined here, share
 one path: :func:`block_fits` fits every needed fit once to a block of
 datasets, one stack per fit, and :func:`estimate` reads a method's
-estimate for one dataset of the block off it. The fits are
-independent, so :func:`block_fits` shares a large design's fits out over
-the CPUs with :func:`parallel._fork_map`; a small one's, and those inside
-a study block, itself a part of a forked map, run one after another. An
-all-0/1 dataset alone is fitted on its pattern table (see :mod:`data`),
-as ``fit_glm`` fits it.
+estimate for one dataset of the block off it. The fits are independent,
+so :func:`block_fits` maps a large design's fits over the CPUs with
+:func:`parallel._fork_map`; a small one's, and those inside a study
+block, run one after another. An all-0/1 dataset alone is fitted on its
+pattern table (see :mod:`data`), as ``fit_glm`` fits it.
 Adding a method means adding one entry to ``METHODS``; its name is then
 a valid ``PrEstimate.method`` and one of ``prevratio.METHOD_LABELS``.
 """
@@ -111,9 +110,9 @@ def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
     Maps each fit name, in the order the methods first read it, to one
     result per dataset: a FitResult, or the PrevRatioError that stopped
     it. The fits of a block of at least ``_FORK_SIZE`` design elements
-    run on every CPU (see :func:`parallel._fork_map`), unless this
-    process is already a part of a forked map, as in the study; others
-    run one after another in this process. The results are the same
+    run on every CPU, one fit per item of :func:`parallel._fork_map`,
+    unless this process already runs a forked map, as in the study;
+    others run one after another in this process. The results are the same
     either way. A block of one dataset with a pattern table is fitted on
     the table, as :func:`glm.fit_glm` fits it, with each fit's mu given
     back row by row.
@@ -123,12 +122,12 @@ def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
     names = block[0].column_names
     kinds = [k for k in dict.fromkeys(METHODS[m].fit for m in methods) if k is not None]
 
-    def fit(part: Sequence[str]) -> list:
-        return [fit_stack(X, *_schouten_response(y, w), "binomial-logit", names)
-                if kind == "Schouten" else fit_stack(X, y, w, kind, names) for kind in part]
-    parts = _fork_map(fit, kinds) if X.size >= _FORK_SIZE else [fit(kinds)]
+    def fit(kind: str) -> list:
+        return (fit_stack(X, *_schouten_response(y, w), "binomial-logit", names)
+                if kind == "Schouten" else fit_stack(X, y, w, kind, names))
+    fits = _fork_map(fit, kinds) if X.size >= _FORK_SIZE else list(map(fit, kinds))
     return {kind: [_on_rows(result, patterns) for result in results]
-            for kind, results in zip(kinds, (results for part in parts for results in part))}
+            for kind, results in zip(kinds, fits)}
 
 
 def estimate(method: str, fits: dict, j: int, ds: Dataset, level: float,

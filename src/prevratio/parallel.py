@@ -1,22 +1,22 @@
 """Run independent pieces of work on every CPU this process may use.
 
-:func:`_fork_map` splits a sequence of independent work items (bootstrap
-replicates, study blocks, or the fits ``estimate`` reads) into
-contiguous parts, one per worker. The calling process runs the first
-part itself and one forked child per remaining part runs the others;
-each child sends back its result, or the exception that stopped it,
-pickled through a pipe, and the results come back in the order of the
-parts. The callers' items draw from their own random substreams and
-never share state, so the joined result is bit for bit the one a single
-process computes, for any number of workers.
+:func:`_fork_map` calls a function on each independent work item (a
+bootstrap replicate, a study block, or a fit ``estimate`` reads) and
+returns the results in item order. Each worker runs one contiguous part
+of the items: the calling process runs the first part itself and one
+forked child per remaining part runs the others, each child sending back
+its results, or the exception that stopped it, pickled through a pipe.
+The callers' items draw from their own random substreams and never share
+state, so the joined result is bit for bit the one a single process
+computes, for any number of workers.
 
 The loop runs in this process alone when only one CPU is available, on
 platforms without ``os.fork``, and when called from a thread other than
 the main one (forking from such a thread would copy a process whose
 other threads stop mid-step). It also runs serially when called while
 this process runs a forked map, or from inside a worker: only one level
-forks, so the study's blocks, which fit inside their parts, never ask
-for more processes than there are CPUs.
+forks, so the fits inside a study block never ask for more processes
+than there are CPUs.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import pickle
 import threading
 from typing import Callable, Sequence, TypeVar
 
+R = TypeVar("R")
 T = TypeVar("T")
-S = TypeVar("S", bound=Sequence)
 
 _forking = False  # set while this process runs a forked map; its workers inherit it
 
@@ -48,18 +48,21 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_map(fn: Callable[[S], T], items: S) -> list[T]:
-    """``fn`` of each contiguous part of ``items``, one part per worker, in order.
+def _fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """``fn`` of each item of ``items``, in item order.
 
-    Every part is non-empty, and a single worker gets all of ``items`` as
-    one part. An exception in any part is raised here with its type and
-    arguments; no child outlives the call.
+    Each worker runs one contiguous part of the items. An exception from
+    any item is raised here with its type and arguments; no child
+    outlives the call.
     """
     global _forking
+
+    def run(part: Sequence[T]) -> list[R]:
+        return [fn(item) for item in part]
     workers = min(_worker_count(), len(items))
     if (_forking or workers <= 1 or not hasattr(os, "fork")
             or threading.current_thread() is not threading.main_thread()):
-        return [fn(items)]
+        return run(items)
     bounds = [len(items) * i // workers for i in range(workers + 1)]
     parts = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     pending = []  # (pid, read end of its pipe) of every child not yet reaped
@@ -74,10 +77,10 @@ def _fork_map(fn: Callable[[S], T], items: S) -> list[T]:
                 os.close(w)
                 raise
             if pid == 0:
-                _run_child(fn, part, r, w)
+                _run_child(run, part, r, w)
             os.close(w)
             pending.append((pid, os.fdopen(r, "rb")))
-        results = [fn(parts[0])]
+        results = run(parts[0])
         while pending:
             pid, pipe = pending[0]
             # drain the pipe before waiting: a child blocks on a full pipe
@@ -85,7 +88,7 @@ def _fork_map(fn: Callable[[S], T], items: S) -> list[T]:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del pending[0]
-            results.append(_child_result(pid, status, data))
+            results += _child_result(pid, status, data)
         return results
     finally:
         _forking = False

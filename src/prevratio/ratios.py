@@ -249,7 +249,7 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
     full-data estimate; the interval comes from the percentiles of the
     replicate estimates. Replicate r draws its resample from an
     independent substream derived from (seed, r), so the result does not
-    depend on execution order; the replicates run on every available CPU
+    depend on execution order; the replicates are mapped over every CPU
     and the result is bit for bit the same for any number of them. Each
     resample, :meth:`Dataset.frequency_weighted` of its draw counts, is
     refitted once, and every requested estimator is read off that one
@@ -301,10 +301,8 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
         beta = _refit(fit, data)
         return {name: _outcome(point, name, beta, data) for name in names}
 
-    # each replicate's outcome: a failed refit, or each estimator's point or
-    # error; the parts come back in replicate order, so the draws are the serial ones
-    outcomes = [outcome for part in _fork_map(
-        lambda part: [_outcome(replicate, r) for r in part], range(reps)) for outcome in part]
+    # each replicate's outcome: a failed refit, or each estimator's point or error
+    outcomes = _fork_map(lambda r: _outcome(replicate, r), range(reps))
     for name in names:
         mine = [o if isinstance(o, PrevRatioError) else o[name] for o in outcomes]
         reasons = _failure_reasons(mine)

@@ -245,27 +245,21 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _study_rows(cfg: ToyConfig, blocks: Sequence[range], methods: Sequence[str],
+def _block_rows(cfg: ToyConfig, replicates: range, methods: Sequence[str],
                 level: float) -> list[tuple[float, dict]]:
-    """What the study scores of each replicate in ``blocks``, in order.
+    """What the study scores of each replicate of one block, in order.
 
     That is the confounder at the replicate's CPR conditioning point (its
     weighted mean) and, per method, the interval of its estimate or the
-    error that stopped it. Each block is drawn and fitted in one go, and
-    only these scores outlive it.
+    error that stopped it. The block is drawn and fitted in one go, and
+    only these scores outlive the call.
     """
-    results = []
-    for replicates in blocks:
-        block = _simulate_block(cfg, replicates)
-        fits = block_fits(block, methods)
-        for j, ds in enumerate(block):
-            intervals = {m: _outcome(lambda m: estimate(m, fits, j, ds, level).interval, m)
-                         for m in methods}
-            zbar = float(covariate_means(ds)[2])
-            results.append((zbar, intervals))
-        # dropped before the next block is drawn, or both blocks' fits peak together
-        del block, fits
-    return results
+    block = _simulate_block(cfg, replicates)
+    fits = block_fits(block, methods)
+    return [(float(covariate_means(ds)[2]),
+             {m: _outcome(lambda m: estimate(m, fits, j, ds, level).interval, m)
+              for m in methods})
+            for j, ds in enumerate(block)]
 
 
 def replication_study(cfg: ToyConfig, reps: int,
@@ -285,9 +279,9 @@ def replication_study(cfg: ToyConfig, reps: int,
     every fit a method reads (Schouten's included) is fitted to a whole
     block at once by :func:`methods.block_fits`; each fit follows the
     same rules as fitting its replicate alone, so the numbers agree with
-    one-at-a-time fits to rounding. The blocks are shared out over every
-    available CPU, and the report is bit for bit the same for any number
-    of them.
+    one-at-a-time fits to rounding. The blocks are mapped over every
+    available CPU, one block per item, and the report is bit for bit the
+    same for any number of them.
     """
     if reps < 100:
         raise InvalidArgumentError(f"need at least 100 replicates, got {reps}")
@@ -310,8 +304,8 @@ def replication_study(cfg: ToyConfig, reps: int,
 
     blocks = [range(start, min(start + _BLOCK_SIZE, reps))
               for start in range(0, reps, _BLOCK_SIZE)]
-    rows = [row for part in _fork_map(lambda part: _study_rows(cfg, part, methods, level),
-                                      blocks) for row in part]
+    scored = _fork_map(lambda replicates: _block_rows(cfg, replicates, methods, level), blocks)
+    rows = [row for block in scored for row in block]
     cpr_truths = [true_conditional_pr(coeffs, zbar) for zbar, _ in rows]
     # each replicate's truth by target
     truths = {"cpr": cpr_truths, "mpr": [mpr_truth] * reps, "por": [por_truth] * reps}

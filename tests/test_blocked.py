@@ -13,7 +13,7 @@ from prevratio import (Dataset, INTERCEPT_NAME, ModelSpec, ToyConfig, covariate_
 from prevratio.classical import _schouten_response
 from prevratio.glm import expit, fit_stack
 from prevratio.linalg import _BLOCK_ROWS, gram_stack, matvec_stack, rmatvec_stack
-from prevratio.simulate import _simulate_block, _study_rows
+from prevratio.simulate import _block_rows, _simulate_block
 
 SIZES = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000)
 
@@ -99,7 +99,7 @@ class TestSchoutenOnOriginalRows:
 
     def test_study_column_matches_one_at_a_time(self):
         cfg = ToyConfig(n=400, seed=4)
-        results = _study_rows(cfg, [range(40)], ("Schouten",), 0.95)
+        results = _block_rows(cfg, range(40), ("Schouten",), 0.95)
         for r, (zbar, intervals) in enumerate(results):
             ds = simulate_toy(cfg, replicate=r)
             alone = schouten_pr(ds)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import prevratio
+import prevratio.cli
 import prevratio.data
 from prevratio import (IntervalEstimate, InvalidArgumentError, MethodSummary, PrEstimate,
                        ToyConfig, bootstrap_prs, conditional_pr, fit_glm, marginal_pr,
@@ -190,7 +191,30 @@ def test_one_failure_count():
     assert referrers("Counter") == {"errors._failure_reasons"}
     assert {"ratios.bootstrap_prs", "simulate.replication_study"} <= referrers("_failure_reasons")
     # and keep each failure as a value, its traceback dropped, in one place
-    assert {"ratios.bootstrap_prs", "simulate._study_rows"} <= referrers("_outcome")
+    assert {"ratios.bootstrap_prs", "simulate._block_rows"} <= referrers("_outcome")
+
+
+def test_one_work_split():
+    # the bootstrap, the study and the fits map their own items one by one;
+    # only parallel.py deals them out to the workers in parts
+    assert referrers("_fork_map") == {"methods.block_fits", "ratios.bootstrap_prs",
+                                      "simulate.replication_study"}
+    assert not hasattr(prevratio.simulate, "_study_rows")
+    part_params = [f"{path.stem}:{node.lineno}"
+                   for path in sorted(Path(prevratio.__file__).parent.glob("*.py"))
+                   if path.stem != "parallel"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                   and "part" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert part_params == []
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer wraps these two without checking that they exist,
+    # and its traced run calls cli.main: without any of them a traced run fails
+    assert callable(prevratio.glm.fit_glm)
+    assert callable(prevratio.data.Dataset.take_rows)
+    assert callable(prevratio.cli.main)
 
 
 def test_one_stand_in_factor():

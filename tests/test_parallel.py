@@ -31,33 +31,44 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def tagged(part):
-    return os.getpid(), list(part)
+def tagged(item):
+    return os.getpid(), item
+
+
+def worker_parts(out):
+    """The pid of each run of consecutive items that ``tagged`` ran in one process."""
+    pids = [pid for pid, _ in out]
+    return [pid for j, pid in enumerate(pids) if j == 0 or pid != pids[j - 1]]
 
 
 class TestForkMap:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fn_gets_each_item(self, workers, k):
+        workers(k)
+        assert _fork_map(lambda i: i * 2, range(7)) == [0, 2, 4, 6, 8, 10, 12]
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 100])
     def test_contiguous_parts_in_order(self, workers, k, n):
         workers(k)
         out = _fork_map(tagged, range(n))
-        parts = [items for _, items in out]
-        assert [i for p in parts for i in p] == list(range(n))
-        assert len(parts) == min(k, n) and all(parts)
-        pids = [pid for pid, _ in out]
-        assert pids[0] == os.getpid()
-        assert len(set(pids)) == len(pids)  # one process per part
+        assert [i for _, i in out] == list(range(n))
+        parts = worker_parts(out)
+        assert parts[0] == os.getpid()
+        # one non-empty contiguous part per worker
+        assert len(parts) == len(set(parts)) == min(k, n)
         assert_no_children()
 
     def test_child_error_is_raised_here(self, workers):
         workers(3)
         before = open_fds()
+        parent = os.getpid()
 
-        def fn(part):
-            if 0 not in part:
-                raise KeyError(f"part from {part[0]}")
-            return list(part)
-        with pytest.raises(KeyError, match="part from") as info:
+        def fn(i):
+            if os.getpid() != parent:
+                raise KeyError(f"item {i}")
+            return i
+        with pytest.raises(KeyError, match="item 3") as info:
             _fork_map(fn, range(9))
         cause = info.value.__cause__
         assert isinstance(cause, WorkerTraceback)
@@ -67,13 +78,15 @@ class TestForkMap:
 
     def test_typed_error_keeps_its_attributes(self, workers):
         workers(2)
+        parent = os.getpid()
 
-        def fn(part):
-            if 0 not in part:
+        def fn(i):
+            if os.getpid() != parent:
                 raise RankDeficientError(3)
-            return part
+            return i
         with pytest.raises(RankDeficientError) as info:
             _fork_map(fn, range(4))
+        assert isinstance(info.value.__cause__, WorkerTraceback)
         assert info.value.column == 3
         assert str(info.value) == "matrix is rank deficient at column 3"
         assert_no_children()
@@ -81,9 +94,10 @@ class TestForkMap:
     def test_own_part_failing_kills_the_children(self, workers):
         workers(3)
         before = open_fds()
+        parent = os.getpid()
 
-        def fn(part):
-            if 0 in part:
+        def fn(i):
+            if os.getpid() == parent:
                 raise ZeroDivisionError("in the parent's part")
             time.sleep(60)
         start = time.monotonic()
@@ -96,58 +110,61 @@ class TestForkMap:
     def test_child_without_a_result(self, workers):
         workers(2)
         before = open_fds()
+        parent = os.getpid()
 
-        def fn(part):
-            if 0 not in part:
+        def fn(i):
+            if os.getpid() != parent:
                 os._exit(3)
-            return part
+            return i
         with pytest.raises(ChildProcessError, match="exit code 3"):
             _fork_map(fn, range(2))
         assert_no_children()
         assert open_fds() == before
 
     def test_serial_on_one_cpu_or_off_the_main_thread(self, workers):
+        serial = [(os.getpid(), i) for i in range(5)]
         workers(1)
-        assert _fork_map(tagged, range(5)) == [(os.getpid(), [0, 1, 2, 3, 4])]
+        assert _fork_map(tagged, range(5)) == serial
         workers(4)
         out = []
         thread = threading.Thread(target=lambda: out.append(_fork_map(tagged, range(5))))
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert out == [[(os.getpid(), [0, 1, 2, 3, 4])]]
+        assert out == [serial]
 
     def test_real_cpu_count(self):
         # the default count is the affinity mask, capped by the items
         out = _fork_map(tagged, range(50))
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert len(out) == min(cpus, 50)
-        assert [i for _, p in out for i in p] == list(range(50))
+        assert len(worker_parts(out)) == min(cpus, 50)
+        assert [i for _, i in out] == list(range(50))
 
 
 class TestOneLevel:
     @pytest.mark.parametrize("k", [2, 3])
     def test_nested_map_runs_in_its_part(self, workers, k):
         workers(k)
-        out = _fork_map(lambda part: (os.getpid(), _fork_map(tagged, range(5))), range(k))
+        out = _fork_map(lambda i: (os.getpid(), _fork_map(tagged, range(5))), range(k))
         assert len({pid for pid, _ in out}) == k
         for pid, inner in out:
-            assert inner == [(pid, [0, 1, 2, 3, 4])]
+            assert inner == [(pid, i) for i in range(5)]
         assert not parallel._forking
-        assert len({pid for pid, _ in _fork_map(tagged, range(5))}) == k  # forks again
+        assert len(worker_parts(_fork_map(tagged, range(5)))) == k  # forks again
         assert_no_children()
 
     def test_flag_cleared_when_own_part_raises(self, workers):
         workers(3)
+        parent = os.getpid()
 
-        def fn(part):
-            if 0 in part:
+        def fn(i):
+            if os.getpid() == parent:
                 raise ZeroDivisionError("in the parent's part")
-            return part
+            return i
         with pytest.raises(ZeroDivisionError):
             _fork_map(fn, range(3))
         assert not parallel._forking
-        assert len({pid for pid, _ in _fork_map(tagged, range(3))}) == 3
+        assert len(worker_parts(_fork_map(tagged, range(3)))) == 3
         assert_no_children()
 
 

@@ -10,7 +10,7 @@ from prevratio import (DEFAULT_STUDY_METHODS, InvalidArgumentError, PrevRatioErr
                        dgp_coefficients, replication_study, simulate_toy, true_conditional_pr,
                        true_marginal_pr)
 from prevratio.methods import METHODS
-from prevratio.simulate import _U_FLOOR, _study_rows
+from prevratio.simulate import _U_FLOOR, _block_rows
 
 LOGIT_02 = math.log(0.2 / 0.8)
 
@@ -214,7 +214,7 @@ class TestReplicationStudy:
     def test_failed_estimates_keep_no_traceback(self):
         # a kept traceback's frames would hold the block's datasets and fits
         # alive for as long as the study keeps the error
-        rows = _study_rows(ToyConfig(n=4), [range(32)], DEFAULT_STUDY_METHODS, 0.95)
+        rows = _block_rows(ToyConfig(n=4), range(32), DEFAULT_STUDY_METHODS, 0.95)
         errors = [o for _, intervals in rows for o in intervals.values()
                   if isinstance(o, PrevRatioError)]
         assert errors
