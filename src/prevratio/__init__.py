@@ -6,79 +6,50 @@ intervals, alongside the classical comparison estimators (crude,
 Mantel-Haenszel, Schouten duplication, robust Poisson) and a simulation
 harness that measures bias and confidence-interval coverage against
 analytic truth.
+
+Names load on first use: ``import prevratio`` imports no submodule and
+no numpy, and ``prevratio.fit_glm`` (or ``prevratio.glm``) imports the
+module that defines it.
 """
 
-from .classical import (StratifiedTable, crude_pr, crude_table,
-                        mantel_haenszel_pr, schouten_expand,
-                        stratified_from_dataset)
-from .data import (Dataset, EXPOSURE_COL, INTERCEPT_NAME, ModelSpec,
-                   covariate_means, load_csv, write_csv)
-from .errors import (DataError, DegenerateDenominatorError,
-                     InvalidArgumentError, NonConvergenceError,
-                     NonIdentifiableError, PrevRatioError, RankDeficientError)
-from .glm import (FAMILY_LINKS, FitResult, fit_glm, predict_prevalence,
-                  separation_check)
-from . import methods
-from .methods import log_binomial_pr, robust_poisson_pr, schouten_pr
-from .ratios import (PrEstimate, bootstrap_prs, conditional_pr, marginal_pr,
-                     prevalence_odds_ratio)
-from .simulate import (DEFAULT_STUDY_METHODS, MethodSummary, StudyReport,
-                       ToyConfig, dgp_coefficients, replication_study,
-                       simulate_toy, true_conditional_pr, true_marginal_pr)
-from .variance import (IntervalEstimate, normal_quantile, ratio_interval,
-                       sandwich_vcov)
+import importlib
 
 __version__ = "0.1.0"
 
-#: the name of every method, in the registry's order
-METHOD_LABELS = tuple(methods.METHODS)
+#: every submodule bound on first use (all but ``cli``), to the public names it defines
+_EXPORTS = {
+    "classical": ("StratifiedTable", "crude_pr", "crude_table", "mantel_haenszel_pr",
+                  "schouten_expand", "stratified_from_dataset"),
+    "data": ("Dataset", "EXPOSURE_COL", "INTERCEPT_NAME", "ModelSpec", "covariate_means",
+             "load_csv", "write_csv"),
+    "errors": ("DataError", "DegenerateDenominatorError", "InvalidArgumentError",
+               "NonConvergenceError", "NonIdentifiableError", "PrevRatioError",
+               "RankDeficientError"),
+    "glm": ("FAMILY_LINKS", "FitResult", "fit_glm", "predict_prevalence", "separation_check"),
+    "linalg": (),
+    "methods": ("METHOD_LABELS", "log_binomial_pr", "robust_poisson_pr", "schouten_pr"),
+    "parallel": (),
+    "ratios": ("PrEstimate", "bootstrap_prs", "conditional_pr", "marginal_pr",
+               "prevalence_odds_ratio"),
+    "simulate": ("DEFAULT_STUDY_METHODS", "MethodSummary", "StudyReport", "ToyConfig",
+                 "dgp_coefficients", "replication_study", "simulate_toy",
+                 "true_conditional_pr", "true_marginal_pr"),
+    "variance": ("IntervalEstimate", "normal_quantile", "ratio_interval", "sandwich_vcov"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "DataError",
-    "Dataset",
-    "DegenerateDenominatorError",
-    "DEFAULT_STUDY_METHODS",
-    "EXPOSURE_COL",
-    "FAMILY_LINKS",
-    "FitResult",
-    "INTERCEPT_NAME",
-    "IntervalEstimate",
-    "InvalidArgumentError",
-    "METHOD_LABELS",
-    "MethodSummary",
-    "ModelSpec",
-    "NonConvergenceError",
-    "NonIdentifiableError",
-    "PrEstimate",
-    "PrevRatioError",
-    "RankDeficientError",
-    "StratifiedTable",
-    "StudyReport",
-    "ToyConfig",
-    "bootstrap_prs",
-    "conditional_pr",
-    "covariate_means",
-    "crude_pr",
-    "crude_table",
-    "dgp_coefficients",
-    "fit_glm",
-    "load_csv",
-    "log_binomial_pr",
-    "mantel_haenszel_pr",
-    "marginal_pr",
-    "normal_quantile",
-    "predict_prevalence",
-    "prevalence_odds_ratio",
-    "ratio_interval",
-    "replication_study",
-    "robust_poisson_pr",
-    "sandwich_vcov",
-    "schouten_expand",
-    "schouten_pr",
-    "separation_check",
-    "simulate_toy",
-    "stratified_from_dataset",
-    "true_conditional_pr",
-    "true_marginal_pr",
-    "write_csv",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the submodule ``name``, or the module that defines ``name``."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_HOME})

@@ -10,6 +10,11 @@ a stratified 2x2 CSV into crude and Mantel-Haenszel ratios.
 Text output rounds to 3 decimals; json carries full precision and
 re-renders to the identical text table. All output is deterministic
 given identical flags and seed.
+
+The command sets two fixed process policies, with no option for either:
+OpenBLAS loads with one thread (set on import, before numpy loads), and
+malloc keeps freed memory for reuse (:func:`_keep_freed_memory`, when
+``main`` starts). Forked workers inherit both.
 """
 
 from __future__ import annotations
@@ -17,8 +22,14 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from typing import Any, Callable, Mapping
+
+# OpenBLAS reads this once, as numpy loads it below: every product in linalg
+# runs below OpenBLAS's threading size, and all parallel work runs in forked
+# workers, so a helper thread would only spin beside them
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .classical import StratifiedTable, crude_pr, mantel_haenszel_pr
 from .data import ModelSpec, load_csv
@@ -65,10 +76,13 @@ def _parse_at(raw: str) -> dict[str, float]:
         if not tok:
             continue
         name, sep, val = tok.partition("=")
+        name = name.strip()
         if not sep or not name:
             raise ValueError(f"--at expects name=value pairs, got {tok!r}")
+        if name in values:
+            raise ValueError(f"--at names column {name!r} twice")
         try:
-            values[name.strip()] = float(val)
+            values[name] = float(val)
         except ValueError:
             raise ValueError(f"--at value for {name!r} is not a number: {val!r}")
     return values

@@ -5,8 +5,10 @@ block by block over a fixed number of rows, small enough that a block
 and its weighted copy stay in a core's cache. The blocks are the same
 for every problem of a stack, so no problem's sums depend on the rest of
 its stack, and no product copies a long design whole. They also keep
-every BLAS call below the size at which OpenBLAS starts threads, which
-would contend with the forked workers.
+every BLAS call below the size at which OpenBLAS starts threads. The
+``prevratio`` command loads OpenBLAS with one thread anyway; a library
+caller's OpenBLAS keeps its threads, which would contend with the forked
+workers.
 
 Matrices are plain float numpy arrays in stacks of shape (R, p, p), as
 the batched IRLS kernel uses them. The factorization is numpy's

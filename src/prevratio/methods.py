@@ -15,7 +15,7 @@ so :func:`block_fits` maps a large design's fits over the CPUs with
 block, run one after another. An all-0/1 dataset alone is fitted on its
 pattern table (see :mod:`data`), as ``fit_glm`` fits it.
 Adding a method means adding one entry to ``METHODS``; its name is then
-a valid ``PrEstimate.method`` and one of ``prevratio.METHOD_LABELS``.
+a valid ``PrEstimate.method`` and one of ``METHOD_LABELS``.
 """
 
 from __future__ import annotations
@@ -79,6 +79,9 @@ METHODS = {m.name: m for m in (
 
 #: every accepted spelling, lower-cased with "_" read as "-", to its method
 ALIASES = {alias: m.name for m in METHODS.values() for alias in (m.name.lower(), *m.aliases)}
+
+#: the name of every method, in the registry's order
+METHOD_LABELS = tuple(METHODS)
 
 # design elements of a block from which its fits are shared out over the
 # CPUs. On 2 cores, the 6 default methods of one p = 11 dataset took 17 ms

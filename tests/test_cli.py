@@ -2,12 +2,16 @@ import ctypes
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import types
 import warnings
 
 import pytest
 
+import prevratio
 from prevratio import ToyConfig, cli, glm, methods, ratios, simulate_toy, write_csv
 from prevratio.glm import _irls, _refit
 from prevratio.cli import DEFAULT_ESTIMATE_METHODS, main, render_payload
@@ -77,6 +81,11 @@ class TestUsageErrors:
             assert usage_error(capsys, ESTIMATE_ARGS + ["--input", toy_csv, "--methods", methods,
                                                         "--boot", "100"]) == (
                 "prevratio: error: --boot resamples CPR and MPR; add cpr or mpr to --methods")
+
+    def test_at_names_a_column_twice(self, capsys, toy_csv):
+        for at in ("z=1,z=2", "z=1, z =1"):
+            assert usage_error(capsys, ESTIMATE_ARGS + ["--input", toy_csv, "--at", at]) == (
+                "prevratio: error: --at names column 'z' twice")
 
     def test_methods_non_empty(self, capsys, toy_csv):
         for argv in (ESTIMATE_ARGS + ["--input", toy_csv], ["simulate"]):
@@ -483,6 +492,39 @@ def test_console_entry_point(toy_csv):
     )
     assert result.returncode == 0
     assert "MPR" in result.stdout
+
+
+def fresh_run(*args):
+    """Stdout of a fresh interpreter on this checkout, with no OpenBLAS thread count set.
+
+    Importing ``prevratio.cli`` set one in this process's environment.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(prevratio.__file__))
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestBlasPolicy:
+    """The command loads OpenBLAS with one thread; the package alone leaves it be."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads in /proc/self/task")
+    def test_cli_import_runs_one_thread(self):
+        # numpy's OpenBLAS starts a helper thread per further core on load
+        assert fresh_run("-c", "import os, prevratio.cli; "
+                               "print(len(os.listdir('/proc/self/task')))") == "1\n"
+
+    def test_package_import_loads_no_numpy(self):
+        assert fresh_run("-c", "import os, sys, prevratio; print('numpy' in sys.modules, "
+                               "os.environ.get('OPENBLAS_NUM_THREADS'))") == "False None\n"
+
+    def test_thread_count_moves_no_number(self, capsys, toy_csv):
+        # conftest loaded numpy before prevratio.cli, so this process's
+        # OpenBLAS keeps numpy's default threads; the fresh command has one
+        argv = ESTIMATE_ARGS + ["--input", toy_csv, "--format", "json", "--boot", "100"]
+        assert main(argv) == 0
+        assert fresh_run("-m", "prevratio.cli", *argv) == capsys.readouterr().out
 
 
 class TestMallocPolicy:

@@ -3,6 +3,9 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,30 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from prevratio import *", namespace)
     assert set(prevratio.__all__) <= namespace.keys()
+
+
+def test_first_use_hides_no_name():
+    # importing a submodule binds it on the package, and this process has
+    # imported them all, so a name the package's __getattr__ misses shows
+    # only in a fresh interpreter. One submodule's import binds the ones it
+    # imports too, so each is read first from a package imported afresh.
+    submodules = ("classical", "data", "errors", "glm", "linalg", "methods", "parallel",
+                  "ratios", "simulate", "variance")
+    code = ("import importlib, sys\n"
+            "def fresh():\n"
+            "    for m in [m for m in sys.modules if m.split('.')[0] == 'prevratio']:\n"
+            "        del sys.modules[m]\n"
+            "    return importlib.import_module('prevratio')\n"
+            "pkg = fresh()\n"
+            "print(sorted(set(pkg.__all__) - set(dir(pkg))))\n"
+            "star = {}\n"
+            "exec('from prevratio import *', star)\n"
+            "print(sorted(set(pkg.__all__) - star.keys()))\n"
+            f"print([n for n in ('METHOD_LABELS', *{submodules!r}) if not hasattr(fresh(), n)])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(prevratio.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n[]\n[]\n"
 
 
 TOY = simulate_toy(ToyConfig(n=200, seed=1))
