@@ -15,6 +15,13 @@ covariate means, MPR's average and the bootstrap's resamples (the drawn
 patterns themselves) read it. One scan of the design, block by block,
 is the 0/1 check; a design with any other value has no table, and those
 steps read the rows.
+
+:func:`load_csv` reads a numeric file with numpy's C parser, and a file
+that parser cannot settle exactly with the csv module, row by row. When
+empty fields were filled in memory and every record is one digit per
+field, as in 0/1- or 0-9-coded categorical data, it reads the filled
+body as a grid of bytes instead. The file's own shape selects the
+reader, and every reader gives the same arrays.
 """
 
 from __future__ import annotations
@@ -248,7 +255,11 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
     value in a referenced column are dropped (the count lands in ``n_dropped``).
 
     numpy's C parser reads the referenced columns, as integers when the
-    file is integer-coded. Files it cannot read exactly as the csv module
+    file is integer-coded. When an empty referenced field stops it, the
+    empty fields are filled in memory, and a filled body whose every
+    record holds one digit per field, as many fields as the header has
+    names, is read as a grid of bytes, bit-identical to that parser's
+    values. Files the C parser cannot read exactly as the csv module
     would (quotes below a one-line header, short rows, whitespace-only,
     non-numeric or non-finite fields, a non-0/1 outcome, a blank first
     data line) are read row by row instead, which gives the same arrays
@@ -286,14 +297,16 @@ _SCAN_CHARS = 1 << 20
 
 
 def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
-    """The ``wanted`` columns via ``np.loadtxt``, or None to defer to the row loop.
+    """The ``wanted`` columns via a byte grid or ``np.loadtxt``, or None to defer to the row loop.
 
     Returns ``(data, n_dropped)`` only when it equals what ``_parse_rows``
     returns. The file is read once in chunks to count its records and look
     for quotes, then parsed from disk, so a file without empty fields is
     never held in memory whole. When that parse fails, the file is read once
     more, a 0 written into each empty field (see ``_fill_empty_fields``), and
-    parsed from memory. Integer-coded files parse as int32 (see ``_loadtxt``).
+    the filled body parsed as a grid of one-digit fields (see
+    ``_digit_grid``) or, when it is not one, from memory. Integer-coded
+    files parse as int32 (see ``_loadtxt``).
     """
     with _open_text(path) as handle:  # universal newlines, as np.loadtxt reads the file
         first = handle.readline()  # np.loadtxt skips this line
@@ -330,8 +343,11 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     data, keep = parse(path, dtypes[:1]), None
     if data is None:  # an empty field, a value int32 cannot hold, or a row-loop case
         source, keep = _fill_empty_fields(path, usecols)
-        # the path, returned when no referenced field is empty, has failed as dtypes[0]
-        data = parse(source, dtypes if source is not path else dtypes[1:])
+        if source is not path:
+            data = _digit_grid(source, len(header), usecols)
+        if data is None:
+            # the path, returned when no referenced field is empty, has failed as dtypes[0]
+            data = parse(source, dtypes if source is not path else dtypes[1:])
         del source  # a filled body is freed before the kept rows are copied
     if data is None:
         return None
@@ -344,6 +360,23 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     # every record the row loop keeps is a row here; np.loadtxt skips blank
     # lines, which the row loop drops, so they count as dropped either way
     return data, n_records - len(data)
+
+
+def _digit_grid(body: bytes, n_fields: int, usecols: list[int]) -> np.ndarray | None:
+    """The ``usecols`` of ``body`` when each of its lines is ``n_fields`` one-digit fields.
+
+    Such a line is 2 * ``n_fields`` bytes, a digit and a comma a field with
+    a newline for the last comma, so the body is a grid of byte pairs. The
+    values, as uint16, are those the int32 parse reads; any other body,
+    blank lines included, gives None.
+    """
+    if len(body) % (2 * n_fields):
+        return None
+    pairs = np.frombuffer(body, dtype="<u2").reshape(-1, n_fields)
+    # a pair less the same field's pair in a line of 0s is its digit, and
+    # is above 9 for any other pair, as uint16 wraps below 0
+    digits = pairs - np.frombuffer(b"0," * (n_fields - 1) + b"0\n", dtype="<u2")
+    return digits[:, usecols] if digits.max() <= 9 else None
 
 
 def _loadtxt(source, dtypes: tuple, usecols: list[int]) -> np.ndarray | None:

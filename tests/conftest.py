@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,13 @@ def random_logistic_dataset(rng, n, p_covariates):
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     names = (INTERCEPT_NAME, "x") + tuple(f"z{j}" for j in range(p_covariates))
     return Dataset(y=y, X=X, column_names=names)
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_after_main():
+    """Hands the heap that an in-process ``cli.main`` froze back to the collector."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

@@ -527,6 +527,19 @@ class TestBlasPolicy:
         assert fresh_run("-m", "prevratio.cli", *argv) == capsys.readouterr().out
 
 
+class TestGcPolicy:
+    """``main`` leaves the objects alive when it starts out of every collection."""
+
+    def test_cli_import_freezes_nothing(self):
+        assert fresh_run("-c", "import gc, prevratio.cli; print(gc.get_freeze_count())") == "0\n"
+
+    def test_main_freezes_the_heap(self, strata_csv):
+        out = fresh_run("-c", "import gc, sys, prevratio.cli\n"
+                              "prevratio.cli.main(['table', '--input', sys.argv[1]])\n"
+                              "print(gc.get_freeze_count() > 0)", strata_csv)
+        assert out.endswith("\nTrue\n") and "MantelHaenszel" in out
+
+
 class TestMallocPolicy:
     """``main`` keeps freed heap memory for reuse, where libc is glibc."""
 

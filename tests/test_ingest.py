@@ -88,6 +88,10 @@ def load_or_error(loader, path, spec, weight_column):
 def assert_same_as_row_loop(path, spec=SPEC, weight_column=None):
     want = load_or_error(row_loop_load_csv, path, spec, weight_column)
     got = load_or_error(load_csv, path, spec, weight_column)
+    assert_same_outcome(got, want)
+
+
+def assert_same_outcome(got, want):
     if isinstance(want, str):
         assert got == want
         return
@@ -197,6 +201,15 @@ CASES = {
     "int outcome 2 with empty field": "y,x,z\n1,,1\n2,0,1\n",
     "int whitespace only field with empty field": "y,x,z\n1,,1\n0, ,1\n1,1,0\n",
     "int short row with empty field": "y,x,z\n1,,1\n0,0\n1,1,0\n",
+    # one digit per field, which is read as a grid of bytes once the empty fields are filled
+    "digits": "y,x,z\n1,1,0\n0,0,1\n1,1,9\n",
+    "digits, no trailing newline": "y,x,z\n1,1,0\n0,,1",
+    "digits with empty field": "y,x,z,u\n1,1,0,5\n0,,1,5\n1,1,9,\n",
+    # filled, 18 bytes that are three 3-field grid lines in size only
+    "digits, filled body the size of a grid": "y,x,z\n1,,0\n1,1,0,1\n0,0\n",
+    "digits, quoted header": '"y","x","z"\n1,,0\n0,0,1\n',
+    # 8 bytes as it stands, a 4-field grid line, under a 5-name header
+    "digits, grid width from the header": "y,x,note,z,w\n0,0,,,0\n",
 }
 
 
@@ -284,7 +297,8 @@ INTEGER_CASES = [
     "crlf", "crlf blank line", "no trailing newline", "whitespace padded", "long row",
     "number spellings", *INTEGER_CASES, "blank lines with empty fields",
     "crlf blank lines with empty fields", "empty with letters in unreferenced column",
-    "empty with n in unreferenced column", "quoted header"])
+    "empty with n in unreferenced column", "quoted header", "digits",
+    "digits, no trailing newline", "digits with empty field"])
 def test_numeric_files_skip_the_row_loop(tmp_path, monkeypatch, name):
     def row_loop(*args):
         raise AssertionError("row loop used")
@@ -297,13 +311,20 @@ def test_numeric_files_skip_the_row_loop(tmp_path, monkeypatch, name):
     ("plain", ["float64"]),
     ("int", ["int32"]),
     ("int empty unreferenced", ["int32"]),  # np.loadtxt converts only usecols
-    ("int empty at line end", ["int32", "int32"]),
+    ("int empty at line end", ["int32"]),  # the filled body is a grid
     ("empty referenced", ["float64", "float64"]),
     ("int beyond int32", ["int32", "float64"]),  # no empty field, so parsed from disk again
+    ("digits", ["int32"]),  # no empty field, so parsed from disk
+    ("digits with empty field", ["int32"]),  # the filled body is a grid
+    ("digits, no trailing newline", ["int32"]),
+    ("digits, quoted header", ["int32"]),
+    ("int empty crlf", ["int32"]),  # the fill writes "\n" line ends
+    ("blank lines with empty fields", ["int32", "int32"]),  # a blank line is no grid line
 ])
 def test_one_failed_parse_before_the_fill(tmp_path, monkeypatch, name, dtypes):
     # an empty field fails the parse from disk once; the file then goes to
-    # the fill and is not parsed from disk again as a float
+    # the fill and is not parsed from disk again as a float. A filled body
+    # of one-digit fields is read as a grid, not by np.loadtxt
     calls = []
     loadtxt = np.loadtxt
 
@@ -321,7 +342,8 @@ BOM = "\ufeff"
 
 
 @pytest.mark.parametrize("name", ["plain", "int", "empty referenced", "int empty at line end",
-                                  "crlf", "blank lines with empty fields", "quoted header"])
+                                  "crlf", "blank lines with empty fields", "quoted header",
+                                  "digits with empty field"])
 def test_byte_order_mark_on_the_fast_path(tmp_path, monkeypatch, name):
     def row_loop(*args):
         raise AssertionError("row loop used")
@@ -465,6 +487,48 @@ def integer_csv_texts(draw):
 def test_integer_files_match_row_loop(tmp_path_factory, text, weighted):
     path = write(tmp_path_factory.mktemp("csv") / "d.csv", text)
     assert_same_as_row_loop(path, weight_column="w" if weighted else None)
+
+
+# one-character fields: the digits of a grid, and one near miss per file
+GRID_MISSES = st.sampled_from([
+    "10", "01", " 1", "-", "a", ".", " ", "", "2", "extra field", "missing field"])
+
+
+@st.composite
+def one_character_csv_texts(draw):
+    """One-digit and empty fields, CRLF, blank lines, a byte-order mark, a quoted header."""
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 14)) == 0:
+            rows.append([])  # blank line
+            continue
+        rows.append([draw(st.sampled_from(["0", "1", "0", "1", ""])),
+                     *[draw(st.sampled_from(["0", "1", "5", "9", ""])) for _ in range(3)],
+                     draw(st.sampled_from(["1", "2", "9", ""]))])
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        miss = draw(GRID_MISSES)
+        if miss == "extra field":
+            row.append("1")
+        elif miss == "missing field":
+            del row[len(row) - 1:]
+        elif row:
+            row[draw(st.integers(0, len(row) - 1))] = miss
+    header = draw(st.sampled_from(["y,x,note,z,w", '"y","x","note","z","w"']))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = newline.join([header, *map(",".join, rows)])
+    return text + newline if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=one_character_csv_texts(), weighted=st.booleans(), mark=st.booleans())
+def test_one_character_files_match_row_loop(tmp_path_factory, text, weighted, mark):
+    # the oracle reads a byte-order mark into the first name, so it reads
+    # the file without one, at the same path, which its errors cite
+    path, weight_column = tmp_path_factory.mktemp("csv") / "d.csv", "w" if weighted else None
+    want = load_or_error(row_loop_load_csv, write(path, text), SPEC, weight_column)
+    got = load_or_error(load_csv, write(path, BOM * mark + text), SPEC, weight_column)
+    assert_same_outcome(got, want)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
