@@ -10,9 +10,10 @@ which has the same likelihood, score and information, so the model is
 fitted on the original rows with the same numbers; ``methods`` fits it
 and holds the dataset-level ``schouten_pr``.
 
-``_cells`` alone codes and sums a dataset's 2x2 cells: one stratum for
-the crude table, one per covariate pattern for Mantel-Haenszel, over
-the pattern table (see :mod:`data`) when the dataset has one. No
+``_cells`` alone codes and sums 2x2 cells: one stratum per problem for
+the crude tables of a block (a dataset is a block of one), one per
+covariate pattern for Mantel-Haenszel, over the pattern table (see
+:mod:`data`) when the dataset has one. No
 continuity corrections are applied anywhere: a zero cell that makes a
 ratio undefined or infinite is reported as an error, not patched.
 """
@@ -24,11 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, EXPOSURE_COL, _distinct_rows, _records
-from .errors import DataError, DegenerateDenominatorError
-from .glm import FitResult
-from .ratios import PrEstimate, _coefficient_ratio
-from .variance import _sandwich, ratio_interval
+from .data import Dataset, EXPOSURE_COL, _Block, _block_of, _distinct_rows, _records
+from .errors import DataError, DegenerateDenominatorError, _fail
+from .glm import _Fits
+from .ratios import PrEstimate, _coefficient_ratios
+from .variance import _Intervals, _ratio_intervals, _sandwich
 
 _TABLE_COLUMNS = ("stratum", "a", "b", "c", "d")
 
@@ -81,23 +82,27 @@ class StratifiedTable:
         return cls(strata=tuple(strata))
 
 
-def _crude_components(a: float, b: float, c: float,
-                      d: float) -> tuple[float, float]:
-    """Point and log-scale variance of the ratio [a/(a+b)] / [c/(c+d)]."""
+def _crude_intervals(cells: np.ndarray, errors: list, level: float) -> _Intervals:
+    """The ratio [a/(a+b)] / [c/(c+d)] of each 2x2 table of a (R, 4) stack, with its interval.
+
+    ``errors`` holds the errors the tables already have; a table left
+    standing with an empty exposure arm gets a DataError, and one with no
+    cases among the unexposed, or among the exposed, a
+    DegenerateDenominatorError, checked in that order.
+    """
+    errors = list(errors)
+    a, b, c, d = cells.T
     n1 = a + b
     n0 = c + d
-    if n1 <= 0 or n0 <= 0:
-        raise DataError("a 2x2 margin is empty; both exposure arms need rows")
-    if c == 0:
-        raise DegenerateDenominatorError(
-            "no cases among the unexposed; the prevalence ratio is infinite"
-        )
-    if a == 0:
-        raise DegenerateDenominatorError(
-            "no cases among the exposed; the prevalence ratio is 0 and has "
-            "no log-scale interval"
-        )
-    return (a / n1) / (c / n0), 1.0 / a - 1.0 / n1 + 1.0 / c - 1.0 / n0
+    _fail(errors, (n1 <= 0) | (n0 <= 0),
+          lambda i: DataError("a 2x2 margin is empty; both exposure arms need rows"))
+    _fail(errors, c == 0, lambda i: DegenerateDenominatorError(
+        "no cases among the unexposed; the prevalence ratio is infinite"))
+    _fail(errors, a == 0, lambda i: DegenerateDenominatorError(
+        "no cases among the exposed; the prevalence ratio is 0 and has no log-scale interval"))
+    with np.errstate(all="ignore"):  # failed tables compute NaN, read by no one
+        return _ratio_intervals((a / n1) / (c / n0), 1.0 / a - 1.0 / n1 + 1.0 / c - 1.0 / n0,
+                                level, errors)
 
 
 def crude_pr(table: StratifiedTable, level: float = 0.95) -> PrEstimate:
@@ -110,7 +115,7 @@ def crude_pr(table: StratifiedTable, level: float = 0.95) -> PrEstimate:
     a, b, c, d = table.strata[0]
     return PrEstimate(
         method="Crude",
-        interval=ratio_interval(*_crude_components(a, b, c, d), level),
+        interval=_crude_intervals(np.array(table.strata), [None], level).one(level),
         exposure="exposure",
         metadata={"se_scale": "log", "counts": {"a": a, "b": b, "c": c, "d": d}},
     )
@@ -125,8 +130,7 @@ def mantel_haenszel_pr(table: StratifiedTable,
     same code path so the two agree bit for bit.
     """
     if table.k == 1:
-        a, b, c, d = table.strata[0]
-        pr, log_var = _crude_components(a, b, c, d)
+        intervals = _crude_intervals(np.array(table.strata), [None], level)
     else:
         num = den = var_num = 0.0
         for a, b, c, d in table.strata:
@@ -138,10 +142,11 @@ def mantel_haenszel_pr(table: StratifiedTable,
             raise DegenerateDenominatorError(
                 "a Mantel-Haenszel sum is zero; the pooled ratio is undefined"
             )
-        pr, log_var = num / den, var_num / (num * den)
+        intervals = _ratio_intervals(np.array([num / den]), np.array([var_num / (num * den)]),
+                                     level, [None])
     return PrEstimate(
         method="MantelHaenszel",
-        interval=ratio_interval(pr, log_var, level),
+        interval=intervals.one(level),
         exposure="exposure",
         metadata={"se_scale": "log", "strata": table.k},
     )
@@ -169,35 +174,42 @@ def _schouten_response(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
     return y / (1.0 + y), weights * (1.0 + y)
 
 
-def _schouten_from_fit(fit: FitResult, ds: Dataset, level: float) -> PrEstimate:
-    """Schouten estimate from the logistic fit to ``ds`` with ``_schouten_response``.
+def _schouten_intervals(fits: _Fits, block: _Block, level: float) -> _Intervals:
+    """Schouten ratios of a block from its logistic fits with ``_schouten_response``.
 
     The expanded data's row-level HC0 meat adds (y - mu)^2 for an event
     row and mu^2 for its copy, both with weight w^2, so it is the meat of
     the original rows with squared scores w^2 ((y - mu)^2 + y mu^2).
     """
-    mu, y, w = fit.fitted, ds.y, ds.weights
-    robust = _sandwich(fit.vcov, ds.X, w**2 * ((y - mu) ** 2 + y * mu**2))
-    return _coefficient_ratio("Schouten", fit, robust, level, {
-        "se_scale": "log",
-        "expanded_rows": ds.n + int(np.count_nonzero(y == 1.0)),
-        "caveat": "sandwich variance on duplicated rows; the exact "
-                  "duplication-aware correction is not implemented",
-    })
+    mu, y, w = fits.fitted, block.y, block.weights
+    robust = _sandwich(fits.vcov, block.X, w**2 * ((y - mu) ** 2 + y * mu**2))
+    return _coefficient_ratios(fits.beta, robust, level, fits.errors)
 
 
-def _cells(rows: Dataset, stratum: np.ndarray | int) -> StratifiedTable:
-    """The 2x2 cells of ``rows`` per stratum, ``stratum`` numbering each row's from 0.
+def _cells(x: np.ndarray, y: np.ndarray, w: np.ndarray, stratum) -> np.ndarray:
+    """The (k, 4) 2x2 cells of rows with exposure x, outcome y and weight w per stratum.
 
-    Each cell adds its rows' weights in row order; the exposure must be 0/1.
+    ``stratum`` numbers each row's stratum from 0, broadcast against the
+    rows. Each cell adds its rows' weights in row order; the exposure must
+    be 0/1.
     """
-    x = rows.X[:, EXPOSURE_COL]
-    if not np.isin(x, (0.0, 1.0)).all():
-        raise DataError("a 2x2 table needs a 0/1 exposure")
-    cell = np.where(x == 1.0, 0, 2) + (rows.y != 1.0)
-    sums = np.bincount(4 * stratum + cell, weights=rows.weights,
-                       minlength=4 * (int(np.max(stratum)) + 1))
-    return StratifiedTable(strata=tuple(tuple(row) for row in sums.reshape(-1, 4).tolist()))
+    cell = np.where(x == 1.0, 0, 2) + (y != 1.0)
+    k = int(np.max(stratum)) + 1
+    return np.bincount((4 * stratum + cell).ravel(), weights=w.ravel(),
+                       minlength=4 * k).reshape(k, 4)
+
+
+def _crude_tables(block: _Block) -> tuple[np.ndarray, list]:
+    """The (R, 4) 2x2 table of each problem of a block, its covariates ignored.
+
+    Gives the cells and each problem's error: a DataError when its
+    exposure is not 0/1, else None.
+    """
+    x = block.X[..., EXPOSURE_COL]
+    errors = [None] * len(x)
+    _fail(errors, ~((x == 0.0) | (x == 1.0)).all(axis=-1),
+          lambda i: DataError("a 2x2 table needs a 0/1 exposure"))
+    return _cells(x, block.y, block.weights, np.arange(len(x))[:, None]), errors
 
 
 def crude_table(ds: Dataset) -> StratifiedTable:
@@ -206,7 +218,10 @@ def crude_table(ds: Dataset) -> StratifiedTable:
     Covariates are ignored; weights enter the cells as summed prior
     weights, summed over the pattern table when the dataset has one.
     """
-    return _cells(_distinct_rows(ds), 0)
+    cells, errors = _crude_tables(_block_of(_distinct_rows(ds)))
+    if errors[0] is not None:
+        raise errors[0]
+    return StratifiedTable(strata=(tuple(cells[0].tolist()),))
 
 
 def stratified_from_dataset(ds: Dataset) -> StratifiedTable:
@@ -225,5 +240,7 @@ def stratified_from_dataset(ds: Dataset) -> StratifiedTable:
     rows = patterns.rows
     # a pattern is (covariates, exposure, outcome), so each cell of a stratum
     # is one pattern, whose weight adds its rows' weights in row order
-    return _cells(rows, np.unique(rows.X[:, EXPOSURE_COL + 1:], axis=0,
-                                  return_inverse=True)[1].ravel())
+    stratum = np.unique(rows.X[:, EXPOSURE_COL + 1:], axis=0, return_inverse=True)[1].ravel()
+    return StratifiedTable(strata=tuple(
+        tuple(row) for row in _cells(rows.X[:, EXPOSURE_COL], rows.y, rows.weights,
+                                     stratum).tolist()))

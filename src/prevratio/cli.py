@@ -38,7 +38,7 @@ from .classical import StratifiedTable, crude_pr, mantel_haenszel_pr
 from .data import ModelSpec, load_csv
 from .errors import PrevRatioError
 from .glm import FitResult, separation_check
-from .methods import ALIASES, METHODS, block_fits, estimate
+from .methods import ALIASES, METHODS, dataset_fits, estimate
 from .ratios import BOOTSTRAP_ESTIMATORS, PrEstimate, bootstrap_prs
 from .simulate import ToyConfig, replication_study
 
@@ -265,7 +265,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                      covariates=args.covariates)
     ds = load_csv(args.input, spec)
     at = args.at or None
-    fits = block_fits([ds], args.methods)
+    fits = dataset_fits(ds, args.methods)
     logistic = fits.get("binomial-logit", [None])[0]
     # with --boot, CPR and MPR come from the bootstrap of the logistic fit;
     # when that fit failed, their rows report its error through estimate

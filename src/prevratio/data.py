@@ -164,10 +164,7 @@ class Dataset:
         return self.column_names[EXPOSURE_COL]
 
     def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise DataError(f"no design column named {name!r}") from None
+        return _column_index(self.column_names, name)
 
     @cached_property
     def _patterns(self) -> _Patterns | None:
@@ -196,6 +193,27 @@ class Dataset:
         keep = np.flatnonzero(weights)
         return replace(self, y=_read_only(rows.y[keep]), X=_read_only(rows.X[keep]),
                        weights=_read_only(weights[keep]))
+
+
+def _column_index(column_names: tuple[str, ...], name: str) -> int:
+    try:
+        return column_names.index(name)
+    except ValueError:
+        raise DataError(f"no design column named {name!r}") from None
+
+
+class _Block(NamedTuple):
+    """Same-shape problems as stacks, X (R, n, p), y and weights (R, n), with one set of names."""
+
+    X: np.ndarray
+    y: np.ndarray
+    weights: np.ndarray
+    column_names: tuple[str, ...]
+
+
+def _block_of(ds: Dataset) -> _Block:
+    """The rows of ``ds`` as a block of one, views of its arrays."""
+    return _Block(ds.X[None], ds.y[None], ds.weights[None], ds.column_names)
 
 
 def _distinct_rows(ds: Dataset) -> Dataset:
@@ -243,8 +261,13 @@ def covariate_means(ds: Dataset) -> np.ndarray:
     The sums run over the pattern table when the dataset has one.
     """
     rows = _distinct_rows(ds)
-    totals = rmatvec_stack(rows.X, rows.weights)
-    return totals / totals[0]  # column 0 is all ones, so totals[0] is the weight sum
+    return _means(rows.X, rows.weights)
+
+
+def _means(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted column means of rows X (n, p), or of each problem of a stack (R, n, p)."""
+    totals = rmatvec_stack(X, w)
+    return totals / totals[..., :1]  # column 0 is all ones, so its total is the weight sum
 
 
 def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Dataset:

@@ -58,6 +58,17 @@ class DegenerateDenominatorError(PrevRatioError):
     """
 
 
+def _fail(errors: list, bad, make) -> None:
+    """Give each problem flagged in the boolean array ``bad`` the error ``make(i)``.
+
+    ``errors`` holds each problem's error, or None; a problem keeps its
+    first error, the one that would stop it if it were computed alone.
+    """
+    for i in bad.nonzero()[0].tolist():
+        if errors[i] is None:
+            errors[i] = make(i)
+
+
 def _outcome(fn, *args):
     """``fn(*args)``, or the PrevRatioError that stopped it.
 

@@ -155,6 +155,23 @@ class FitResult:
         return float(self.beta[self.column_names.index(name)])
 
 
+class _Fits(NamedTuple):
+    """Stacked fits: beta (R, p), vcov (R, p, p), fitted (R, n), and each fit's error or None."""
+
+    beta: np.ndarray
+    vcov: np.ndarray
+    fitted: np.ndarray
+    errors: list
+
+
+def _stacked(results: list, n: int, p: int) -> _Fits:
+    """One fit per problem, a FitResult or an error, as a _Fits; a failed fit's rows are NaN."""
+    nan = _Fits(np.full(p, np.nan), np.full((p, p), np.nan), np.full(n, np.nan), None)
+    fits = [r if isinstance(r, FitResult) else nan for r in results]
+    return _Fits(*(np.stack([getattr(f, name) for f in fits]) for name in _Fits._fields[:3]),
+                 [r if isinstance(r, PrevRatioError) else None for r in results])
+
+
 def _check_columns(fit: FitResult, ds: Dataset) -> None:
     """Raise InvalidArgumentError unless ``fit``'s design columns are ``ds``'s."""
     if tuple(fit.column_names) != ds.column_names:
@@ -163,7 +180,8 @@ def _check_columns(fit: FitResult, ds: Dataset) -> None:
 
 
 def _feasible(eta: np.ndarray, fam: _Family) -> np.ndarray:
-    return np.isfinite(eta).all(axis=-1) & (eta <= fam.eta_max).all(axis=-1)
+    finite = np.isfinite(eta).all(axis=-1)
+    return finite if fam.eta_max == math.inf else finite & (eta <= fam.eta_max).all(axis=-1)
 
 
 def _deviance(fam: _Family, y, eta, w, feasible: np.ndarray) -> np.ndarray:
@@ -225,6 +243,9 @@ def _newton_step(fam: _Family, X, y, w, beta, eta, dev):
         eta_c = matvec_stack(X[sub], cand[sub])
         dev_c = _deviance(fam, y[sub], eta_c, w[sub], _feasible(eta_c, fam))
         ok = dev_c <= dev[sub] + _DEV_SLACK * (1.0 + np.abs(dev[sub]))
+        if ok.all() and todo.size == len(eta):  # every problem's full step: nothing to copy
+            status[:] = _ACCEPTED
+            return status, cand, eta_c, dev_c
         won = todo[ok]
         status[won] = _ACCEPTED
         eta_new[won] = eta_c[ok]
@@ -296,10 +317,13 @@ def _irls(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
             fam, X[sub], y[sub], weights[sub], beta[sub], eta[sub], dev[sub])
         accepted = status == _ACCEPTED
         acc = act[accepted]
-        previous = dev[acc]
-        beta[acc] = beta_new[accepted]
-        eta[acc] = eta_new[accepted]
-        dev[acc] = dev_new[accepted]
+        if acc.size == R:  # every problem stepped: take the new arrays as they are
+            previous, beta, eta, dev = dev, beta_new, eta_new, dev_new
+        else:
+            previous = dev[acc]
+            beta[acc] = beta_new[accepted]
+            eta[acc] = eta_new[accepted]
+            dev[acc] = dev_new[accepted]
         for i, d in zip(acc.tolist(), dev[acc].tolist()):
             paths[i].append(d)
 

@@ -2,18 +2,20 @@
 
 Each :class:`Method` names the fit it reads (a family/link, ``"Schouten"``
 for the collapsed logistic fit on :func:`classical._schouten_response`, or
-``None`` for the table-based crude and Mantel-Haenszel ratios), turns that
-fit into an estimate, and carries its fixed CLI note and the truth it is
-scored against in the replication study (``None`` keeps it out of the
-study). ``estimate``, the study and the public :func:`log_binomial_pr`,
-:func:`robust_poisson_pr` and :func:`schouten_pr`, defined here, share
-one path: :func:`block_fits` fits every needed fit once to a block of
-datasets, one stack per fit, and :func:`estimate` reads a method's
-estimate for one dataset of the block off it. The fits are independent,
-so :func:`block_fits` maps a large design's fits over the CPUs with
-:func:`parallel._fork_map`; a small one's, and those inside a study
-block, run one after another. An all-0/1 dataset alone is fitted on its
-pattern table (see :mod:`data`), as ``fit_glm`` fits it.
+``None`` for the table-based crude and Mantel-Haenszel ratios), scores a
+block of problems from their stacked fits, turns one dataset's fit into
+an estimate, and carries its fixed CLI note and the truth it is scored
+against in the replication study (``None`` keeps it out of the study).
+Every score is computed on stacks: the study scores a whole block at
+once, and one dataset is a block of one. ``estimate``, the study and the
+public :func:`log_binomial_pr`, :func:`robust_poisson_pr` and
+:func:`schouten_pr`, defined here, share one fit path: :func:`block_fits`
+fits every needed fit once to a block, one stack per fit, and
+:func:`estimate` reads a method's estimate for one dataset off its fits.
+The fits are independent, so :func:`block_fits` maps a large design's
+fits over the CPUs with :func:`parallel._fork_map`; a small one's, and
+those inside a study block, run one after another. A dataset with a
+pattern table is fitted on it (see :mod:`data`), as ``fit_glm`` fits it.
 Adding a method means adding one entry to ``METHODS``; its name is then
 a valid ``PrEstimate.method`` and one of ``METHOD_LABELS``.
 """
@@ -21,58 +23,79 @@ a valid ``PrEstimate.method`` and one of ``METHOD_LABELS``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
-from .classical import (_schouten_from_fit, _schouten_response, crude_pr, crude_table,
-                        mantel_haenszel_pr, stratified_from_dataset)
-from .data import Dataset
+from .classical import (_crude_intervals, _crude_tables, _schouten_intervals,
+                        _schouten_response, crude_pr, crude_table, mantel_haenszel_pr,
+                        stratified_from_dataset)
+from .data import Dataset, _Block, _block_of, _distinct_rows, _Patterns
 from .errors import PrevRatioError
-from .glm import FitResult, _on_rows, fit_stack
+from .glm import FitResult, _Fits, _on_rows, fit_stack
 from .parallel import _fork_map
-from .ratios import (PrEstimate, _coefficient_ratio, conditional_pr, marginal_pr,
-                     prevalence_odds_ratio)
-from .variance import sandwich_vcov
+from .ratios import (PrEstimate, _coefficient_ratios, _contrast, _estimate, _population,
+                     conditional_pr, marginal_pr, prevalence_odds_ratio)
+from .variance import _hc0, _Intervals
 
 
 @dataclass(frozen=True)
 class Method:
-    """One estimator: its names, the fit it reads, and how it is reported and scored."""
+    """One estimator: its names, the fit it reads, and how it is scored and reported."""
 
     name: str
     aliases: tuple[str, ...]  # besides the lower-cased name
     fit: str | None
-    # (fit, ds, level, at) -> estimate; ``at`` is CPR's conditioning values
+    # (fit, ds, level, at) -> the estimate of one dataset; ``at`` is CPR's
+    # conditioning values
     from_fit: Callable[[FitResult | None, Dataset, float, Mapping[str, float] | None],
                        PrEstimate]
+    # (fits, block, level) -> the interval of every problem of a block, from
+    # its stacked fits; None for a method the study cannot score
+    scores: Callable[[_Fits | None, _Block, float], _Intervals] | None = None
     note: str = ""
     target: str | None = None  # "cpr", "mpr" or "por"
+
+
+def _coefficient_scores(fits: _Fits, block: _Block, level: float) -> _Intervals:
+    return _coefficient_ratios(fits.beta, fits.vcov, level, fits.errors)
 
 
 # in this order the study lists the methods it can run
 METHODS = {m.name: m for m in (
     Method("CPR", (), "binomial-logit",
-           lambda fit, ds, level, at: conditional_pr(fit, ds, level, at=at), target="cpr"),
+           lambda fit, ds, level, at: conditional_pr(fit, ds, level, at=at),
+           lambda fits, block, level: _contrast(
+               fits.beta, fits.vcov, *_population("CPR", block, None), level, fits.errors)[0],
+           target="cpr"),
     Method("MPR", (), "binomial-logit",
-           lambda fit, ds, level, at: marginal_pr(fit, ds, level), target="mpr"),
-    Method("POR", (), "binomial-logit",
-           lambda fit, ds, level, at: prevalence_odds_ratio(fit, level), target="por"),
-    Method("LogBinomial", ("log-binomial",), "binomial-log",
-           lambda fit, ds, level, at: _coefficient_ratio(
-               "LogBinomial", fit, fit.vcov, level,
-               {"se_scale": "log", "iterations": fit.iterations}),
+           lambda fit, ds, level, at: marginal_pr(fit, ds, level),
+           lambda fits, block, level: _contrast(
+               fits.beta, fits.vcov, *_population("MPR", block, None), level, fits.errors)[0],
            target="mpr"),
+    Method("POR", (), "binomial-logit",
+           lambda fit, ds, level, at: prevalence_odds_ratio(fit, level),
+           _coefficient_scores, target="por"),
+    Method("LogBinomial", ("log-binomial",), "binomial-log",
+           lambda fit, ds, level, at: _one("LogBinomial", fit, ds, level, {
+               "se_scale": "log", "iterations": fit.iterations}),
+           _coefficient_scores, target="mpr"),
     Method("RobustPoisson", ("robust-poisson", "poisson"), "poisson-log",
-           lambda fit, ds, level, at: _coefficient_ratio(
-               "RobustPoisson", fit, sandwich_vcov(fit, ds), level,
-               {"se_scale": "log", "variance": "HC0 sandwich"}),
+           lambda fit, ds, level, at: _one("RobustPoisson", fit, ds, level, {
+               "se_scale": "log", "variance": "HC0 sandwich"}),
+           lambda fits, block, level: _coefficient_ratios(
+               fits.beta, _hc0(fits.vcov, fits.fitted, block), level, fits.errors),
            note="HC0 sandwich SE", target="mpr"),
     Method("Schouten", (), "Schouten",
-           lambda fit, ds, level, at: _schouten_from_fit(fit, ds, level),
+           lambda fit, ds, level, at: _one("Schouten", fit, ds, level, {
+               "se_scale": "log",
+               "expanded_rows": ds.n + int((ds.y == 1.0).sum()),
+               "caveat": "sandwich variance on duplicated rows; the exact "
+                         "duplication-aware correction is not implemented"}),
+           _schouten_intervals,
            note="sandwich SE on duplicated rows", target="mpr"),
     Method("Crude", (), None,
-           lambda fit, ds, level, at: crude_pr(crude_table(ds), level), target="mpr"),
+           lambda fit, ds, level, at: crude_pr(crude_table(ds), level),
+           lambda fits, block, level: _crude_intervals(*_crude_tables(block), level),
+           target="mpr"),
     Method("MantelHaenszel", ("mh", "mantel-haenszel"), None,
            lambda fit, ds, level, at: mantel_haenszel_pr(stratified_from_dataset(ds), level)),
 )}
@@ -90,39 +113,20 @@ METHOD_LABELS = tuple(METHODS)
 _FORK_SIZE = 1_000_000
 
 
-def _stack(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X, y and weights of same-shape datasets as (R, n, p), (R, n), (R, n) stacks.
-
-    A block of two or more is copied with each design stored column by
-    column, which halves the time of X'WX on thin stacks; a block of one
-    is a view of its dataset, so a large design is not copied.
-    """
-    if len(datasets) == 1:
-        ds = datasets[0]
-        return ds.X[None], ds.y[None], ds.weights[None]
-    n, p = datasets[0].X.shape
-    X = np.empty((len(datasets), p, n)).transpose(0, 2, 1)
-    for i, ds in enumerate(datasets):
-        X[i] = ds.X
-    return X, np.stack([ds.y for ds in datasets]), np.stack([ds.weights for ds in datasets])
-
-
-def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
-    """Every fit the methods read for a block of datasets, one fit_stack call each.
+def block_fits(block: _Block, methods: Sequence[str],
+               patterns: _Patterns | None = None) -> dict:
+    """Every fit the methods read for a block, one fit_stack call each.
 
     Maps each fit name, in the order the methods first read it, to one
-    result per dataset: a FitResult, or the PrevRatioError that stopped
+    result per problem: a FitResult, or the PrevRatioError that stopped
     it. The fits of a block of at least ``_FORK_SIZE`` design elements
     run on every CPU, one fit per item of :func:`parallel._fork_map`,
     unless this process already runs a forked map, as in the study;
     others run one after another in this process. The results are the same
-    either way. A block of one dataset with a pattern table is fitted on
-    the table, as :func:`glm.fit_glm` fits it, with each fit's mu given
-    back row by row.
+    either way. A block of one dataset's pattern table, ``patterns``, has
+    each fit's mu given back row by row (see :func:`dataset_fits`).
     """
-    patterns = block[0]._patterns if len(block) == 1 else None
-    X, y, w = _stack(block if patterns is None else [patterns.rows])
-    names = block[0].column_names
+    X, y, w, names = block
     kinds = [k for k in dict.fromkeys(METHODS[m].fit for m in methods) if k is not None]
 
     def fit(kind: str) -> list:
@@ -131,6 +135,15 @@ def block_fits(block: Sequence[Dataset], methods: Sequence[str]) -> dict:
     fits = _fork_map(fit, kinds) if X.size >= _FORK_SIZE else list(map(fit, kinds))
     return {kind: [_on_rows(result, patterns) for result in results]
             for kind, results in zip(kinds, fits)}
+
+
+def dataset_fits(ds: Dataset, methods: Sequence[str]) -> dict:
+    """:func:`block_fits` for one dataset, on its pattern table when it has one.
+
+    The dataset alone is a block of one and is not copied; each fit's mu
+    is given back row by row.
+    """
+    return block_fits(_block_of(_distinct_rows(ds)), methods, ds._patterns)
 
 
 def estimate(method: str, fits: dict, j: int, ds: Dataset, level: float,
@@ -149,6 +162,14 @@ def estimate(method: str, fits: dict, j: int, ds: Dataset, level: float,
     return m.from_fit(fit, ds, level, at)
 
 
+def _one(method: str, fit: FitResult, ds: Dataset, level: float,
+         metadata: Mapping[str, Any]) -> PrEstimate:
+    """``method``'s estimate of ``ds`` from its fit: the method's scores on a block of one."""
+    fits = _Fits(fit.beta[None], fit.vcov[None], fit.fitted[None], [None])
+    return _estimate(method, METHODS[method].scores(fits, _block_of(ds), level), level,
+                     ds.exposure_name, metadata)
+
+
 def log_binomial_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     """Prevalence ratio from a binomial GLM with a log link.
 
@@ -156,7 +177,7 @@ def log_binomial_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     Wald interval. This is the estimator that can fail to converge when
     fitted prevalences are pushed toward 1; failures propagate.
     """
-    return estimate("LogBinomial", block_fits([ds], ("LogBinomial",)), 0, ds, level)
+    return estimate("LogBinomial", dataset_fits(ds, ("LogBinomial",)), 0, ds, level)
 
 
 def robust_poisson_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
@@ -166,7 +187,7 @@ def robust_poisson_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     model-based covariance is replaced by the HC0 sandwich before the
     Wald interval is built.
     """
-    return estimate("RobustPoisson", block_fits([ds], ("RobustPoisson",)), 0, ds, level)
+    return estimate("RobustPoisson", dataset_fits(ds, ("RobustPoisson",)), 0, ds, level)
 
 
 def schouten_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
@@ -183,4 +204,4 @@ def schouten_pr(ds: Dataset, level: float = 0.95) -> PrEstimate:
     exact. ``expanded_rows`` in the metadata counts the rows of the
     expanded data.
     """
-    return estimate("Schouten", block_fits([ds], ("Schouten",)), 0, ds, level)
+    return estimate("Schouten", dataset_fits(ds, ("Schouten",)), 0, ds, level)

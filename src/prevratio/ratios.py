@@ -10,9 +10,12 @@ Both carry first-order delta-method standard errors propagated through
 the model's coefficient covariance, with Wald intervals built on the log
 scale. The prevalence
 odds ratio (POR) and a case-resampling percentile bootstrap round out the
-module, together with :class:`PrEstimate` and the coefficient-ratio
-helper that the log-binomial, robust-Poisson and Schouten estimates of
-``methods.METHODS`` share; this module fits none of those models.
+module, together with :class:`PrEstimate` and the coefficient ratios
+that the log-binomial, robust-Poisson and Schouten estimates of
+``methods.METHODS`` share; this module fits none of those models. The
+contrast and the coefficient ratios work on stacks of problems, as the
+study scores a block of replicates; each public estimator is that code
+on a stack of one.
 
 Every estimator contrasts the exposure, design column ``EXPOSURE_COL``,
 at 1 versus 0; for a continuous exposure that reads as a one-unit
@@ -22,29 +25,25 @@ increase from zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, EXPOSURE_COL, _distinct_rows, covariate_means
+from .data import (Dataset, EXPOSURE_COL, _Block, _block_of, _column_index, _distinct_rows,
+                   _means)
 from .errors import (DegenerateDenominatorError, InvalidArgumentError, NonConvergenceError,
-                     PrevRatioError, _failure_reasons, _outcome)
+                     PrevRatioError, _fail, _failure_reasons, _outcome)
 from .glm import FitResult, _check_columns, _refit, expit
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
-from .variance import IntervalEstimate, check_level, ratio_interval
+from .variance import IntervalEstimate, _Intervals, _ratio_intervals, check_level
 
 #: estimators that bootstrap_prs can resample
 BOOTSTRAP_ESTIMATORS = ("CPR", "MPR")
 
 _MIN_DENOMINATOR = 1e-12
-
-# the weight of CPR's one-row population
-_ONE_ROW_WEIGHT = np.ones(1)
-_ONE_ROW_WEIGHT.setflags(write=False)
-
 
 @cache
 def _method_names() -> frozenset[str]:
@@ -78,12 +77,15 @@ def _require_logistic(fit: FitResult) -> None:
         )
 
 
-def _conditioning_point(ds: Dataset, at: Mapping[str, float] | None) -> np.ndarray:
-    """CPR's one-row population: weighted covariate means, ``at`` applied, exposure 0."""
-    x = covariate_means(ds)
+def _conditioning_point(rows: _Block, at: Mapping[str, float] | None) -> np.ndarray:
+    """CPR's one-row population of each problem: its weighted covariate means, ``at`` applied, exposure 0.
+
+    Gives a (R, 1, p) stack.
+    """
+    x = _means(rows.X, rows.weights)
     if at:
         for name, value in at.items():
-            j = ds.column_index(name)
+            j = _column_index(rows.column_names, name)
             if j == 0:
                 raise InvalidArgumentError("cannot condition on the intercept")
             if j == EXPOSURE_COL:
@@ -96,96 +98,112 @@ def _conditioning_point(ds: Dataset, at: Mapping[str, float] | None) -> np.ndarr
                 raise InvalidArgumentError(
                     f"the conditioning value of {name!r} must be finite, got {value}"
                 )
-            x[j] = value
-    x[EXPOSURE_COL] = 0.0
-    return x[None]
+            x[:, j] = value
+    x[:, EXPOSURE_COL] = 0.0
+    return x[:, None]
 
 
-def _population(method: str, ds: Dataset, at: Mapping[str, float] | None
+def _population(method: str, rows: _Block, at: Mapping[str, float] | None
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``method`` averages its arms over, and their weights.
+    """The rows ``method`` averages its arms over in each problem of ``rows``, and their weights.
 
     For CPR that is its conditioning point, a population of one row; for
-    MPR the sample, read off its pattern table when it has one.
+    MPR the rows themselves. A dataset's rows are its pattern table's
+    when it has one (:func:`_rows`).
     """
     if method == "CPR":
-        return _conditioning_point(ds, at), _ONE_ROW_WEIGHT
-    rows = _distinct_rows(ds)
+        x = _conditioning_point(rows, at)
+        return x, np.ones(x.shape[:-1])
     return rows.X, rows.weights
 
 
-def _coefficient_ratio(method: str, fit: FitResult, vcov: np.ndarray,
-                       level: float, metadata: Mapping[str, Any]) -> PrEstimate:
-    """exp(beta) of ``fit``'s exposure with a log-scale Wald interval from ``vcov``."""
-    try:
-        point = math.exp(fit.beta[EXPOSURE_COL])
-    except OverflowError:
-        point = math.inf
-    return PrEstimate(
-        method=method,
-        interval=ratio_interval(point, float(vcov[EXPOSURE_COL, EXPOSURE_COL]), level),
-        exposure=fit.column_names[EXPOSURE_COL],
-        metadata=metadata,
-    )
+def _rows(ds: Dataset) -> _Block:
+    """The rows CPR and MPR read of ``ds``: its distinct rows, as a block of one."""
+    return _block_of(_distinct_rows(ds))
+
+
+def _coefficient_ratios(beta: np.ndarray, vcov: np.ndarray, level: float,
+                        errors: list) -> _Intervals:
+    """exp(beta) of each problem's exposure with a log-scale Wald interval from its ``vcov``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = np.exp(beta[:, EXPOSURE_COL])
+    return _ratio_intervals(point, vcov[:, EXPOSURE_COL, EXPOSURE_COL], level, errors)
+
+
+def _estimate(method: str, intervals: _Intervals, level: float, exposure: str,
+              metadata: Mapping[str, Any]) -> PrEstimate:
+    """The PrEstimate of a stack of one, or its error raised."""
+    return PrEstimate(method=method, interval=intervals.one(level), exposure=exposure,
+                      metadata=metadata)
 
 
 def _arms(beta: np.ndarray, X: np.ndarray, w: np.ndarray
-          ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Average prevalences of rows ``X`` at exposure 1 and at 0, and each row's in both arms.
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """Average prevalences of each problem's rows at exposure 1 and at 0, and each row's in both arms.
 
-    The averages use the weights ``w``. A row's linear predictor with the
+    ``beta`` is (R, p), ``X`` (R, m, p) and the weights ``w`` (R, m).
+    Gives (R,) averages, (R, m) rows and each problem's error: a
+    DegenerateDenominatorError when its unexposed average is below
+    ``_MIN_DENOMINATOR``, else None. A row's linear predictor with the
     exposure set to a value is X beta shifted by the exposure's term, so X
     is not copied.
     """
-    wsum = float(w.sum())
+    wsum = w.sum(axis=-1)
     eta = matvec_stack(X, beta)
-    shift = X[:, EXPOSURE_COL] * beta[EXPOSURE_COL]
-    rows1 = expit(eta + (beta[EXPOSURE_COL] - shift))
+    b = beta[:, EXPOSURE_COL, None]
+    shift = X[..., EXPOSURE_COL] * b
+    rows1 = expit(eta + (b - shift))
     rows0 = expit(eta - shift)
-    p1 = float((w * rows1).sum() / wsum)
-    p0 = float((w * rows0).sum() / wsum)
-    if p0 < _MIN_DENOMINATOR:
-        raise DegenerateDenominatorError(
-            f"average unexposed prevalence is {p0:g}"
-        )
-    return p1, p0, rows1, rows0
+    p1 = (w * rows1).sum(axis=-1) / wsum
+    p0 = (w * rows0).sum(axis=-1) / wsum
+    errors = [None] * len(p0)
+    _fail(errors, p0 < _MIN_DENOMINATOR,
+          lambda i: DegenerateDenominatorError(f"average unexposed prevalence is {p0[i]:g}"))
+    return p1, p0, rows1, rows0, errors
 
 
-def _contrast(method: str, fit: FitResult, ds: Dataset, X: np.ndarray, w: np.ndarray,
-              level: float, metadata: Mapping[str, Any]) -> PrEstimate:
-    """Ratio of the ``_arms`` averages of rows ``X``, with its delta-method interval.
+def _contrast(beta: np.ndarray, vcov: np.ndarray, X: np.ndarray, w: np.ndarray,
+              level: float, errors: list
+              ) -> tuple[_Intervals, np.ndarray, np.ndarray, np.ndarray]:
+    """Ratio of each problem's ``_arms`` averages of its rows ``X``, with its delta-method interval.
 
-    The SE is on the ratio scale, propagated through ``fit.vcov``; the Wald
-    interval is built on the log scale.
+    ``beta`` and ``vcov`` are the stacked fits, ``errors`` the errors the
+    problems already have. The SE is on the ratio scale, propagated
+    through ``vcov``; the Wald interval is built on the log scale. Gives
+    the intervals and each problem's two averages and gradient.
     """
+    p1, p0, rows1, rows0, arm_errors = _arms(beta, X, w)
+    errors = [e or arm for e, arm in zip(errors, arm_errors)]
+    with np.errstate(all="ignore"):  # failed problems compute NaN, read by no one
+        wsum = w.sum(axis=-1)[:, None]
+        slope1, slope0 = (w * p * (1.0 - p) for p in (rows1, rows0))
+        grad1 = rmatvec_stack(X, slope1) / wsum
+        grad0 = rmatvec_stack(X, slope0) / wsum
+        # in each arm every row's exposure is the arm's value, not its own
+        grad1[:, EXPOSURE_COL] = slope1.sum(axis=-1) / wsum[:, 0]
+        grad0[:, EXPOSURE_COL] = 0.0
+        pr = p1 / p0
+        grad = (grad1 * p0[:, None] - grad0 * p1[:, None]) / (p0**2)[:, None]
+        var = (grad[:, None] @ vcov @ grad[..., None])[:, 0, 0]
+        # var / pr**2 as two divisions, since pr * pr can underflow; a ratio of 0
+        # fails in _ratio_intervals, before its variance is read
+        intervals = _ratio_intervals(pr, np.where(pr > 0.0, var / pr / pr, 0.0), level, errors)
+        return intervals._replace(se=np.sqrt(var)), p1, p0, grad
+
+
+def _contrast_estimate(method: str, fit: FitResult, ds: Dataset, x: np.ndarray,
+                       w: np.ndarray, level: float, metadata: Mapping[str, Any]) -> PrEstimate:
+    """The PrEstimate of ``_contrast`` on the rows ``x`` of one dataset, with ``fit``."""
     _check_columns(fit, ds)
-    p1, p0, rows1, rows0 = _arms(fit.beta, X, w)
-    wsum = float(w.sum())
-    slope1, slope0 = (w * p * (1.0 - p) for p in (rows1, rows0))
-    grad1 = rmatvec_stack(X, slope1) / wsum
-    grad0 = rmatvec_stack(X, slope0) / wsum
-    # in each arm every row's exposure is the arm's value, not its own
-    grad1[EXPOSURE_COL] = slope1.sum() / wsum
-    grad0[EXPOSURE_COL] = 0.0
-    pr = p1 / p0
-    grad = (grad1 * p0 - grad0 * p1) / p0**2
-    var = float(grad @ fit.vcov @ grad)
-    # var / pr**2 as two divisions, since pr * pr can underflow; a ratio of 0
-    # fails in ratio_interval, before its variance is read
-    interval = ratio_interval(pr, var / pr / pr if pr > 0.0 else 0.0, level)
-    return PrEstimate(
-        method=method,
-        interval=replace(interval, se=math.sqrt(var)),
-        exposure=ds.exposure_name,
-        metadata={
-            "se_scale": "ratio",
-            "contrast": "1 vs 0",
-            **metadata,
-            "p_exposed": p1,
-            "p_unexposed": p0,
-            "gradient": grad,
-        },
-    )
+    intervals, p1, p0, grad = _contrast(fit.beta[None], fit.vcov[None], x, w, level, [None])
+    return _estimate(method, intervals, level, ds.exposure_name, {
+        "se_scale": "ratio",
+        "contrast": "1 vs 0",
+        **metadata,
+        "p_exposed": float(p1[0]),
+        "p_unexposed": float(p0[0]),
+        "gradient": grad[0],
+    })
 
 
 def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
@@ -197,10 +215,10 @@ def conditional_pr(fit: FitResult, ds: Dataset, level: float = 0.95, *,
     higher- or lower-risk scenarios than the average profile.
     """
     _require_logistic(fit)
-    x, w = _population("CPR", ds, at)
+    x, w = _population("CPR", _rows(ds), at)
     conditioning = {name: float(v) for name, v in
-                    zip(ds.column_names[EXPOSURE_COL + 1:], x[0, EXPOSURE_COL + 1:])}
-    return _contrast("CPR", fit, ds, x, w, level, {"conditioning": conditioning})
+                    zip(ds.column_names[EXPOSURE_COL + 1:], x[0, 0, EXPOSURE_COL + 1:])}
+    return _contrast_estimate("CPR", fit, ds, x, w, level, {"conditioning": conditioning})
 
 
 def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
@@ -211,13 +229,14 @@ def marginal_pr(fit: FitResult, ds: Dataset, level: float = 0.95) -> PrEstimate:
     averages of its distinct rows with their summed weights.
     """
     _require_logistic(fit)
-    return _contrast("MPR", fit, ds, *_population("MPR", ds, None), level, {})
+    return _contrast_estimate("MPR", fit, ds, *_population("MPR", _rows(ds), None), level, {})
 
 
 def prevalence_odds_ratio(fit: FitResult, level: float = 0.95) -> PrEstimate:
     """exp(beta) for the exposure, with a log-scale Wald interval."""
     _require_logistic(fit)
-    return _coefficient_ratio("POR", fit, fit.vcov, level, {"se_scale": "log"})
+    return _estimate("POR", _coefficient_ratios(fit.beta[None], fit.vcov[None], level, [None]),
+                     level, fit.column_names[EXPOSURE_COL], {"se_scale": "log"})
 
 
 def _percentile_interval(point: float, draws: np.ndarray,
@@ -285,8 +304,10 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
     def point(name: str, beta: np.ndarray, data: Dataset) -> float:
         # the point alone, from the rows the public estimator reads; the
         # delta-method SE is of no use here
-        p1, p0, _, _ = _arms(beta, *_population(name, data, at))
-        return p1 / p0
+        p1, p0, _, _, errors = _arms(beta[None], *_population(name, _rows(data), at))
+        if errors[0] is not None:
+            raise errors[0]
+        return float(p1[0] / p0[0])
 
     full = {name: _outcome(point, name, fit.beta, ds) for name in estimators}
     results = {name: v for name, v in full.items() if isinstance(v, PrevRatioError)}

@@ -6,7 +6,10 @@ down by three interpretable constraints: the unexposed prevalence at
 Z = 0, the prevalence ratio at Z = 0, and the confounder coefficient.
 Because the model is known, the conditional PR at any z and the marginal
 PR over the Z distribution have analytic values, so replication studies
-can measure bias and confidence-interval coverage exactly.
+can measure bias and confidence-interval coverage exactly. A study runs
+in blocks of replicates held as arrays, from their uniform draws through
+their fits to their scores, with no dataset or estimate made per
+replicate.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, INTERCEPT_NAME, ModelSpec, _read_only, covariate_means
-from .errors import InvalidArgumentError, PrevRatioError, _failure_reasons, _outcome
-from .glm import expit
-from .methods import METHODS, block_fits, estimate
+from .data import Dataset, INTERCEPT_NAME, ModelSpec, _Block, _means, _read_only
+from .errors import InvalidArgumentError, _failure_reasons
+from .glm import _stacked, expit
+from .methods import METHODS, block_fits
 from .parallel import _fork_map
-from .variance import check_level
+from .variance import _Intervals, check_level
 
 DEFAULT_STUDY_METHODS = ("CPR", "MPR", "POR", "LogBinomial",
                          "RobustPoisson", "Schouten")
@@ -34,6 +37,14 @@ DEFAULT_STUDY_METHODS = ("CPR", "MPR", "POR", "LogBinomial",
 _BLOCK_SIZE = 32
 
 _U_FLOOR = np.finfo(float).tiny
+# the coefficients of Wichura's AS241 centre, numerator and denominator,
+# from the highest power of r down
+_AS241_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+              4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+              1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_AS241_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+              2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+              4.2313330701600911252e+1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,13 @@ def dgp_coefficients(cfg: ToyConfig) -> tuple[float, float, float]:
 
 def true_conditional_pr(coeffs: Sequence[float], z: float) -> float:
     """Exact PR of exposure at a fixed confounder value z."""
+    return float(_true_cpr(coeffs, np.array([z]))[0])
+
+
+def _true_cpr(coeffs: Sequence[float], z: np.ndarray) -> np.ndarray:
+    """Exact PR of exposure at each confounder value of ``z``."""
     b0, b1, b2 = coeffs
-    return float(expit(b0 + b1 + b2 * z) / expit(b0 + b2 * z))
+    return expit(b0 + b1 + b2 * z) / expit(b0 + b2 * z)
 
 
 def true_marginal_pr(coeffs: Sequence[float]) -> float:
@@ -104,16 +120,39 @@ def true_marginal_pr(coeffs: Sequence[float]) -> float:
     return num / den
 
 
-def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> list[Dataset]:
-    """Draw one dataset per replicate from the toy process.
+def _normal_quantiles(u: np.ndarray) -> np.ndarray:
+    """Standard-normal quantiles of uniforms, bit for bit ``NormalDist().inv_cdf``'s.
 
-    Each replicate draws three uniform vectors from its own substream and
-    maps the second to normals, one replicate at a time to keep the float
-    list short; every later step works element by element, so a
-    replicate's data do not depend on the rest of its block. The normals
-    come from the C function behind ``NormalDist().inv_cdf``, which only
-    checks 0 < p < 1 before calling it; the floored uniforms already are,
-    so the draws are bit for bit the same.
+    That is the C function behind ``statistics.NormalDist``, which only
+    checks 0 < p < 1, so the uniforms in the tails are floored at
+    ``_U_FLOOR``. Its centre, |p - 0.5| <= 0.425 (85 % of draws), is
+    Wichura's rational function, computed here in the C function's order
+    with each operation rounded once, so it gives the same bits. Only the
+    tails call the C function, one draw at a time.
+    """
+    q = u - 0.5
+    r = 0.180625 - q * q
+    num, den = _AS241_NUM[0] * r, _AS241_DEN[0] * r
+    for a, b in zip(_AS241_NUM[1:-1], _AS241_DEN[1:-1]):
+        num = (num + a) * r
+        den = (den + b) * r
+    z = (num + _AS241_NUM[-1]) * q / (den + _AS241_DEN[-1])
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    p = np.maximum(u.ravel()[tails], _U_FLOOR).tolist()
+    z.ravel()[tails] = np.fromiter(map(_normal_dist_inv_cdf, p, repeat(0.0), repeat(1.0)),
+                                   float, len(p))
+    return z
+
+
+def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> _Block:
+    """Draw one problem per replicate from the toy process, as a block.
+
+    Each replicate draws three uniform vectors from its own substream, so
+    a replicate's data do not depend on the rest of its block: the first
+    sets the exposure, the second the confounder (its normal quantiles),
+    and the third the outcome. Each design is written column by column,
+    the layout in which X'WX of thin stacks is fastest; the block's arrays
+    are read-only, so a dataset can adopt a replicate's rows.
     """
     b0, b1, b2 = dgp_coefficients(cfg)
     u = np.empty((3, len(replicates), cfg.n))
@@ -121,22 +160,14 @@ def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> list[Dataset]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,)))
         for draw in u[:, i]:
             rng.random(out=draw)
-        p = np.maximum(u[1, i], _U_FLOOR).tolist()
-        u[1, i] = np.fromiter(map(_normal_dist_inv_cdf, p, repeat(0.0), repeat(1.0)),
-                              float, cfg.n)
-    x = (u[0] < cfg.p_exposure).astype(float)
-    z = u[1]
-    # read-only, so the datasets adopt y's rows and each X without a copy
-    y = _read_only((u[2] < expit(b0 + b1 * x + b2 * z)).astype(float))
-    return [
-        Dataset(
-            y=y[i],
-            X=_read_only(np.column_stack([np.ones(cfg.n), x[i], z[i]])),
-            column_names=(INTERCEPT_NAME, "x", "z"),
-            spec=ModelSpec(outcome="y", exposure="x", covariates=("z",)),
-        )
-        for i in range(len(replicates))
-    ]
+    columns = np.empty((len(replicates), 3, cfg.n))
+    columns[:, 0] = 1.0
+    columns[:, 1] = u[0] < cfg.p_exposure
+    columns[:, 2] = _normal_quantiles(u[1])
+    _, x, z = columns.transpose(1, 0, 2)
+    y = (u[2] < expit(b0 + b1 * x + b2 * z)).astype(float)
+    return _Block(X=_read_only(columns).transpose(0, 2, 1), y=_read_only(y),
+                  weights=_read_only(np.ones_like(y)), column_names=(INTERCEPT_NAME, "x", "z"))
 
 
 def simulate_toy(cfg: ToyConfig, replicate: int = 0) -> Dataset:
@@ -144,12 +175,16 @@ def simulate_toy(cfg: ToyConfig, replicate: int = 0) -> Dataset:
 
     Replicate r uses an independent substream derived from (seed, r), so
     any replicate can be regenerated on its own and parallel generation
-    matches serial. Normals come from the inverse CDF of uniform draws,
+    matches serial; the study draws it as part of a block, bit for bit
+    the same. Normals come from the inverse CDF of uniform draws,
     keeping the stream portable across BLAS/platform variation.
     """
     if replicate < 0:
         raise InvalidArgumentError(f"replicate must be non-negative, got {replicate}")
-    return _simulate_block(cfg, [replicate])[0]
+    block = _simulate_block(cfg, [replicate])
+    return Dataset(y=block.y[0], X=block.X[0], column_names=block.column_names,
+                   weights=block.weights[0],
+                   spec=ModelSpec(outcome="y", exposure="x", covariates=("z",)))
 
 
 @dataclass(frozen=True)
@@ -246,20 +281,20 @@ class StudyReport:
 
 
 def _block_rows(cfg: ToyConfig, replicates: range, methods: Sequence[str],
-                level: float) -> list[tuple[float, dict]]:
-    """What the study scores of each replicate of one block, in order.
+                level: float) -> tuple[np.ndarray, dict[str, _Intervals]]:
+    """What the study scores of each replicate of one block, as arrays.
 
-    That is the confounder at the replicate's CPR conditioning point (its
-    weighted mean) and, per method, the interval of its estimate or the
-    error that stopped it. The block is drawn and fitted in one go, and
-    only these scores outlive the call.
+    That is the confounder at each replicate's CPR conditioning point (its
+    weighted mean) and, per method, the stacked intervals of its
+    estimates, with the error that stopped each failed one. The block is
+    drawn, fitted and scored in one go, and only these scores outlive the
+    call.
     """
     block = _simulate_block(cfg, replicates)
-    fits = block_fits(block, methods)
-    return [(float(covariate_means(ds)[2]),
-             {m: _outcome(lambda m: estimate(m, fits, j, ds, level).interval, m)
-              for m in methods})
-            for j, ds in enumerate(block)]
+    _, n, p = block.X.shape
+    fits = {kind: _stacked(results, n, p) for kind, results in block_fits(block, methods).items()}
+    return (_means(block.X, block.weights)[:, 2],
+            {m: METHODS[m].scores(fits.get(METHODS[m].fit), block, level) for m in methods})
 
 
 def replication_study(cfg: ToyConfig, reps: int,
@@ -272,22 +307,24 @@ def replication_study(cfg: ToyConfig, reps: int,
     ratio (exposure and confounder are independent here); the conditional
     PR at the replicate's weighted mean confounder for CPR; exp(b1) for
     the POR. Per-method failures are counted by exception type, never
-    raised.
+    raised. A method named twice is run once, at its first place.
 
     Replicates are drawn in blocks of a fixed size, each from its own
-    substream and bit for bit as :func:`simulate_toy` draws it alone, and
-    every fit a method reads (Schouten's included) is fitted to a whole
-    block at once by :func:`methods.block_fits`; each fit follows the
-    same rules as fitting its replicate alone, so the numbers agree with
-    one-at-a-time fits to rounding. The blocks are mapped over every
-    available CPU, one block per item, and the report is bit for bit the
-    same for any number of them.
+    substream and bit for bit as :func:`simulate_toy` draws it alone.
+    Every fit a method reads (Schouten's included) is fitted to a whole
+    block at once by :func:`methods.block_fits`, and every method scores
+    the whole block from those stacked fits; no dataset or estimate object
+    is made per replicate. Each problem of a stack follows the same rules
+    as it would alone, so every number agrees with the public estimator on
+    :func:`simulate_toy`'s dataset to within a few units in the last
+    place. The blocks are mapped over every available CPU, one block per
+    item, and the report is bit for bit the same for any number of them.
     """
     if reps < 100:
         raise InvalidArgumentError(f"need at least 100 replicates, got {reps}")
     # checked here, since a PrevRatioError in a replicate is scored, not raised
     check_level(level)
-    methods = DEFAULT_STUDY_METHODS if methods is None else tuple(methods)
+    methods = DEFAULT_STUDY_METHODS if methods is None else tuple(dict.fromkeys(methods))
     if not methods:
         raise InvalidArgumentError("methods must be non-empty")
     available = tuple(name for name, m in METHODS.items() if m.target)
@@ -305,29 +342,29 @@ def replication_study(cfg: ToyConfig, reps: int,
     blocks = [range(start, min(start + _BLOCK_SIZE, reps))
               for start in range(0, reps, _BLOCK_SIZE)]
     scored = _fork_map(lambda replicates: _block_rows(cfg, replicates, methods, level), blocks)
-    rows = [row for block in scored for row in block]
-    cpr_truths = [true_conditional_pr(coeffs, zbar) for zbar, _ in rows]
+    cpr_truths = _true_cpr(coeffs, np.concatenate([zbar for zbar, _ in scored]))
     # each replicate's truth by target
-    truths = {"cpr": cpr_truths, "mpr": [mpr_truth] * reps, "por": [por_truth] * reps}
+    truths = {"cpr": cpr_truths, "mpr": mpr_truth, "por": por_truth}
 
     summaries, points, failure_reasons = [], {}, {}
     for m in methods:
-        # each replicate's interval, or the error that stopped it
-        outcomes = [intervals[m] for _, intervals in rows]
-        ok = [(interval, truth) for interval, truth in zip(outcomes, truths[METHODS[m].target])
-              if not isinstance(interval, PrevRatioError)]
-        estimates = [interval.point for interval, _ in ok]
-        n_ok = len(ok)
-        points[m] = tuple(None if isinstance(o, PrevRatioError) else o.point for o in outcomes)
-        failure_reasons[m] = _failure_reasons(outcomes)
+        point, lower, upper = (np.concatenate([getattr(scores[m], f) for _, scores in scored])
+                               for f in ("point", "lower", "upper"))
+        errors = [e for _, scores in scored for e in scores[m].errors]
+        points[m] = tuple(p if e is None else None for p, e in zip(point.tolist(), errors))
+        failure_reasons[m] = _failure_reasons(errors)
+        ok = np.array([e is None for e in errors])
+        point, lower, upper = point[ok], lower[ok], upper[ok]
+        truth = np.broadcast_to(truths[METHODS[m].target], ok.shape)[ok]
+        n_ok = len(point)
         summaries.append(MethodSummary(
             method=m,
             n_ok=n_ok,
             n_failed=reps - n_ok,
-            mean_estimate=float(np.mean(estimates)) if n_ok else None,
-            empirical_se=float(np.std(estimates, ddof=1)) if n_ok > 1 else None,
-            mean_ci_width=float(np.mean([iv.width for iv, _ in ok])) if n_ok else None,
-            coverage=float(np.mean([iv.lower <= t <= iv.upper for iv, t in ok])) if n_ok else None,
+            mean_estimate=float(np.mean(point)) if n_ok else None,
+            empirical_se=float(np.std(point, ddof=1)) if n_ok > 1 else None,
+            mean_ci_width=float(np.mean(upper - lower)) if n_ok else None,
+            coverage=float(np.mean((lower <= truth) & (truth <= upper))) if n_ok else None,
         ))
 
     truth = {
@@ -345,6 +382,6 @@ def replication_study(cfg: ToyConfig, reps: int,
         truth=truth,
         summaries=tuple(summaries),
         replicate_estimates=points,
-        replicate_true_cpr=tuple(cpr_truths),
+        replicate_true_cpr=tuple(cpr_truths.tolist()),
         failure_reasons=failure_reasons,
     )

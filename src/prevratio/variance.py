@@ -5,9 +5,10 @@ optimum, meat = sum_i w_i^2 x_i x_i' (y_i - mu_i)^2 with w_i the prior
 weight. No small-sample correction is applied, matching the default robust
 Poisson implementations this package is compared against.
 
-:func:`ratio_interval` builds the log-scale Wald interval of every ratio
-the package reports, delta-method, coefficient and table-based alike, and
-it alone decides that an estimate is too degenerate to have one.
+:func:`_ratio_intervals` builds the log-scale Wald interval of every ratio
+the package reports, delta-method, coefficient and table-based alike, for
+a whole stack of problems at once, and it alone decides that an estimate
+is too degenerate to have one; :func:`ratio_interval` is its stack of one.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DegenerateDenominatorError, InvalidArgumentError
+from .data import Dataset, _Block, _block_of
+from .errors import DegenerateDenominatorError, InvalidArgumentError, _fail
 from .glm import FitResult, _check_columns
 from .linalg import gram_stack
 
@@ -66,6 +68,27 @@ class IntervalEstimate:
         return self.upper - self.lower
 
 
+class _Intervals(NamedTuple):
+    """The intervals of a stack of ratios as (R,) arrays, and each problem's error or None.
+
+    A failed problem's numbers are not read.
+    """
+
+    point: np.ndarray
+    se: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    errors: list
+
+    def one(self, level: float) -> IntervalEstimate:
+        """The interval of a stack of one, or its error raised."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return IntervalEstimate(point=float(self.point[0]), se=float(self.se[0]),
+                                lower=float(self.lower[0]), upper=float(self.upper[0]),
+                                level=level)
+
+
 def ratio_interval(point: float, log_var: float, level: float = 0.95) -> IntervalEstimate:
     """Wald interval point * exp(±z * se) for a ratio, with se = sqrt(log_var).
 
@@ -74,28 +97,37 @@ def ratio_interval(point: float, log_var: float, level: float = 0.95) -> Interva
     that is negative or not finite, or bounds whose log lies beyond ±700
     (a separated or otherwise degenerate fit) raise
     DegenerateDenominatorError; a ``level`` outside (0, 1) raises
-    InvalidArgumentError.
+    InvalidArgumentError. This is :func:`_ratio_intervals` on a stack of one.
+    """
+    return _ratio_intervals(np.array([point], dtype=float), np.array([log_var], dtype=float),
+                            level, [None]).one(level)
+
+
+def _ratio_intervals(point: np.ndarray, log_var: np.ndarray, level: float,
+                     errors: list) -> _Intervals:
+    """The interval of every ratio of a stack, by :func:`ratio_interval`'s rules.
+
+    ``errors`` holds the errors the problems already have; each other
+    problem gets its interval or the error of the first rule it breaks.
     """
     check_level(level)
-    if not 0.0 < point < math.inf:
-        raise DegenerateDenominatorError(
-            f"a ratio of {point:g} has no log-scale interval"
-        )
-    if not 0.0 <= log_var < math.inf:
-        raise DegenerateDenominatorError(
-            f"the log-scale variance of the ratio {point:g} is {log_var:g}; "
-            "the fit is degenerate"
-        )
-    se = math.sqrt(log_var)
+    errors = list(errors)
     # (1 - level) / 2 is exact, where (1 + level) / 2 can round to 1
     z = -normal_quantile((1.0 - level) / 2.0)
-    if z * se + abs(math.log(point)) > 700.0:
-        raise DegenerateDenominatorError(
-            f"the log-scale standard error {se:g} overwhelms the ratio "
-            f"{point:g}; the fit looks separated"
-        )
-    return IntervalEstimate(point=point, se=se, lower=point * math.exp(-z * se),
-                            upper=point * math.exp(z * se), level=level)
+    with np.errstate(all="ignore"):  # failed problems compute NaN, read by no one
+        _fail(errors, ~((point > 0.0) & (point < math.inf)),
+              lambda i: DegenerateDenominatorError(
+                  f"a ratio of {point[i]:g} has no log-scale interval"))
+        _fail(errors, ~((log_var >= 0.0) & (log_var < math.inf)),
+              lambda i: DegenerateDenominatorError(
+                  f"the log-scale variance of the ratio {point[i]:g} is {log_var[i]:g}; "
+                  "the fit is degenerate"))
+        se = np.sqrt(log_var)
+        _fail(errors, z * se + np.abs(np.log(point)) > 700.0,
+              lambda i: DegenerateDenominatorError(
+                  f"the log-scale standard error {se[i]:g} overwhelms the ratio "
+                  f"{point[i]:g}; the fit looks separated"))
+        return _Intervals(point, se, point * np.exp(-z * se), point * np.exp(z * se), errors)
 
 
 def sandwich_vcov(fit: FitResult, ds: Dataset) -> np.ndarray:
@@ -103,11 +135,15 @@ def sandwich_vcov(fit: FitResult, ds: Dataset) -> np.ndarray:
     _check_columns(fit, ds)
     if len(fit.fitted) != ds.n:
         raise InvalidArgumentError(f"the fit has {len(fit.fitted)} rows, the dataset {ds.n}")
-    return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - fit.fitted)) ** 2)
+    return _hc0(fit.vcov[None], fit.fitted[None], _block_of(ds))[0]
+
+
+def _hc0(vcov: np.ndarray, mu: np.ndarray, block: _Block) -> np.ndarray:
+    """The HC0 covariance of each problem of a block, from its covariance and fitted mu."""
+    return _sandwich(vcov, block.X, (block.weights * (block.y - mu)) ** 2)
 
 
 def _sandwich(bread_inv: np.ndarray, X: np.ndarray, score_sq: np.ndarray) -> np.ndarray:
-    """B^-1 M B^-1 with meat M = X' diag(score_sq) X, made exactly symmetric."""
-    meat = gram_stack(X[None], score_sq[None])[0]
-    vc = bread_inv @ meat @ bread_inv
-    return (vc + vc.T) / 2.0
+    """B^-1 M B^-1 of each problem of a stack, meat M = X' diag(score_sq) X, made exactly symmetric."""
+    vc = bread_inv @ gram_stack(X, score_sq) @ bread_inv
+    return (vc + vc.transpose(0, 2, 1)) / 2.0

@@ -19,7 +19,6 @@ from prevratio import (Dataset, INTERCEPT_NAME, NonConvergenceError,
                        simulate_toy)
 from prevratio.glm import expit, fit_stack
 from prevratio.linalg import cholesky_stack
-from prevratio.methods import _stack
 
 FAMILIES = ("binomial-logit", "binomial-log", "poisson-log")
 NAMES = (INTERCEPT_NAME, "x", "z")
@@ -50,11 +49,11 @@ def bad_replicates(n=300):
 
 
 def fit_block(datasets, family):
-    return fit_stack(*_stack(datasets), family, NAMES)
+    return fit_stack(*column_major_stacks(datasets), family, NAMES)
 
 
-def column_major(datasets):
-    """X, y and weight stacks laid out as ``_stack`` lays out two or more, for any count."""
+def column_major_stacks(datasets):
+    """X, y and weight stacks with each design stored column by column, as the study draws them."""
     # (R, p, n) in C order, so each problem's design is stored column by column
     return (np.ascontiguousarray([d.X.T for d in datasets]).transpose(0, 2, 1),
             np.stack([d.y for d in datasets]), np.stack([d.weights for d in datasets]))
@@ -71,7 +70,7 @@ class TestKernelMatchesSingleFits:
     @pytest.mark.parametrize("column_major", [False, True])
     def test_each_replicate_as_if_alone(self, family, column_major):
         block = toy_block(12)
-        stacks = _stack(block) if column_major else (
+        stacks = column_major_stacks(block) if column_major else (
             np.stack([d.X for d in block]), np.stack([d.y for d in block]),
             np.stack([d.weights for d in block]))
         for ds, batched in zip(block, fit_stack(*stacks, family, NAMES)):
@@ -97,14 +96,14 @@ class TestOneBadReplicate:
             assert type(mixed[3]) is type(err)
             assert str(mixed[3]) == str(err)
         else:
-            assert same_fit(mixed[3], fit_stack(*column_major([bad]), family, NAMES)[0])
+            assert same_fit(mixed[3], fit_stack(*column_major_stacks([bad]), family, NAMES)[0])
             assert mixed[3].beta == pytest.approx(alone.beta, rel=1e-10)
 
     @pytest.mark.parametrize("max_iter", [0, 2])
     def test_iteration_limit_per_problem(self, max_iter, monkeypatch):
         monkeypatch.setattr("prevratio.glm.MAX_ITERATIONS", max_iter)
         block = toy_block(3)
-        results = fit_stack(*_stack(block), "binomial-logit", NAMES)
+        results = fit_stack(*column_major_stacks(block), "binomial-logit", NAMES)
         for ds, result in zip(block, results):
             with pytest.raises(NonConvergenceError) as err:
                 fit_glm(ds, "binomial-logit")

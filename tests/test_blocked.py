@@ -99,13 +99,15 @@ class TestSchoutenOnOriginalRows:
 
     def test_study_column_matches_one_at_a_time(self):
         cfg = ToyConfig(n=400, seed=4)
-        results = _block_rows(cfg, range(40), ("Schouten",), 0.95)
-        for r, (zbar, intervals) in enumerate(results):
+        zbar, scores = _block_rows(cfg, range(40), ("Schouten",), 0.95)
+        schouten = scores["Schouten"]
+        for r in range(40):
             ds = simulate_toy(cfg, replicate=r)
             alone = schouten_pr(ds)
-            assert zbar == pytest.approx(covariate_means(ds)[2], rel=1e-12, abs=1e-15)
+            assert zbar[r] == pytest.approx(covariate_means(ds)[2], rel=1e-12, abs=1e-15)
+            assert schouten.errors[r] is None
             for key in ("point", "se", "lower", "upper"):
-                assert getattr(intervals["Schouten"], key) == pytest.approx(
+                assert getattr(schouten, key)[r] == pytest.approx(
                     getattr(alone.interval, key), rel=1e-10), (r, key)
 
 
@@ -147,9 +149,11 @@ class TestBlockDraws:
         cfg = ToyConfig(n=700, seed=seed)
         replicates = range(5, 37)
         block = _simulate_block(cfg, replicates)
-        for r, ds in zip(replicates, block):
+        assert block.column_names == (INTERCEPT_NAME, "x", "z")
+        for i, r in enumerate(replicates):
             alone = simulate_toy(cfg, replicate=r)
-            assert np.array_equal(ds.y, alone.y) and np.array_equal(ds.X, alone.X)
+            assert np.array_equal(block.y[i], alone.y) and np.array_equal(block.X[i], alone.X)
+            assert np.array_equal(block.weights[i], alone.weights)
             y, X = toy_one_at_a_time(cfg, r)
-            assert np.array_equal(ds.y, y) and np.array_equal(ds.X, X)
-            assert ds.spec == ModelSpec(outcome="y", exposure="x", covariates=("z",))
+            assert np.array_equal(block.y[i], y) and np.array_equal(block.X[i], X)
+            assert alone.spec == ModelSpec(outcome="y", exposure="x", covariates=("z",))

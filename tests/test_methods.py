@@ -12,7 +12,9 @@ from prevratio import (INTERCEPT_NAME, METHOD_LABELS, Dataset, ModelSpec, NonCon
                        prevalence_odds_ratio, replication_study, robust_poisson_pr,
                        schouten_pr, simulate_toy, stratified_from_dataset, write_csv)
 from prevratio.cli import _parse_methods, main
-from prevratio.methods import ALIASES, METHODS, _stack, block_fits, estimate
+from prevratio.data import _block_of
+from prevratio.methods import ALIASES, METHODS, dataset_fits, estimate
+from prevratio.simulate import _simulate_block
 
 # every spelling the command line accepted before the registry, to its method
 OLD_ALIASES = {
@@ -156,7 +158,7 @@ class TestPublicEstimators:
         # the crude and Mantel-Haenszel tables know no names; the registry's
         # estimate labels them as the fitted methods are labelled
         ds = load_csv(binary_csv, ModelSpec(outcome="y", exposure="c1", covariates=("x", "c2")))
-        fits = block_fits([ds], METHOD_LABELS)
+        fits = dataset_fits(ds, METHOD_LABELS)
         assert {estimate(m, fits, 0, ds, 0.95).exposure for m in METHOD_LABELS} == {"c1"}
 
     def test_log_binomial_failure_is_the_fit_error(self):
@@ -182,14 +184,18 @@ class TestPublicEstimators:
 class TestStack:
     def test_block_of_one_is_a_view(self, binary_csv):
         ds = load_csv(binary_csv, SPEC)
-        X, y, w = _stack([ds])
+        X, y, w, names = _block_of(ds)
+        assert names == ds.column_names
         assert X.shape == (1, ds.n, 4) and y.shape == w.shape == (1, ds.n)
         for stacked, own in ((X, ds.X), (y, ds.y), (w, ds.weights)):
             assert np.shares_memory(stacked, own)
 
-    def test_larger_block_is_a_column_major_copy(self, binary_csv):
-        ds = load_csv(binary_csv, SPEC)
-        X, y, w = _stack([ds, ds])
+    def test_larger_block_is_a_column_major_copy(self):
+        # the study writes each replicate's design column by column; a
+        # replicate drawn alone is its own dataset, equal to its block row
+        cfg = ToyConfig(n=50, seed=3)
+        X, y, w, _ = _simulate_block(cfg, range(2))
+        ds = simulate_toy(cfg, replicate=1)
         assert not np.shares_memory(X, ds.X)
         assert X.strides[1] == 8 and np.array_equal(X[1], ds.X)
-        assert np.array_equal(y[0], ds.y) and np.array_equal(w[1], ds.weights)
+        assert np.array_equal(y[1], ds.y) and np.array_equal(w[1], ds.weights)

@@ -193,11 +193,11 @@ def test_one_pattern_table():
     assert referrers("_pattern_table") == {"data.Dataset._patterns"}
     assert referrers("lexsort") | referrers("packbits") == {"data._pattern_table"}
     # the fits, the 2x2 tables, the resamples, the covariate means and MPR read it
-    assert {"glm.fit_glm", "methods.block_fits", "classical.stratified_from_dataset",
+    assert {"glm.fit_glm", "methods.dataset_fits", "classical.stratified_from_dataset",
             "data.Dataset.frequency_weighted", "data._distinct_rows"} <= referrers("_patterns")
     # the refits start on the resample's own rows, its drawn patterns when tabled
     assert referrers("_distinct_rows") == {"classical.crude_table", "data.covariate_means",
-                                           "glm._refit", "ratios._population"}
+                                           "glm._refit", "methods.dataset_fits", "ratios._rows"}
 
 
 def test_one_row_choice_for_cpr_and_mpr():
@@ -217,8 +217,11 @@ def test_one_failure_count():
     # the bootstrap and the study count failed replicates in one place
     assert referrers("Counter") == {"errors._failure_reasons"}
     assert {"ratios.bootstrap_prs", "simulate.replication_study"} <= referrers("_failure_reasons")
-    # and keep each failure as a value, its traceback dropped, in one place
-    assert {"ratios.bootstrap_prs", "simulate._block_rows"} <= referrers("_outcome")
+    # the bootstrap keeps each failure as a value, its traceback dropped, in one
+    # place; a stacked score never raises a problem's error, it records it
+    assert referrers("_outcome") == {"ratios.bootstrap_prs"}
+    assert referrers("_fail") == {"variance._ratio_intervals", "ratios._arms",
+                                  "classical._crude_intervals", "classical._crude_tables"}
 
 
 def test_one_work_split():
@@ -252,7 +255,7 @@ def test_one_stand_in_factor():
 def test_one_cross_tabulation():
     # the crude table and the Mantel-Haenszel strata code and sum their cells in one place
     assert {r for r in referrers("bincount") if r.startswith("classical.")} == {"classical._cells"}
-    assert referrers("_cells") == {"classical.crude_table", "classical.stratified_from_dataset"}
+    assert referrers("_cells") == {"classical._crude_tables", "classical.stratified_from_dataset"}
 
 
 def test_one_inverse_link_table():
@@ -337,7 +340,47 @@ def test_one_exposure_contrast():
     assert {"ratios._contrast", "ratios.bootstrap_prs"} <= referrers("_arms")
     # a refit's one-step start reads the score of glm's Newton step, in glm
     assert referrers("_score") == {"glm._newton_direction", "glm._refit"}
-    assert {"ratios.conditional_pr", "ratios.marginal_pr"} <= referrers("_contrast")
+    assert {"ratios.conditional_pr", "ratios.marginal_pr"} <= referrers("_contrast_estimate")
+    assert referrers("_contrast") == {"ratios._contrast_estimate", "methods.<module>"}
+
+
+def test_one_scoring_path():
+    # the study draws, fits and scores each block as stacks: it builds no
+    # estimate of one replicate and calls no one-replicate estimator
+    tree = ast.parse((Path(prevratio.__file__).parent / "simulate.py").read_text())
+    names = {getattr(n, "id", None) for n in ast.walk(tree)} | {
+        getattr(n, "attr", None) for n in ast.walk(tree)}
+    assert not names & {"estimate", "from_fit", "PrEstimate", "IntervalEstimate",
+                        "ratio_interval", "sandwich_vcov", "crude_pr", "conditional_pr",
+                        "marginal_pr", "prevalence_odds_ratio"}
+    assert "scores" in names
+
+
+def test_no_one_replicate_twin():
+    # every estimate is computed on stacks; a public estimator is its stacked
+    # form on a stack of one and no package code calls the one-problem forms
+    modules = ("classical", "methods", "ratios", "variance")
+    scalar_math = [f"{path.stem}:{node.lineno}"
+                   for path in sorted(Path(prevratio.__file__).parent.glob("*.py"))
+                   if path.stem in modules
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and getattr(node.func.value, "id", None) == "math"
+                   and node.func.attr not in ("isfinite",)]
+    assert scalar_math == []
+    assert referrers("ratio_interval") == set()
+    assert referrers("sandwich_vcov") == set()
+    stacks_of_one = {"_ratio_intervals": "variance.ratio_interval",
+                     "_hc0": "variance.sandwich_vcov",
+                     "_crude_intervals": "classical.crude_pr",
+                     "_crude_tables": "classical.crude_table",
+                     "_contrast": "ratios._contrast_estimate",
+                     "_coefficient_ratios": "ratios.prevalence_odds_ratio",
+                     "_arms": "ratios.bootstrap_prs"}
+    for stacked, one in stacks_of_one.items():
+        assert one in referrers(stacked), stacked
+    # the registry scores one dataset with the same stacked scores as a block
+    assert referrers("scores") >= {"methods._one", "simulate._block_rows"}
 
 
 def src_trees():

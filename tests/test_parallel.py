@@ -18,7 +18,7 @@ from prevratio.errors import (DataError, DegenerateDenominatorError, InvalidArgu
                               NonConvergenceError, NonIdentifiableError, PrevRatioError,
                               RankDeficientError)
 from prevratio.glm import FitResult
-from prevratio.methods import block_fits
+from prevratio.methods import dataset_fits
 from prevratio.parallel import WorkerTraceback, _fork_map
 
 
@@ -185,7 +185,7 @@ def test_block_fits_same_bits_for_any_worker_count(workers, monkeypatch, cfg,
     runs = []
     for k in (1, 2, 3):
         workers(k)
-        runs.append(block_fits([ds], ALL_METHODS))
+        runs.append(dataset_fits(ds, ALL_METHODS))
     assert len(forks) == 0 + 1 + 2
     kinds = ["poisson-log", "binomial-log", "binomial-logit", "Schouten"]
     for run in runs:
@@ -214,7 +214,7 @@ def test_block_fits_of_a_small_design_fork_no_worker(workers, monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     ds = prevratio.simulate_toy(ToyConfig(n=1000, seed=5))
     assert ds.X.size < methods._FORK_SIZE
-    assert all(len(fits) == 1 for fits in block_fits([ds], ALL_METHODS).values())
+    assert all(len(fits) == 1 for fits in dataset_fits(ds, ALL_METHODS).values())
 
 
 def all_error_classes():

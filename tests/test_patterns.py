@@ -9,7 +9,7 @@ from prevratio import (INTERCEPT_NAME, Dataset, FitResult, PrevRatioError, boots
                        crude_table, fit_glm, stratified_from_dataset)
 from prevratio.classical import _schouten_response
 from prevratio.glm import DEVIANCE_TOL, _irls, expit, fit_stack
-from prevratio.methods import block_fits
+from prevratio.methods import dataset_fits
 from prevratio.ratios import _percentile_interval
 
 # each fit kind of the registry, and a method that reads it
@@ -120,7 +120,7 @@ class TestTable:
     def test_continuous_design_fits_its_rows(self, toy_ds):
         # no table: every fit is the fit_stack call on the rows, bit for bit
         assert toy_ds._patterns is None
-        fits = block_fits([toy_ds], list(KINDS.values()))
+        fits = dataset_fits(toy_ds, list(KINDS.values()))
         for kind, (fit,) in fits.items():
             assert same_bits(fit, row_fit(toy_ds, kind))
             if kind != "Schouten":
@@ -159,7 +159,7 @@ class TestFitsOnTheTable:
         assert ds._patterns is not None
         rows = {kind: row_fit(ds, kind) for kind in KINDS}
         assume(all(well_posed(fit) for fit in rows.values()))
-        table = {kind: fits[0] for kind, fits in block_fits([ds], list(KINDS.values())).items()}
+        table = {kind: fits[0] for kind, fits in dataset_fits(ds, list(KINDS.values())).items()}
         for kind, fit in table.items():
             reference = rows[kind]
             if kind != "Schouten":  # fit_glm reads the same table as the registry
@@ -206,7 +206,7 @@ class TestFitsOnTheTable:
         kept = ~(rng.random((n, 8)) < 0.002).any(axis=1)
         ds = Dataset(y=y[kept], X=np.column_stack([np.ones(n), x, C])[kept],
                      column_names=(INTERCEPT_NAME, "x") + tuple(f"c{j}" for j in range(6)))
-        table = {kind: fits[0] for kind, fits in block_fits([ds], list(KINDS.values())).items()}
+        table = {kind: fits[0] for kind, fits in dataset_fits(ds, list(KINDS.values())).items()}
         assert {kind: (fit.iterations, row_fit(ds, kind).iterations)
                 for kind, fit in table.items()} == {
             "binomial-logit": (5, 5), "binomial-log": (6, 6), "poisson-log": (5, 5),

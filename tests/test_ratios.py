@@ -585,8 +585,10 @@ class TestSharedBootstrap:
         workers(2)
 
         def patch():
+            # the rows of a resample, not the block of toy_ds's own rows
             monkeypatch.setattr(ratios, "_conditioning_point", failing_on(
-                ratios._conditioning_point, lambda data: data is not toy_ds))
+                ratios._conditioning_point,
+                lambda rows: not np.shares_memory(rows.weights, toy_ds.weights)))
         patch()
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert isinstance(out["CPR"], NonConvergenceError)

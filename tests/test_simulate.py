@@ -1,16 +1,19 @@
+import dataclasses
 import json
 import math
 from statistics import NormalDist, _normal_dist_inv_cdf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from prevratio import (DEFAULT_STUDY_METHODS, InvalidArgumentError, PrevRatioError, ToyConfig,
                        dgp_coefficients, replication_study, simulate_toy, true_conditional_pr,
                        true_marginal_pr)
-from prevratio.methods import METHODS
-from prevratio.simulate import _U_FLOOR, _block_rows
+from prevratio.methods import METHODS, dataset_fits, estimate
+from prevratio.simulate import _U_FLOOR, _block_rows, _normal_quantiles
 
 LOGIT_02 = math.log(0.2 / 0.8)
 
@@ -123,12 +126,27 @@ class TestSimulateToy:
         assert abs(ds.y[mask].mean() - 0.2) < 0.02
 
     def test_c_inverse_cdf_is_normal_dist_inv_cdf(self):
-        u = np.random.default_rng(3).random(100_000)
-        p = np.append(np.maximum(u, _U_FLOOR), _U_FLOOR).tolist()
+        # the draws' quantiles are the C function's in the tails and numpy
+        # arithmetic in the centre; both must be NormalDist's bits, at the
+        # edges of the unit interval and of the centre (|p - 0.5| <= 0.425) too.
+        # A C build that fuses multiply-adds fails here.
+        edges = [0.0, _U_FLOOR, 0.5, 1.0 - 2.0**-53] + [
+            v for c in (0.075, 0.925) for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+        u = np.append(np.random.default_rng(3).random(100_000), edges)
+        p = np.maximum(u, _U_FLOOR).tolist()
         fast = np.array([_normal_dist_inv_cdf(q, 0.0, 1.0) for q in p])
         checked = np.array([NormalDist().inv_cdf(q) for q in p])
         assert np.array_equal(fast.view(np.int64), checked.view(np.int64))
+        assert np.array_equal(_normal_quantiles(u).view(np.int64), checked.view(np.int64))
         assert np.isfinite(fast).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                    max_size=50))
+    def test_vectorized_normals_bit_for_bit(self, u):
+        checked = np.array([NormalDist().inv_cdf(max(v, _U_FLOOR)) for v in u])
+        assert np.array_equal(_normal_quantiles(np.array(u)).view(np.int64),
+                              checked.view(np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -214,14 +232,55 @@ class TestReplicationStudy:
     def test_failed_estimates_keep_no_traceback(self):
         # a kept traceback's frames would hold the block's datasets and fits
         # alive for as long as the study keeps the error
-        rows = _block_rows(ToyConfig(n=4), range(32), DEFAULT_STUDY_METHODS, 0.95)
-        errors = [o for _, intervals in rows for o in intervals.values()
-                  if isinstance(o, PrevRatioError)]
+        _, scores = _block_rows(ToyConfig(n=4), range(32), DEFAULT_STUDY_METHODS, 0.95)
+        errors = [e for intervals in scores.values() for e in intervals.errors
+                  if isinstance(e, PrevRatioError)]
         assert errors
         assert [e for e in errors if e.__traceback__ is not None] == []
+
+    def test_method_named_twice_is_scored_once(self, monkeypatch, one_worker):
+        calls = []
+        cpr = METHODS["CPR"]
+        monkeypatch.setitem(METHODS, "CPR", dataclasses.replace(
+            cpr, scores=lambda *args: calls.append(None) or cpr.scores(*args)))
+        once = replication_study(ToyConfig(n=200), 100, methods=("CPR", "MPR"))
+        assert len(calls) == 4  # one per block of 32
+        twice = replication_study(ToyConfig(n=200), 100, methods=("CPR", "CPR", "MPR"))
+        assert len(calls) == 8
+        assert twice.methods == ("CPR", "MPR")
+        assert [s.method for s in twice.summaries] == ["CPR", "MPR"]
+        assert twice.to_json() == once.to_json()
+        assert twice.to_text() == once.to_text()
 
     def test_log_bounds_beyond_700_fail_for_mpr(self):
         # one MPR estimate here has representable bounds, but a log bound beyond 700
         methods = tuple(name for name, m in METHODS.items() if m.target)
         rep = replication_study(ToyConfig(n=4, seed=2), reps=100, methods=methods)
         assert rep.summary("MPR").n_ok == 23
+
+
+# every method the study can run, Crude included
+STUDY_METHODS = tuple(name for name, m in METHODS.items() if m.target)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 60), seed=st.integers(0, 1000), size=st.integers(1, 6))
+def test_stacked_scores_are_the_stack_of_one(n, seed, size):
+    # each replicate a block scores is what the public estimator gives on the
+    # replicate drawn alone, to within 4 ulps, or fails with the same error type
+    cfg = ToyConfig(n=n, seed=seed)
+    _, scores = _block_rows(cfg, range(size), STUDY_METHODS, 0.95)
+    for r in range(size):
+        ds = simulate_toy(cfg, replicate=r)
+        fits = dataset_fits(ds, STUDY_METHODS)
+        for m in STUDY_METHODS:
+            got = scores[m]
+            try:
+                want = estimate(m, fits, 0, ds, 0.95).interval
+            except PrevRatioError as err:
+                assert type(got.errors[r]) is type(err), (m, r)
+                continue
+            assert got.errors[r] is None, (m, r)
+            for key in ("point", "lower", "upper"):
+                value = getattr(want, key)
+                assert abs(getattr(got, key)[r] - value) <= 4 * np.spacing(value), (m, r, key)

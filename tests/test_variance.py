@@ -9,9 +9,11 @@ from scipy.special import ndtri
 from prevratio import (DegenerateDenominatorError, IntervalEstimate, InvalidArgumentError,
                        ToyConfig, fit_glm, normal_quantile, predict_prevalence,
                        ratio_interval, sandwich_vcov, simulate_toy)
-from prevratio.methods import block_fits, estimate
+from prevratio.glm import _stacked
+from prevratio.methods import METHODS as REGISTRY
+from prevratio.methods import block_fits, dataset_fits, estimate
 from prevratio.simulate import _simulate_block
-from prevratio.variance import _sandwich
+from prevratio.variance import _hc0, _sandwich
 from conftest import table_dataset
 
 
@@ -207,34 +209,45 @@ class TestFittedMuIsRead:
 
     def old_sandwich(self, fit, ds):
         mu = predict_prevalence(fit, ds.X)
-        return _sandwich(fit.vcov, ds.X, (ds.weights * (ds.y - mu)) ** 2)
+        return _sandwich(fit.vcov[None], ds.X[None], ((ds.weights * (ds.y - mu)) ** 2)[None])[0]
 
     def old_schouten(self, fit, ds, level):
         mu = predict_prevalence(fit, ds.X)
         y, w = ds.y, ds.weights
-        robust = _sandwich(fit.vcov, ds.X, w**2 * ((y - mu) ** 2 + y * mu**2))
+        robust = _sandwich(fit.vcov[None], ds.X[None],
+                           (w**2 * ((y - mu) ** 2 + y * mu**2))[None])[0]
         return ratio_interval(math.exp(fit.beta[1]), float(robust[1, 1]), level)
-
-    def check(self, block, assert_same):
-        fits = block_fits(block, self.METHODS)
-        assert len(fits) == 4
-        for j, ds in enumerate(block):
-            for results in fits.values():
-                assert_same(sandwich_vcov(results[j], ds), self.old_sandwich(results[j], ds))
-            got = estimate("Schouten", fits, j, ds, 0.9).interval
-            want = self.old_schouten(fits["Schouten"][j], ds, 0.9)
-            for key in ("point", "se", "lower", "upper"):
-                assert_same(getattr(got, key), getattr(want, key))
 
     @pytest.mark.parametrize("ds", [simulate_toy(ToyConfig(n=300, seed=s)) for s in range(3)]
                              + [table_dataset(8, 5, 4, 9, weighted=True)])
     def test_block_of_one_bit_for_bit(self, ds):
-        def same(got, want):
-            assert np.array_equal(got, want)
-        self.check([ds], same)
+        fits = dataset_fits(ds, self.METHODS)
+        assert len(fits) == 4
+        for (result,) in fits.values():
+            assert np.array_equal(sandwich_vcov(result, ds), self.old_sandwich(result, ds))
+        got = estimate("Schouten", fits, 0, ds, 0.9).interval
+        want = self.old_schouten(fits["Schouten"][0], ds, 0.9)
+        for key in ("point", "se", "lower", "upper"):
+            assert getattr(got, key) == getattr(want, key)
 
     def test_study_block_within_an_ulp(self, one_worker):
-        # stacked copies give mu an ulp away from the 2-D matvec's
+        # the stacked HC0 and Schouten meats of a study block, against the old
+        # formulas on each replicate drawn alone
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        self.check(_simulate_block(ToyConfig(n=300, seed=2), range(32)), close)
+        cfg = ToyConfig(n=300, seed=2)
+        block = _simulate_block(cfg, range(32))
+        R, n, p = block.X.shape
+        fits = block_fits(block, self.METHODS)
+        assert len(fits) == 4
+        datasets = [simulate_toy(cfg, replicate=j) for j in range(R)]
+        for results in fits.values():
+            stacked = _stacked(results, n, p)
+            robust = _hc0(stacked.vcov, stacked.fitted, block)
+            for j, ds in enumerate(datasets):
+                close(robust[j], self.old_sandwich(results[j], ds))
+        schouten = REGISTRY["Schouten"].scores(_stacked(fits["Schouten"], n, p), block, 0.9)
+        for j, ds in enumerate(datasets):
+            want = self.old_schouten(fits["Schouten"][j], ds, 0.9)
+            for key in ("point", "se", "lower", "upper"):
+                close(getattr(schouten, key)[j], getattr(want, key))
