@@ -37,7 +37,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from .classical import StratifiedTable, crude_pr, mantel_haenszel_pr
 from .data import ModelSpec, load_csv
 from .errors import PrevRatioError
-from .glm import FitResult, separation_check
+from .glm import separation_check
 from .methods import ALIASES, METHODS, dataset_fits, estimate
 from .ratios import BOOTSTRAP_ESTIMATORS, PrEstimate, bootstrap_prs
 from .simulate import ToyConfig, replication_study
@@ -266,15 +266,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     ds = load_csv(args.input, spec)
     at = args.at or None
     fits = dataset_fits(ds, args.methods)
-    logistic = fits.get("binomial-logit", [None])[0]
+    logit = fits.get("binomial-logit")
+    logistic = logit.one() if logit is not None and logit.errors[0] is None else None
     # with --boot, CPR and MPR come from the bootstrap of the logistic fit;
     # when that fit failed, their rows report its error through estimate
     boot = [m for m in args.methods if args.boot and m in BOOTSTRAP_ESTIMATORS]
     results = bootstrap_prs(logistic, ds, boot, args.boot, seed=args.seed, level=args.level,
-                            at=at) if boot and isinstance(logistic, FitResult) else {}
-    rows = [_row(m, lambda: results.get(m) or estimate(m, fits, 0, ds, args.level, at))
+                            at=at) if boot and logistic is not None else {}
+    rows = [_row(m, lambda: results.get(m) or estimate(m, fits, ds, args.level, at))
             for m in args.methods]
-    if isinstance(logistic, FitResult):
+    if logistic is not None:
         for warning in separation_check(logistic):
             sys.stderr.write(f"warning: {warning}\n")
     context = {"exposure": ds.exposure_name, "level": f"{args.level:g}", "n": ds.n,

@@ -19,19 +19,21 @@ last place, a change of rounding size; so a fit takes the same steps
 whichever order its rows are summed in.
 
 :func:`fit_stack` runs these rules on a stack of same-shape problems at
-once, each problem with its own masks, iterations and errors; resampling
-loops use it to spread numpy's per-call overhead over many small fits.
-:func:`fit_glm` is the same kernel on a stack of one. On a dataset with
-a pattern table (every design column 0/1) it fits the distinct rows with
-their summed weights, which have the same likelihood, and gives the
-fitted prevalences back row by row. A bootstrap refit runs the Newton loop
-alone, from a one-step estimate, and reads only the coefficients.
+once, each problem with its own masks, iterations and errors, and gives
+the stack's fits back as arrays; the study uses it to spread numpy's
+per-call overhead over many small fits. :func:`fit_glm` is the same
+kernel on a stack of one, whose FitResult ``_Fits.one`` makes. On a
+dataset with a pattern table (every design column 0/1) it fits the
+distinct rows with their summed weights, which have the same likelihood,
+and gives the fitted prevalences back row by row. A bootstrap refit runs
+the Newton loop alone, from a one-step estimate, and reads only the
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -156,20 +158,30 @@ class FitResult:
 
 
 class _Fits(NamedTuple):
-    """Stacked fits: beta (R, p), vcov (R, p, p), fitted (R, n), and each fit's error or None."""
+    """Stacked fits: beta (R, p), vcov (R, p, p), fitted (R, n), iterations and deviance (R,).
 
+    ``errors`` holds each problem's error or None; a failed problem's
+    beta, vcov, fitted and deviance are NaN.
+    """
+
+    family_link: str
+    column_names: tuple[str, ...]
     beta: np.ndarray
     vcov: np.ndarray
     fitted: np.ndarray
+    iterations: np.ndarray
+    deviance: np.ndarray
+    deviance_paths: list  # each problem's deviances, from its start
     errors: list
 
-
-def _stacked(results: list, n: int, p: int) -> _Fits:
-    """One fit per problem, a FitResult or an error, as a _Fits; a failed fit's rows are NaN."""
-    nan = _Fits(np.full(p, np.nan), np.full((p, p), np.nan), np.full(n, np.nan), None)
-    fits = [r if isinstance(r, FitResult) else nan for r in results]
-    return _Fits(*(np.stack([getattr(f, name) for f in fits]) for name in _Fits._fields[:3]),
-                 [r if isinstance(r, PrevRatioError) else None for r in results])
+    def one(self) -> FitResult:
+        """The FitResult of a stack of one, or its error raised."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return FitResult(family_link=self.family_link, beta=self.beta[0], vcov=self.vcov[0],
+                         iterations=int(self.iterations[0]), deviance=float(self.deviance[0]),
+                         column_names=self.column_names, fitted=self.fitted[0],
+                         deviance_path=tuple(self.deviance_paths[0]))
 
 
 def _check_columns(fit: FitResult, ds: Dataset) -> None:
@@ -357,43 +369,36 @@ def _irls(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
 
 
 def _finish(X: np.ndarray, weights: np.ndarray, family_link: str,
-            column_names: tuple[str, ...], newton: _Newton) -> list[FitResult | PrevRatioError]:
-    """Each problem's FitResult, with its fitted mu and covariance, or the error that stopped it."""
+            column_names: tuple[str, ...], newton: _Newton) -> _Fits:
+    """The stack's fits: each problem's mu and covariance, or NaN and the error that stopped it."""
     fam = _FAMILIES[family_link]
-    results = list(newton.errors)
-    fitted = np.flatnonzero([r is None for r in results])
-    if fitted.size:
-        sub = slice(None) if fitted.size == len(results) else fitted
+    R, n, p = X.shape
+    errors = list(newton.errors)
+    vcov, fitted = np.full((R, p, p), np.nan), np.full((R, n), np.nan)
+    ok = np.flatnonzero([e is None for e in errors])
+    if ok.size:
+        sub = slice(None) if ok.size == R else ok
         mu = fam.inverse_link(newton.eta[sub])
         L, bad = cholesky_stack(gram_stack(X[sub], weights[sub] * fam.irls_weight(mu)))
-        vcov = inverse_from_factor(L)
-        for j, i in enumerate(fitted):
-            if bad[j] >= 0:
-                results[i] = _collinear(column_names, int(bad[j]))
-                continue
-            results[i] = FitResult(
-                family_link=family_link,
-                beta=newton.beta[i].copy(),
-                vcov=vcov[j],
-                iterations=int(newton.iterations[i]),
-                deviance=float(newton.dev[i]),
-                column_names=column_names,
-                fitted=mu[j],
-                deviance_path=tuple(newton.paths[i]),
-            )
-    return results
+        vcov[sub], fitted[sub] = inverse_from_factor(L), mu
+        for j in np.flatnonzero(bad >= 0):
+            errors[ok[j]] = _collinear(column_names, int(bad[j]))
+    failed = np.array([e is not None for e in errors])
+    newton.beta[failed] = vcov[failed] = fitted[failed] = newton.dev[failed] = np.nan
+    return _Fits(family_link, column_names, newton.beta, vcov, fitted, newton.iterations,
+                 newton.dev, newton.paths, errors)
 
 
 def fit_stack(X: np.ndarray, y: np.ndarray, weights: np.ndarray, family_link: str,
-              column_names: tuple[str, ...]) -> list[FitResult | PrevRatioError]:
+              column_names: tuple[str, ...]) -> _Fits:
     """Fit ``family_link`` by IRLS to every problem of a stack at once.
 
     ``X`` is (R, n, p) and ``y`` and ``weights`` are (R, n). Each problem
     starts at its intercept-only fit and keeps its own step halving,
     convergence test, polish steps, iteration count and deviance path, as
-    if fitted alone, and gets its own result: a FitResult, or the
-    NonConvergenceError or NonIdentifiableError that stopped it. The
-    polish ends after ``_POLISH_STEPS`` steps, or sooner at a step that
+    if fitted alone. The stack's fits come back as arrays, a failed
+    problem's NaN beside the NonConvergenceError or NonIdentifiableError
+    that stopped it. The polish ends after ``_POLISH_STEPS`` steps, or sooner at a step that
     changes the deviance by at most ``_POLISH_ULPS`` units in its last
     place. Weights may be zero, so rows that only pad problems to one
     length count for nothing. This is the IRLS implementation behind
@@ -412,11 +417,9 @@ def fit_glm(ds: Dataset, family_link: str) -> FitResult:
     """
     patterns = ds._patterns
     rows = ds if patterns is None else patterns.rows
-    result = fit_stack(rows.X[None], rows.y[None], rows.weights[None], family_link,
-                       ds.column_names)[0]
-    if isinstance(result, PrevRatioError):
-        raise result
-    return _on_rows(result, patterns)
+    fits = fit_stack(rows.X[None], rows.y[None], rows.weights[None], family_link,
+                     ds.column_names)
+    return _on_rows(fits, patterns).one()
 
 
 def _refit(fit: FitResult, ds: Dataset) -> np.ndarray:
@@ -442,12 +445,9 @@ def _refit(fit: FitResult, ds: Dataset) -> np.ndarray:
     return newton.beta[0]
 
 
-def _on_rows(result: FitResult | PrevRatioError,
-             patterns: _Patterns | None) -> FitResult | PrevRatioError:
-    """``result``, a fit to ``patterns.rows``, with the fitted mu of each row they stand for."""
-    if patterns is None or isinstance(result, PrevRatioError):
-        return result
-    return replace(result, fitted=result.fitted[patterns.index])
+def _on_rows(fits: _Fits, patterns: _Patterns | None) -> _Fits:
+    """``fits``, a fit to ``patterns.rows``, with the fitted mu of each row they stand for."""
+    return fits if patterns is None else fits._replace(fitted=fits.fitted[:, patterns.index])
 
 
 def predict_prevalence(fit: FitResult, X: np.ndarray) -> np.ndarray:

@@ -322,6 +322,7 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
         beta = _refit(fit, data)
         return {name: _outcome(point, name, beta, data) for name in names}
 
+    import numpy.random  # noqa: F401 -- loaded before the fork, not at each worker's first draw
     # each replicate's outcome: a failed refit, or each estimator's point or error
     outcomes = _fork_map(lambda r: _outcome(replicate, r), range(reps))
     for name in names:

@@ -8,8 +8,9 @@ Because the model is known, the conditional PR at any z and the marginal
 PR over the Z distribution have analytic values, so replication studies
 can measure bias and confidence-interval coverage exactly. A study runs
 in blocks of replicates held as arrays, from their uniform draws through
-their fits to their scores, with no dataset or estimate made per
-replicate.
+their fits to their scores, with no dataset, fit or estimate made per
+replicate; the confounder's normal quantiles come from the package's one
+inverse normal CDF, :func:`variance._normal_quantiles`.
 """
 
 from __future__ import annotations
@@ -17,34 +18,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
-from statistics import _normal_dist_inv_cdf
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .data import Dataset, INTERCEPT_NAME, ModelSpec, _Block, _means, _read_only
 from .errors import InvalidArgumentError, _failure_reasons
-from .glm import _stacked, expit
+from .glm import expit
 from .methods import METHODS, block_fits
 from .parallel import _fork_map
-from .variance import _Intervals, check_level
+from .variance import _Intervals, _normal_quantiles, check_level
 
 DEFAULT_STUDY_METHODS = ("CPR", "MPR", "POR", "LogBinomial",
                          "RobustPoisson", "Schouten")
 
 # replicates drawn and fitted together, one fit_stack call per fit
 _BLOCK_SIZE = 32
-
-_U_FLOOR = np.finfo(float).tiny
-# the coefficients of Wichura's AS241 centre, numerator and denominator,
-# from the highest power of r down
-_AS241_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-              4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-              1.3314166789178437745e+2, 3.3871328727963666080e+0)
-_AS241_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-              2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-              4.2313330701600911252e+1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -118,30 +107,6 @@ def true_marginal_pr(coeffs: Sequence[float]) -> float:
     num = float(w @ expit(b0 + b1 + b2 * z))
     den = float(w @ expit(b0 + b2 * z))
     return num / den
-
-
-def _normal_quantiles(u: np.ndarray) -> np.ndarray:
-    """Standard-normal quantiles of uniforms, bit for bit ``NormalDist().inv_cdf``'s.
-
-    That is the C function behind ``statistics.NormalDist``, which only
-    checks 0 < p < 1, so the uniforms in the tails are floored at
-    ``_U_FLOOR``. Its centre, |p - 0.5| <= 0.425 (85 % of draws), is
-    Wichura's rational function, computed here in the C function's order
-    with each operation rounded once, so it gives the same bits. Only the
-    tails call the C function, one draw at a time.
-    """
-    q = u - 0.5
-    r = 0.180625 - q * q
-    num, den = _AS241_NUM[0] * r, _AS241_DEN[0] * r
-    for a, b in zip(_AS241_NUM[1:-1], _AS241_DEN[1:-1]):
-        num = (num + a) * r
-        den = (den + b) * r
-    z = (num + _AS241_NUM[-1]) * q / (den + _AS241_DEN[-1])
-    tails = np.flatnonzero(np.abs(q) > 0.425)
-    p = np.maximum(u.ravel()[tails], _U_FLOOR).tolist()
-    z.ravel()[tails] = np.fromiter(map(_normal_dist_inv_cdf, p, repeat(0.0), repeat(1.0)),
-                                   float, len(p))
-    return z
 
 
 def _simulate_block(cfg: ToyConfig, replicates: Sequence[int]) -> _Block:
@@ -291,8 +256,7 @@ def _block_rows(cfg: ToyConfig, replicates: range, methods: Sequence[str],
     call.
     """
     block = _simulate_block(cfg, replicates)
-    _, n, p = block.X.shape
-    fits = {kind: _stacked(results, n, p) for kind, results in block_fits(block, methods).items()}
+    fits = block_fits(block, methods)
     return (_means(block.X, block.weights)[:, 2],
             {m: METHODS[m].scores(fits.get(METHODS[m].fit), block, level) for m in methods})
 
@@ -313,11 +277,11 @@ def replication_study(cfg: ToyConfig, reps: int,
     substream and bit for bit as :func:`simulate_toy` draws it alone.
     Every fit a method reads (Schouten's included) is fitted to a whole
     block at once by :func:`methods.block_fits`, and every method scores
-    the whole block from those stacked fits; no dataset or estimate object
-    is made per replicate. Each problem of a stack follows the same rules
-    as it would alone, so every number agrees with the public estimator on
-    :func:`simulate_toy`'s dataset to within a few units in the last
-    place. The blocks are mapped over every available CPU, one block per
+    the whole block from those stacked fits; no dataset, fit or estimate
+    object is made per replicate. Each problem of a stack follows the same
+    rules as it would alone, so every number agrees with the public
+    estimator on :func:`simulate_toy`'s dataset to within a few units in
+    the last place. The blocks are mapped over every available CPU, one block per
     item, and the report is bit for bit the same for any number of them.
     """
     if reps < 100:
@@ -341,6 +305,7 @@ def replication_study(cfg: ToyConfig, reps: int,
 
     blocks = [range(start, min(start + _BLOCK_SIZE, reps))
               for start in range(0, reps, _BLOCK_SIZE)]
+    import numpy.random  # noqa: F401 -- loaded before the fork, not at each worker's first draw
     scored = _fork_map(lambda replicates: _block_rows(cfg, replicates, methods, level), blocks)
     cpr_truths = _true_cpr(coeffs, np.concatenate([zbar for zbar, _ in scored]))
     # each replicate's truth by target

@@ -36,6 +36,12 @@ def random_logistic_dataset(rng, n, p_covariates):
     return Dataset(y=y, X=X, column_names=names)
 
 
+def stack_of_one(fits, i):
+    """Problem ``i`` of stacked fits, as a stack of its own."""
+    return fits._replace(**{f: v[i:i + 1] for f, v in fits._asdict().items()
+                            if f not in ("family_link", "column_names")})
+
+
 @pytest.fixture(autouse=True)
 def unfreeze_after_main():
     """Hands the heap that an in-process ``cli.main`` froze back to the collector."""

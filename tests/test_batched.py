@@ -19,6 +19,7 @@ from prevratio import (Dataset, INTERCEPT_NAME, NonConvergenceError,
                        simulate_toy)
 from prevratio.glm import expit, fit_stack
 from prevratio.linalg import cholesky_stack
+from conftest import stack_of_one
 
 FAMILIES = ("binomial-logit", "binomial-log", "poisson-log")
 NAMES = (INTERCEPT_NAME, "x", "z")
@@ -73,12 +74,14 @@ class TestKernelMatchesSingleFits:
         stacks = column_major_stacks(block) if column_major else (
             np.stack([d.X for d in block]), np.stack([d.y for d in block]),
             np.stack([d.weights for d in block]))
-        for ds, batched in zip(block, fit_stack(*stacks, family, NAMES)):
+        batched = fit_stack(*stacks, family, NAMES)
+        assert batched.errors == [None] * len(block)
+        for i, ds in enumerate(block):
             alone = fit_glm(ds, family)
-            assert batched.beta == pytest.approx(alone.beta, rel=1e-10, abs=1e-13)
-            assert batched.vcov == pytest.approx(alone.vcov, rel=1e-10, abs=1e-15)
-            assert abs(batched.iterations - alone.iterations) <= 1
-            assert batched.deviance == pytest.approx(alone.deviance, rel=1e-12)
+            assert batched.beta[i] == pytest.approx(alone.beta, rel=1e-10, abs=1e-13)
+            assert batched.vcov[i] == pytest.approx(alone.vcov, rel=1e-10, abs=1e-15)
+            assert abs(batched.iterations[i] - alone.iterations) <= 1
+            assert batched.deviance[i] == pytest.approx(alone.deviance, rel=1e-12)
 
 
 class TestOneBadReplicate:
@@ -89,21 +92,23 @@ class TestOneBadReplicate:
         good = toy_block(7)
         clean = fit_block(good, family)
         mixed = fit_block(good[:3] + [bad] + good[3:], family)
-        assert all(same_fit(a, b) for a, b in zip(clean, mixed[:3] + mixed[4:]))
+        assert all(same_fit(stack_of_one(clean, k).one(), stack_of_one(mixed, k + (k >= 3)).one())
+                   for k in range(7))
         try:
             alone = fit_glm(bad, family)
         except PrevRatioError as err:
-            assert type(mixed[3]) is type(err)
-            assert str(mixed[3]) == str(err)
+            assert type(mixed.errors[3]) is type(err)
+            assert str(mixed.errors[3]) == str(err)
         else:
-            assert same_fit(mixed[3], fit_stack(*column_major_stacks([bad]), family, NAMES)[0])
-            assert mixed[3].beta == pytest.approx(alone.beta, rel=1e-10)
+            assert same_fit(stack_of_one(mixed, 3).one(),
+                            fit_stack(*column_major_stacks([bad]), family, NAMES).one())
+            assert mixed.beta[3] == pytest.approx(alone.beta, rel=1e-10)
 
     @pytest.mark.parametrize("max_iter", [0, 2])
     def test_iteration_limit_per_problem(self, max_iter, monkeypatch):
         monkeypatch.setattr("prevratio.glm.MAX_ITERATIONS", max_iter)
         block = toy_block(3)
-        results = fit_stack(*column_major_stacks(block), "binomial-logit", NAMES)
+        results = fit_stack(*column_major_stacks(block), "binomial-logit", NAMES).errors
         for ds, result in zip(block, results):
             with pytest.raises(NonConvergenceError) as err:
                 fit_glm(ds, "binomial-logit")
@@ -113,13 +118,43 @@ class TestOneBadReplicate:
 
     def test_failure_modes_are_the_expected_errors(self):
         bad = bad_replicates()
-        results = fit_block([bad["collinear"], bad["flat"], bad["infeasible"]], "binomial-log")
+        results = fit_block([bad["collinear"], bad["flat"], bad["infeasible"]],
+                            "binomial-log").errors
         assert isinstance(results[0], NonIdentifiableError)
         assert "'z'" in str(results[0])
         assert isinstance(results[1], NonConvergenceError)
         assert "no variation" in str(results[1])
         assert isinstance(results[2], NonConvergenceError)
         assert results[2].iterations >= 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_fits_of_good_and_failed_problems(family):
+    # one stack holds every problem's fit as arrays: a failed problem's rows
+    # are NaN beside its typed error, and a good problem's is its fit alone
+    good = toy_block(1, seed=5)[0]
+    bad = bad_replicates()
+    fits = fit_block([good, bad["collinear"], bad["flat"]], family)
+    R, n, p = 3, good.n, len(NAMES)
+    assert fits.family_link == family and fits.column_names == NAMES
+    assert (fits.beta.shape, fits.vcov.shape, fits.fitted.shape) == ((R, p), (R, p, p), (R, n))
+    assert (fits.iterations.shape, fits.deviance.shape) == ((R,), (R,))
+    assert len(fits.deviance_paths) == len(fits.errors) == R
+    assert fits.errors[0] is None
+    assert isinstance(fits.errors[1], NonIdentifiableError) and "'z'" in str(fits.errors[1])
+    assert isinstance(fits.errors[2], NonConvergenceError)
+    assert "no variation" in str(fits.errors[2])
+    for field in ("beta", "vcov", "fitted", "deviance"):
+        assert np.isnan(getattr(fits, field)[1:]).all(), field
+        assert np.isfinite(getattr(fits, field)[0]).all(), field
+    for failed in (1, 2):
+        with pytest.raises(type(fits.errors[failed])):
+            stack_of_one(fits, failed).one()
+    # the good problem, taken off the stack, is fit_glm's fit bit for bit
+    one, alone = stack_of_one(fits, 0).one(), fit_glm(good, family)
+    assert same_fit(one, alone)
+    assert (one.family_link, one.column_names) == (alone.family_link, alone.column_names)
+    assert one.deviance == alone.deviance
 
 
 def test_cholesky_stack_names_each_bad_column():
@@ -141,7 +176,7 @@ def test_zero_weight_padding_leaves_fit_unchanged(family):
     X = np.vstack([ds.X, np.repeat(ds.X[:1], pad, axis=0)])
     y = np.concatenate([ds.y, np.repeat(ds.y[:1], pad)])
     w = np.concatenate([ds.weights, np.zeros(pad)])
-    padded = fit_stack(X[None], y[None], w[None], family, NAMES)[0]
+    padded = fit_stack(X[None], y[None], w[None], family, NAMES).one()
     alone = fit_glm(ds, family)
     assert padded.beta == pytest.approx(alone.beta, rel=1e-12, abs=1e-14)
     assert padded.vcov == pytest.approx(alone.vcov, rel=1e-12)

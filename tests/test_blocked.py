@@ -92,7 +92,7 @@ class TestSchoutenOnOriginalRows:
 
         y, w = _schouten_response(ds.y, ds.weights)
         collapsed = fit_stack(ds.X[None], y[None], w[None], "binomial-logit",
-                              ds.column_names)[0]
+                              ds.column_names).one()
         assert collapsed.beta == pytest.approx(oracle.beta, rel=1e-10)
         assert collapsed.vcov == pytest.approx(oracle.vcov, rel=1e-10)
         assert collapsed.deviance == pytest.approx(oracle.deviance, rel=1e-12)

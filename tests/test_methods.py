@@ -159,7 +159,7 @@ class TestPublicEstimators:
         # estimate labels them as the fitted methods are labelled
         ds = load_csv(binary_csv, ModelSpec(outcome="y", exposure="c1", covariates=("x", "c2")))
         fits = dataset_fits(ds, METHOD_LABELS)
-        assert {estimate(m, fits, 0, ds, 0.95).exposure for m in METHOD_LABELS} == {"c1"}
+        assert {estimate(m, fits, ds, 0.95).exposure for m in METHOD_LABELS} == {"c1"}
 
     def test_log_binomial_failure_is_the_fit_error(self):
         # a prevalence near 1 at high z: the log-binomial fit fails here

@@ -132,19 +132,30 @@ def test_bad_argument_is_typed(call, message):
     assert str(info.value) == message
 
 
-def referrers(name: str) -> set[str]:
-    """``module.function`` or ``module.Class.method`` of every definition that names ``name``."""
-    found = set()
+def definitions():
+    """``module.function`` or ``module.Class.method`` of every definition, with its node."""
     for path in sorted(Path(prevratio.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = getattr(top, "name", "<module>")
             defs = ([(f"{owner}.{d.name}" if isinstance(d, ast.FunctionDef) else owner, d)
                      for d in top.body] if isinstance(top, ast.ClassDef) else [(owner, top)])
             for label, node in defs:
-                if any(name in (getattr(n, "id", None), getattr(n, "attr", None))
-                       for n in ast.walk(node)):
-                    found.add(f"{path.stem}.{label}")
-    return found
+                yield f"{path.stem}.{label}", node
+
+
+def named(node, name: str) -> bool:
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def referrers(name: str) -> set[str]:
+    """Every definition (see :func:`definitions`) that names ``name``."""
+    return {label for label, node in definitions() if any(named(n, name) for n in ast.walk(node))}
+
+
+def callers(name: str) -> set[str]:
+    """Every definition (see :func:`definitions`) that calls ``name``."""
+    return {label for label, node in definitions()
+            if any(isinstance(n, ast.Call) and named(n.func, name) for n in ast.walk(node))}
 
 
 def test_one_fit_path():
@@ -160,6 +171,67 @@ def test_one_fit_path():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refit"]
     assert [ast.unparse(call) for call in calls] == ["_refit(fit, data)"]
+
+
+def test_one_stack_of_fits():
+    # fit_stack gives one stack of arrays, and a FitResult is made of a stack
+    # of one in one place; estimate reads a dataset's fits, a stack of one
+    assert callers("FitResult") == {"glm._Fits.one"}
+    assert inspect.signature(prevratio.glm.fit_stack).return_annotation == "_Fits"
+    assert not hasattr(prevratio.glm, "_stacked")
+    assert list(inspect.signature(prevratio.methods.estimate).parameters) == [
+        "method", "fits", "ds", "level", "at"]
+
+
+def test_one_inverse_normal():
+    # the study's normal draws and every interval's z come from one stacked
+    # function, the only caller of the C inverse CDF; no NormalDist is made
+    assert referrers("_normal_dist_inv_cdf") == {"variance._normal_quantiles"}
+    assert referrers("_normal_quantiles") == {"variance.normal_quantile",
+                                              "simulate._simulate_block"}
+    assert [path.name for path in sorted(Path(prevratio.__file__).parent.glob("*.py"))
+            if "NormalDist" in path.read_text()] == []
+
+
+BOOTSTRAP_MAP = """
+n = 200
+x = np.arange(n) % 2.0
+z = np.sin(np.arange(n))
+y = (np.cos(3.0 * np.arange(n)) + 0.4 * x > 0.5).astype(float)
+ds = Dataset(y=y, X=np.column_stack([np.ones(n), x, z]), column_names=("(Intercept)", "x", "z"))
+fit = fit_glm(ds, "binomial-logit")
+print("numpy.random" in sys.modules)
+ratios.bootstrap_prs(fit, ds, ("CPR",), 100, seed=0)
+"""
+STUDY_MAP = """
+print("numpy.random" in sys.modules)
+simulate.replication_study(ToyConfig(n=50), 100, methods=("CPR",))
+"""
+
+
+@pytest.mark.parametrize("run", [BOOTSTRAP_MAP, STUDY_MAP], ids=["bootstrap", "study"])
+def test_maps_start_with_numpy_random_loaded(run):
+    # a worker that imports numpy.random at its first draw spends about 15 ms
+    # on it: the bootstrap and the study load it once, before they fork, and
+    # no import of the package loads it
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import prevratio.cli\n"
+            "from prevratio import Dataset, ToyConfig, fit_glm, ratios, simulate\n"
+            "loaded = []\n"
+            "def spy(fork_map):\n"
+            "    def first_checked(fn, items):\n"
+            "        loaded.append('numpy.random' in sys.modules)\n"
+            "        return fork_map(fn, items)\n"
+            "    return first_checked\n"
+            "ratios._fork_map = spy(ratios._fork_map)\n"
+            "simulate._fork_map = spy(simulate._fork_map)\n"
+            f"{run}\n"
+            "print(loaded)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(prevratio.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n[True]\n"
 
 
 def test_one_warm_start():

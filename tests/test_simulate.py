@@ -13,7 +13,8 @@ from prevratio import (DEFAULT_STUDY_METHODS, InvalidArgumentError, PrevRatioErr
                        dgp_coefficients, replication_study, simulate_toy, true_conditional_pr,
                        true_marginal_pr)
 from prevratio.methods import METHODS, dataset_fits, estimate
-from prevratio.simulate import _U_FLOOR, _block_rows, _normal_quantiles
+from prevratio.simulate import _block_rows
+from prevratio.variance import _U_FLOOR, _normal_quantiles
 
 LOGIT_02 = math.log(0.2 / 0.8)
 
@@ -130,7 +131,7 @@ class TestSimulateToy:
         # arithmetic in the centre; both must be NormalDist's bits, at the
         # edges of the unit interval and of the centre (|p - 0.5| <= 0.425) too.
         # A C build that fuses multiply-adds fails here.
-        edges = [0.0, _U_FLOOR, 0.5, 1.0 - 2.0**-53] + [
+        edges = [0.0, _U_FLOOR, np.finfo(float).tiny, 0.5, 1.0 - 2.0**-53] + [
             v for c in (0.075, 0.925) for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
         u = np.append(np.random.default_rng(3).random(100_000), edges)
         p = np.maximum(u, _U_FLOOR).tolist()
@@ -144,7 +145,8 @@ class TestSimulateToy:
     @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
                     max_size=50))
     def test_vectorized_normals_bit_for_bit(self, u):
-        checked = np.array([NormalDist().inv_cdf(max(v, _U_FLOOR)) for v in u])
+        # no floor within (0, 1): subnormal probabilities are NormalDist's too
+        checked = np.array([NormalDist().inv_cdf(v) for v in u])
         assert np.array_equal(_normal_quantiles(np.array(u)).view(np.int64),
                               checked.view(np.int64))
 
@@ -276,7 +278,7 @@ def test_stacked_scores_are_the_stack_of_one(n, seed, size):
         for m in STUDY_METHODS:
             got = scores[m]
             try:
-                want = estimate(m, fits, 0, ds, 0.95).interval
+                want = estimate(m, fits, ds, 0.95).interval
             except PrevRatioError as err:
                 assert type(got.errors[r]) is type(err), (m, r)
                 continue

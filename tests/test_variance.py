@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from scipy.special import ndtri
 from prevratio import (DegenerateDenominatorError, IntervalEstimate, InvalidArgumentError,
                        ToyConfig, fit_glm, normal_quantile, predict_prevalence,
                        ratio_interval, sandwich_vcov, simulate_toy)
-from prevratio.glm import _stacked
 from prevratio.methods import METHODS as REGISTRY
 from prevratio.methods import block_fits, dataset_fits, estimate
 from prevratio.simulate import _simulate_block
 from prevratio.variance import _hc0, _sandwich
-from conftest import table_dataset
+from conftest import stack_of_one, table_dataset
 
 
 class TestNormalQuantile:
@@ -27,6 +27,18 @@ class TestNormalQuantile:
 
     def test_symmetry(self):
         assert normal_quantile(0.3) == pytest.approx(-normal_quantile(0.7), abs=1e-12)
+
+    def test_bits_are_normal_dist_inv_cdf(self):
+        # one value through the package's one inverse normal gives NormalDist's
+        # bits: both tails, the centre and its edges, and the smallest positive float
+        grid = [5e-324, 1e-310, np.finfo(float).tiny, 1e-100, 1e-10, 0.075,
+                np.nextafter(0.075, 0.0), np.nextafter(0.075, 1.0), np.nextafter(0.925, 0.0),
+                0.925, np.nextafter(0.925, 1.0), 1.0 - 2.0**-53,
+                *np.linspace(0.0, 1.0, 2001)[1:-1]]
+        got = np.array([normal_quantile(p) for p in grid])
+        want = np.array([NormalDist().inv_cdf(p) for p in grid])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert normal_quantile(5e-324) < normal_quantile(np.finfo(float).tiny)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_domain(self, p):
@@ -223,10 +235,11 @@ class TestFittedMuIsRead:
     def test_block_of_one_bit_for_bit(self, ds):
         fits = dataset_fits(ds, self.METHODS)
         assert len(fits) == 4
-        for (result,) in fits.values():
+        for stack in fits.values():
+            result = stack.one()
             assert np.array_equal(sandwich_vcov(result, ds), self.old_sandwich(result, ds))
-        got = estimate("Schouten", fits, 0, ds, 0.9).interval
-        want = self.old_schouten(fits["Schouten"][0], ds, 0.9)
+        got = estimate("Schouten", fits, ds, 0.9).interval
+        want = self.old_schouten(fits["Schouten"].one(), ds, 0.9)
         for key in ("point", "se", "lower", "upper"):
             assert getattr(got, key) == getattr(want, key)
 
@@ -237,17 +250,16 @@ class TestFittedMuIsRead:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         cfg = ToyConfig(n=300, seed=2)
         block = _simulate_block(cfg, range(32))
-        R, n, p = block.X.shape
+        R = len(block.X)
         fits = block_fits(block, self.METHODS)
         assert len(fits) == 4
         datasets = [simulate_toy(cfg, replicate=j) for j in range(R)]
-        for results in fits.values():
-            stacked = _stacked(results, n, p)
+        for stacked in fits.values():
             robust = _hc0(stacked.vcov, stacked.fitted, block)
             for j, ds in enumerate(datasets):
-                close(robust[j], self.old_sandwich(results[j], ds))
-        schouten = REGISTRY["Schouten"].scores(_stacked(fits["Schouten"], n, p), block, 0.9)
+                close(robust[j], self.old_sandwich(stack_of_one(stacked, j).one(), ds))
+        schouten = REGISTRY["Schouten"].scores(fits["Schouten"], block, 0.9)
         for j, ds in enumerate(datasets):
-            want = self.old_schouten(fits["Schouten"][j], ds, 0.9)
+            want = self.old_schouten(stack_of_one(fits["Schouten"], j).one(), ds, 0.9)
             for key in ("point", "se", "lower", "upper"):
                 close(getattr(schouten, key)[j], getattr(want, key))
