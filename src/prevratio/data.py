@@ -176,24 +176,6 @@ class Dataset:
         return replace(self, y=_read_only(self.y[idx]), X=_read_only(self.X[idx]),
                        weights=_read_only(self.weights[idx]))
 
-    def frequency_weighted(self, counts: np.ndarray) -> "Dataset":
-        """The resample that draws row i counts[i] times, without copying the repeats.
-
-        Its weighted likelihood equals that of the dataset with row i
-        repeated counts[i] times. A dataset with a pattern table returns
-        the drawn patterns, each weighted by the sum of its rows' prior
-        weights times their counts; any other returns the rows with a
-        nonzero count, each prior weight multiplied by its count.
-        """
-        rows, weights = self, self.weights * counts
-        if self._patterns is not None:
-            # undrawn rows add 0.0, so each sum is the one the drawn rows' table has
-            rows = self._patterns.rows
-            weights = np.bincount(self._patterns.index, weights, minlength=rows.n)
-        keep = np.flatnonzero(weights)
-        return replace(self, y=_read_only(rows.y[keep]), X=_read_only(rows.X[keep]),
-                       weights=_read_only(weights[keep]))
-
 
 def _column_index(column_names: tuple[str, ...], name: str) -> int:
     try:
@@ -214,6 +196,22 @@ class _Block(NamedTuple):
 def _block_of(ds: Dataset) -> _Block:
     """The rows of ``ds`` as a block of one, views of its arrays."""
     return _Block(ds.X[None], ds.y[None], ds.weights[None], ds.column_names)
+
+
+def _resample(ds: Dataset, counts: np.ndarray) -> _Block:
+    """The resample that draws row i of ``ds`` counts[i] times, as a block of one, unvalidated.
+
+    It holds the drawn rows in row order, each prior weight times its
+    count, or with a pattern table the drawn patterns in key order, each
+    weighted by the sum of its rows' prior weights times their counts.
+    """
+    rows, weights = ds, ds.weights * counts
+    if ds._patterns is not None:
+        # undrawn rows add 0.0, so each sum is the one the drawn rows' table has
+        rows = ds._patterns.rows
+        weights = np.bincount(ds._patterns.index, weights, minlength=rows.n)
+    keep = np.flatnonzero(weights)
+    return _Block(rows.X[keep][None], rows.y[keep][None], weights[keep][None], ds.column_names)
 
 
 def _distinct_rows(ds: Dataset) -> Dataset:

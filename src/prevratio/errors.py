@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and how failed replicates are counted."""
+"""Exception types shared across the package, the one check of a count, and the failure count."""
 
+import operator
 from collections import Counter
 
 
@@ -69,16 +70,17 @@ def _fail(errors: list, bad, make) -> None:
             errors[i] = make(i)
 
 
-def _outcome(fn, *args):
-    """``fn(*args)``, or the PrevRatioError that stopped it.
+def _check_count(name: str, value, least: int, rule: str) -> None:
+    """Raise InvalidArgumentError unless ``value`` is an integer of at least ``least``.
 
-    The error is returned without its traceback, whose frames would keep
-    the failed call's data alive for as long as the error is kept.
+    numpy's integers count as integers; a non-integer is named by ``name``.
     """
     try:
-        return fn(*args)
-    except PrevRatioError as exc:
-        return exc.with_traceback(None)
+        operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidArgumentError(f"{rule}, got {value}")
 
 
 def _failure_reasons(outcomes) -> dict[str, int]:

@@ -26,8 +26,8 @@ kernel on a stack of one, whose FitResult ``_Fits.one`` makes. On a
 dataset with a pattern table (every design column 0/1) it fits the
 distinct rows with their summed weights, which have the same likelihood,
 and gives the fitted prevalences back row by row. A bootstrap refit runs
-the Newton loop alone, from a one-step estimate, and reads only the
-coefficients.
+the Newton loop alone on a block of resamples, from a one-step estimate,
+and reads only the coefficients and each problem's error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, _distinct_rows, _Patterns
+from .data import Dataset, _Block, _Patterns
 from .errors import (InvalidArgumentError, NonConvergenceError, NonIdentifiableError,
                      PrevRatioError, RankDeficientError)
 from .linalg import (cholesky_stack, gram_stack, inverse_from_factor, matvec_stack,
@@ -422,27 +422,20 @@ def fit_glm(ds: Dataset, family_link: str) -> FitResult:
     return _on_rows(fits, patterns).one()
 
 
-def _refit(fit: FitResult, ds: Dataset) -> np.ndarray:
-    """The coefficients of ``fit``'s model on ``ds``, a resample of the data ``fit`` fits.
+def _refit(fit: FitResult, block: _Block) -> _Newton:
+    """The Newton loop of ``fit``'s model on each problem of ``block``, resamples of ``fit``'s data.
 
-    The Newton loop starts at the one-step estimate beta + vcov U(beta),
-    with beta and vcov from ``fit`` and U the score on the resample's own
-    (distinct) rows; a start that is not finite falls back to beta. It
-    runs to the resample's maximum-likelihood estimate as :func:`fit_glm`
-    does, but computes neither the fitted mu nor the covariance. Raises
-    the error that stops the loop, as fit_glm does.
+    Each problem starts at the one-step estimate beta + vcov U(beta), with
+    beta and vcov from ``fit`` and U the score on its own rows, or at beta
+    when that is not finite, and runs as in :func:`fit_stack`, its error
+    kept beside it; no fitted mu or covariance is computed.
     """
     fam = _FAMILIES[fit.family_link]
-    rows = _distinct_rows(ds)
-    mu = fam.inverse_link(matvec_stack(rows.X, fit.beta))
-    start = fit.beta + fit.vcov @ _score(fam, rows.X, rows.y, rows.weights, mu)
-    if not np.isfinite(start).all():
-        start = fit.beta
-    newton = _irls(rows.X[None], rows.y[None], rows.weights[None], fit.family_link,
-                   fit.column_names, start[None])
-    if newton.errors[0] is not None:
-        raise newton.errors[0]
-    return newton.beta[0]
+    X, y, w, column_names = block
+    mu = fam.inverse_link(matvec_stack(X, fit.beta))
+    start = fit.beta + (fit.vcov @ _score(fam, X, y, w, mu)[..., None])[..., 0]
+    start = np.where(np.isfinite(start).all(axis=-1, keepdims=True), start, fit.beta)
+    return _irls(X, y, w, fit.family_link, column_names, start)
 
 
 def _on_rows(fits: _Fits, patterns: _Patterns | None) -> _Fits:

@@ -15,7 +15,8 @@ that the log-binomial, robust-Poisson and Schouten estimates of
 ``methods.METHODS`` share; this module fits none of those models. The
 contrast and the coefficient ratios work on stacks of problems, as the
 study scores a block of replicates; each public estimator is that code
-on a stack of one.
+on a stack of one. The bootstrap runs the study's draw, fit and score on
+each resample, a block of one, with no dataset made per replicate.
 
 Every estimator contrasts the exposure, design column ``EXPOSURE_COL``,
 at 1 versus 0; for a continuous exposure that reads as a one-unit
@@ -32,9 +33,9 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .data import (Dataset, EXPOSURE_COL, _Block, _block_of, _column_index, _distinct_rows,
-                   _means)
+                   _means, _resample)
 from .errors import (DegenerateDenominatorError, InvalidArgumentError, NonConvergenceError,
-                     PrevRatioError, _fail, _failure_reasons, _outcome)
+                     PrevRatioError, _check_count, _fail, _failure_reasons)
 from .glm import FitResult, _check_columns, _refit, expit
 from .linalg import matvec_stack, rmatvec_stack
 from .parallel import _fork_map
@@ -239,6 +240,18 @@ def prevalence_odds_ratio(fit: FitResult, level: float = 0.95) -> PrEstimate:
                      level, fit.column_names[EXPOSURE_COL], {"se_scale": "log"})
 
 
+def _points(method: str, beta: np.ndarray, rows: _Block, at: Mapping[str, float] | None,
+            errors: list) -> list[float | PrevRatioError]:
+    """Each problem's ``method`` point alone, as the public estimator computes it, or its error.
+
+    A problem keeps its error in ``errors``; one without fails when its
+    arms do (see :func:`_arms`). No delta-method SE is computed.
+    """
+    p1, p0, _, _, arm_errors = _arms(beta, *_population(method, rows, at))
+    return [e or arm or a / b
+            for e, arm, a, b in zip(errors, arm_errors, p1.tolist(), p0.tolist())]
+
+
 def _percentile_interval(point: float, draws: np.ndarray,
                          level: float) -> IntervalEstimate:
     """The percentile interval of ``draws`` around the full-data ``point``.
@@ -270,12 +283,15 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
     independent substream derived from (seed, r), so the result does not
     depend on execution order; the replicates are mapped over every CPU
     and the result is bit for bit the same for any number of them. Each
-    resample, :meth:`Dataset.frequency_weighted` of its draw counts, is
-    refitted once, and every requested estimator is read off that one
-    refit. A refit starts at the one-step estimate beta + vcov U(beta),
-    from ``fit``'s coefficients and covariance and the score U on the
-    resample's own rows, and runs to the resample's maximum-likelihood
-    estimate; it computes the coefficients only, no covariance.
+    resample is a block of one (:func:`data._resample`): the drawn rows,
+    or on a dataset with a pattern table the drawn patterns, each weighted
+    by its prior weight times its count. It is refitted once by
+    :func:`glm._refit`, and every requested estimator's point is read off
+    that one refit by :func:`_points`. A refit starts at the one-step
+    estimate beta + vcov U(beta), from ``fit``'s coefficients and
+    covariance and the score U on the resample's own rows, and runs to
+    the resample's maximum-likelihood estimate; it computes the
+    coefficients only, no covariance.
 
     Every estimate is the point alone, computed as the public estimator
     computes it, so none fails on a delta-method SE it does not use. A
@@ -293,40 +309,33 @@ def bootstrap_prs(fit: FitResult, ds: Dataset, estimators: Sequence[str], reps: 
         raise InvalidArgumentError(
             f"estimators must be 'CPR' and/or 'MPR', got {estimators!r}"
         )
-    if reps < 100:
-        raise InvalidArgumentError(f"need at least 100 bootstrap replicates, got {reps}")
-    if seed < 0:
-        raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {seed}")
+    _check_count("reps", reps, 100, "need at least 100 bootstrap replicates")
+    _check_count("seed", seed, 0, "bootstrap seed must be non-negative")
     check_level(level)
     _require_logistic(fit)
     _check_columns(fit, ds)
 
-    def point(name: str, beta: np.ndarray, data: Dataset) -> float:
-        # the point alone, from the rows the public estimator reads; the
-        # delta-method SE is of no use here
-        p1, p0, _, _, errors = _arms(beta[None], *_population(name, _rows(data), at))
-        if errors[0] is not None:
-            raise errors[0]
-        return float(p1[0] / p0[0])
-
-    full = {name: _outcome(point, name, fit.beta, ds) for name in estimators}
+    full = {}
+    for name in estimators:
+        try:
+            (full[name],) = _points(name, fit.beta[None], _rows(ds), at, [None])
+        except PrevRatioError as exc:  # an unusable ``at``, which fails CPR alone
+            full[name] = exc.with_traceback(None)
     results = {name: v for name, v in full.items() if isinstance(v, PrevRatioError)}
     names = [name for name in estimators if name not in results]
     if not names:
         return results
 
-    def replicate(r: int) -> dict[str, float | PrevRatioError]:
+    def replicate(r: int) -> list[float | PrevRatioError]:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
-        data = ds.frequency_weighted(counts)
-        beta = _refit(fit, data)
-        return {name: _outcome(point, name, beta, data) for name in names}
+        block = _resample(ds, np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n))
+        newton = _refit(fit, block)
+        return [_points(name, newton.beta, block, at, newton.errors)[0] for name in names]
 
     import numpy.random  # noqa: F401 -- loaded before the fork, not at each worker's first draw
-    # each replicate's outcome: a failed refit, or each estimator's point or error
-    outcomes = _fork_map(lambda r: _outcome(replicate, r), range(reps))
-    for name in names:
-        mine = [o if isinstance(o, PrevRatioError) else o[name] for o in outcomes]
+    # each replicate's point or error, one per estimator of ``names``
+    outcomes = _fork_map(replicate, range(reps))
+    for name, mine in zip(names, zip(*outcomes)):
         reasons = _failure_reasons(mine)
         n_failed = sum(reasons.values())
         if n_failed > 0.2 * reps:

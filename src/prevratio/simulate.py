@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, INTERCEPT_NAME, ModelSpec, _Block, _means, _read_only
-from .errors import InvalidArgumentError, _failure_reasons
+from .errors import InvalidArgumentError, _check_count, _failure_reasons
 from .glm import expit
 from .methods import METHODS, block_fits
 from .parallel import _fork_map
@@ -48,10 +48,8 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgumentError(f"n must be at least 1, got {self.n}")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
+        _check_count("n", self.n, 1, "n must be at least 1")
+        _check_count("seed", self.seed, 0, "seed must be non-negative")
         if not 0.0 < self.p_exposure < 1.0:
             raise InvalidArgumentError("p_exposure must be in (0, 1)")
         if not 0.0 < self.baseline_prevalence < 1.0:
@@ -144,8 +142,7 @@ def simulate_toy(cfg: ToyConfig, replicate: int = 0) -> Dataset:
     the same. Normals come from the inverse CDF of uniform draws,
     keeping the stream portable across BLAS/platform variation.
     """
-    if replicate < 0:
-        raise InvalidArgumentError(f"replicate must be non-negative, got {replicate}")
+    _check_count("replicate", replicate, 0, "replicate must be non-negative")
     block = _simulate_block(cfg, [replicate])
     return Dataset(y=block.y[0], X=block.X[0], column_names=block.column_names,
                    weights=block.weights[0],
@@ -284,8 +281,7 @@ def replication_study(cfg: ToyConfig, reps: int,
     the last place. The blocks are mapped over every available CPU, one block per
     item, and the report is bit for bit the same for any number of them.
     """
-    if reps < 100:
-        raise InvalidArgumentError(f"need at least 100 replicates, got {reps}")
+    _check_count("reps", reps, 100, "need at least 100 replicates")
     # checked here, since a PrevRatioError in a replicate is scored, not raised
     check_level(level)
     methods = DEFAULT_STUDY_METHODS if methods is None else tuple(dict.fromkeys(methods))

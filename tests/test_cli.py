@@ -97,7 +97,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestGoldenText:
-    """The default text of each subcommand, byte for byte."""
+    """The default text of each subcommand, and the bootstrap's JSON, byte for byte."""
 
     def test_estimate(self, capsys, toy_csv):
         code, out, err = run_estimate(capsys, toy_csv)
@@ -107,6 +107,12 @@ class TestGoldenText:
         code, out, err = run_estimate(capsys, toy_csv, "--methods", "por,cpr,mpr",
                                       "--boot", "100", "--seed", "2")
         assert (code, out, err) == (0, (GOLDEN / "estimate_boot.txt").read_text(), "")
+
+    def test_estimate_boot_json(self, capsys, toy_csv):
+        # every digit of the bootstrap's intervals, which the text rounds to three
+        code, out, err = run_estimate(capsys, toy_csv, "--methods", "cpr,mpr",
+                                      "--boot", "100", "--format", "json")
+        assert (code, out, err) == (0, (GOLDEN / "estimate_boot.json").read_text(), "")
 
     def test_table(self, capsys, strata_csv):
         code = main(["table", "--input", strata_csv])

@@ -65,25 +65,31 @@ class TestDataset:
         with pytest.raises(DataError, match="finite"):
             self.make(weights=np.array([1.0, np.inf, 1.0]))
 
-    def test_frequency_weighted_keeps_drawn_rows(self):
-        # z is not 0/1, so there is no pattern table: the resample is the drawn rows
-        ds = self.make(X=np.column_stack([np.ones(3), [1.0, 0.0, 1.0], [0.5, 1.0, 2.0]]),
+    def test_resample_is_the_drawn_rows_in_row_order(self):
+        # z is not 0/1, so there is no pattern table: the resample is the drawn
+        # rows, in row order, each prior weight times its count
+        ds = self.make(y=np.array([1.0, 0.0, 1.0, 0.0]),
+                       X=np.column_stack([np.ones(4), [1.0, 0.0, 1.0, 1.0],
+                                          [0.5, 1.0, 2.0, -1.5]]),
                        column_names=(INTERCEPT_NAME, "x", "z"),
-                       weights=np.array([1.0, 2.0, 3.0]))
-        sub = ds.frequency_weighted(np.array([2, 0, 1]))
-        assert np.array_equal(sub.y, [1.0, 1.0])
-        assert np.array_equal(sub.X, ds.X[[0, 2]])
-        assert np.array_equal(sub.weights, [2.0, 3.0])
-        assert sub.column_names == ds.column_names
+                       weights=np.array([1.0, 2.0, 3.0, 0.5]))
+        block = data._resample(ds, np.array([2, 0, 1, 3]))
+        assert np.array_equal(block.y, [[1.0, 1.0, 0.0]])
+        assert np.array_equal(block.X, ds.X[None, [0, 2, 3]])
+        assert np.array_equal(block.weights, [[2.0, 3.0, 1.5]])
+        assert block.column_names == ds.column_names
 
-    def test_frequency_weighted_draws_patterns_of_a_binary_design(self):
-        # rows 0 and 2 share their pattern, the one drawn: it is weighted 1 * 2 + 3 * 1
-        ds = self.make(weights=np.array([1.0, 2.0, 3.0]))
-        sub = ds.frequency_weighted(np.array([2, 0, 1]))
-        assert np.array_equal(sub.y, [1.0])
-        assert np.array_equal(sub.X, [[1.0, 1.0]])
-        assert np.array_equal(sub.weights, [5.0])
-        assert sub.column_names == ds.column_names
+    def test_resample_is_the_drawn_patterns_in_key_order(self):
+        # keys 2x + y: rows 0 and 2 are pattern 3, row 1 pattern 0 and row 3
+        # pattern 1, which is not drawn; pattern 3 is weighted 1 * 2 + 3 * 1
+        ds = self.make(y=np.array([1.0, 0.0, 1.0, 1.0]),
+                       X=np.column_stack([np.ones(4), [1.0, 0.0, 1.0, 0.0]]),
+                       weights=np.array([1.0, 2.0, 3.0, 4.0]))
+        block = data._resample(ds, np.array([2, 1, 1, 0]))
+        assert np.array_equal(block.y, [[0.0, 1.0]])
+        assert np.array_equal(block.X, [[[1.0, 0.0], [1.0, 1.0]]])
+        assert np.array_equal(block.weights, [[2.0, 5.0]])
+        assert block.column_names == ds.column_names
 
     def test_name_count_must_match(self):
         with pytest.raises(DataError):

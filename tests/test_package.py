@@ -132,6 +132,36 @@ def test_bad_argument_is_typed(call, message):
     assert str(info.value) == message
 
 
+NON_INTEGER_COUNTS = {
+    "boot-reps": (lambda: bootstrap_prs(fit_glm(TOY, "binomial-logit"), TOY, ("CPR",), 100.0,
+                                        seed=0), "reps must be an integer, got 100.0"),
+    "boot-seed": (lambda: bootstrap_prs(fit_glm(TOY, "binomial-logit"), TOY, ("CPR",), 100,
+                                        seed=1.5), "seed must be an integer, got 1.5"),
+    "study-reps": (lambda: replication_study(ToyConfig(), 100.0),
+                   "reps must be an integer, got 100.0"),
+    "toy-n": (lambda: ToyConfig(n=50.5), "n must be an integer, got 50.5"),
+    "toy-seed": (lambda: ToyConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    "toy-replicate": (lambda: simulate_toy(ToyConfig(), replicate="1"),
+                      "replicate must be an integer, got '1'"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_INTEGER_COUNTS.values(),
+                         ids=NON_INTEGER_COUNTS.keys())
+def test_non_integer_count_is_typed(call, message):
+    # a count or a seed that is not an integer is named, not a raw TypeError
+    # from deep inside numpy; numpy's integers are integers
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert ToyConfig(n=np.int64(50), seed=np.int32(1)).n == 50
+    ds = simulate_toy(ToyConfig(n=np.int64(50)), replicate=np.int64(2))
+    assert ds.n == 50
+
+
 def definitions():
     """``module.function`` or ``module.Class.method`` of every definition, with its node."""
     for path in sorted(Path(prevratio.__file__).parent.glob("*.py")):
@@ -170,7 +200,7 @@ def test_one_fit_path():
     calls = [node for path in Path(prevratio.__file__).parent.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refit"]
-    assert [ast.unparse(call) for call in calls] == ["_refit(fit, data)"]
+    assert [ast.unparse(call) for call in calls] == ["_refit(fit, block)"]
 
 
 def test_one_stack_of_fits():
@@ -249,6 +279,25 @@ def test_one_warm_start():
     assert with_start == {"glm._refit"}
 
 
+def test_one_replicate_path(monkeypatch, one_worker):
+    # a resample is a block of one, refitted and scored as the study's blocks
+    # are: the bootstrap builds no Dataset, and only a refit passes _irls a
+    # start (see test_one_warm_start)
+    assert not hasattr(prevratio.Dataset, "frequency_weighted")
+    assert callers("_resample") == {"ratios.bootstrap_prs"}
+    binary = dataclasses.replace(TOY, X=np.column_stack([TOY.X[:, :2], TOY.X[:, 2] > 0.0]))
+    fits = [(ds, fit_glm(ds, "binomial-logit")) for ds in (TOY, binary)]
+    assert binary._patterns is not None and TOY._patterns is None
+    made = []
+    post_init = prevratio.Dataset.__post_init__
+    monkeypatch.setattr(prevratio.Dataset, "__post_init__",
+                        lambda self: made.append(None) or post_init(self))
+    for ds, fit in fits:
+        out = bootstrap_prs(fit, ds, ("CPR", "MPR"), 100, seed=0)
+        assert all(isinstance(est, PrEstimate) for est in out.values())
+    assert made == []
+
+
 def test_one_record_loop():
     # the row loop and the table reader read csv records, and number their
     # lines, through one loop
@@ -266,10 +315,10 @@ def test_one_pattern_table():
     assert referrers("lexsort") | referrers("packbits") == {"data._pattern_table"}
     # the fits, the 2x2 tables, the resamples, the covariate means and MPR read it
     assert {"glm.fit_glm", "methods.dataset_fits", "classical.stratified_from_dataset",
-            "data.Dataset.frequency_weighted", "data._distinct_rows"} <= referrers("_patterns")
-    # the refits start on the resample's own rows, its drawn patterns when tabled
+            "data._resample", "data._distinct_rows"} <= referrers("_patterns")
+    # a resample is already its drawn patterns when tabled, so a refit builds no table
     assert referrers("_distinct_rows") == {"classical.crude_table", "data.covariate_means",
-                                           "glm._refit", "methods.dataset_fits", "ratios._rows"}
+                                           "methods.dataset_fits", "ratios._rows"}
 
 
 def test_one_row_choice_for_cpr_and_mpr():
@@ -277,7 +326,7 @@ def test_one_row_choice_for_cpr_and_mpr():
     # estimators and the bootstrap alike
     assert referrers("_conditioning_point") == {"ratios._population"}
     assert {"ratios.conditional_pr", "ratios.marginal_pr",
-            "ratios.bootstrap_prs"} <= referrers("_population")
+            "ratios._points"} <= referrers("_population")
     tree = ast.parse((Path(prevratio.__file__).parent / "ratios.py").read_text())
     branches = {top.name for top in tree.body for node in ast.walk(top)
                 if isinstance(node, ast.Compare) and any(
@@ -289,9 +338,9 @@ def test_one_failure_count():
     # the bootstrap and the study count failed replicates in one place
     assert referrers("Counter") == {"errors._failure_reasons"}
     assert {"ratios.bootstrap_prs", "simulate.replication_study"} <= referrers("_failure_reasons")
-    # the bootstrap keeps each failure as a value, its traceback dropped, in one
-    # place; a stacked score never raises a problem's error, it records it
-    assert referrers("_outcome") == {"ratios.bootstrap_prs"}
+    # a stacked score never raises a problem's error, it records it; so does a
+    # bootstrap replicate, and no raise is turned back into a value
+    assert referrers("_outcome") == set()
     assert referrers("_fail") == {"variance._ratio_intervals", "ratios._arms",
                                   "classical._crude_intervals", "classical._crude_tables"}
 
@@ -409,7 +458,7 @@ def test_one_exposure_contrast():
     callers = {top.name for top in tree.body for node in ast.walk(top)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "expit"}
     assert callers == {"_arms"}
-    assert {"ratios._contrast", "ratios.bootstrap_prs"} <= referrers("_arms")
+    assert {"ratios._contrast", "ratios._points"} <= referrers("_arms")
     # a refit's one-step start reads the score of glm's Newton step, in glm
     assert referrers("_score") == {"glm._newton_direction", "glm._refit"}
     assert {"ratios.conditional_pr", "ratios.marginal_pr"} <= referrers("_contrast_estimate")
@@ -448,7 +497,7 @@ def test_no_one_replicate_twin():
                      "_crude_tables": "classical.crude_table",
                      "_contrast": "ratios._contrast_estimate",
                      "_coefficient_ratios": "ratios.prevalence_odds_ratio",
-                     "_arms": "ratios.bootstrap_prs"}
+                     "_arms": "ratios._points"}
     for stacked, one in stacks_of_one.items():
         assert one in referrers(stacked), stacked
     # the registry scores one dataset with the same stacked scores as a block

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prevratio import (INTERCEPT_NAME, Dataset, FitResult, PrevRatioError, bootstrap_prs,
                        crude_table, fit_glm, stratified_from_dataset)
 from prevratio.classical import _schouten_response
+from prevratio.data import _resample
 from prevratio.glm import DEVIANCE_TOL, _irls, expit, fit_stack
 from prevratio.methods import dataset_fits
 from prevratio.ratios import _percentile_interval
@@ -306,7 +307,9 @@ class TestBootstrap:
         drawn = Dataset(y=ds.y[keep], X=ds.X[keep], column_names=ds.column_names,
                         weights=ds.weights[keep] * counts[keep])
         table = drawn._patterns.rows
-        sub = ds.frequency_weighted(counts)
+        block = _resample(ds, counts)
+        sub = Dataset(y=block.y[0], X=block.X[0], column_names=block.column_names,
+                      weights=block.weights[0])
         for f in ("y", "X", "weights"):
             assert getattr(sub, f).tobytes() == getattr(table, f).tobytes()
         assert sub.column_names == ds.column_names

@@ -13,6 +13,7 @@ from prevratio import (Dataset, DegenerateDenominatorError, FitResult,
                        marginal_pr, prevalence_odds_ratio, robust_poisson_pr,
                        simulate_toy)
 from prevratio import glm, ratios
+from prevratio.data import _resample
 from prevratio.glm import _finish, _irls, _refit
 from prevratio.linalg import matvec_stack, rmatvec_stack
 from prevratio.ratios import _percentile_interval
@@ -426,37 +427,50 @@ def row_copy_bootstrap(ds, estimator, reps, seed, level=0.95):
     return estimate(ds), float(np.std(draws, ddof=1)), lower, upper
 
 
-def failing_after(fn, fail_calls):
-    """``fn`` raising DegenerateDenominatorError on the given 1-based calls."""
-    calls = []
+def failing_points(method, bad_rows):
+    """``ratios._points`` with ``method``'s points failing, as a DegenerateDenominatorError
+    value, on the rows for which ``bad_rows(rows)`` holds; it is asked once per call for
+    ``method``, and the other estimator's points are left alone."""
+    points = ratios._points
 
-    def wrapper(*args, **kwargs):
-        calls.append(None)
-        if len(calls) in fail_calls:
-            raise DegenerateDenominatorError("forced failure")
-        return fn(*args, **kwargs)
+    def wrapper(name, beta, rows, at, errors):
+        out = points(name, beta, rows, at, errors)
+        if name == method and bad_rows(rows):
+            return [DegenerateDenominatorError("forced failure")] * len(out)
+        return out
     return wrapper
 
 
-def failing_on(point_fn, bad_data):
-    """``point_fn(data, ...)`` raising DegenerateDenominatorError when
-    ``bad_data(data)`` holds, so the failure follows the replicate, whichever
+def on_calls(fail_calls):
+    """A test of rows that holds on the given 1-based calls of it."""
+    calls = []
+
+    def bad_rows(rows):
+        calls.append(None)
+        return len(calls) in fail_calls
+    return bad_rows
+
+
+def failing_refit(bad_rows):
+    """``_refit`` whose loop fails with NonConvergenceError on the blocks for which
+    ``bad_rows(block)`` holds, so the failure follows the replicate, whichever
     process runs it."""
-    def wrapper(data, *args):
-        if bad_data(data):
-            raise DegenerateDenominatorError("forced failure")
-        return point_fn(data, *args)
+    def wrapper(fit, block):
+        newton = _refit(fit, block)
+        if bad_rows(block):
+            newton.errors[0] = NonConvergenceError("forced failure")
+        return newton
     return wrapper
 
 
 def resample_of(ds, seed, replicates):
-    """A test for whether a dataset is the resample of one of ``replicates``."""
+    """A test for whether rows are the resample of one of ``replicates``."""
     keys = set()
     for r in replicates:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
-        keys.add(ds.frequency_weighted(counts).weights.tobytes())
-    return lambda data: data is not ds and data.weights.tobytes() in keys
+        keys.add(_resample(ds, counts).weights.tobytes())
+    return lambda rows: rows.weights.tobytes() in keys
 
 
 def one_step_start(full, X, y, w):
@@ -468,14 +482,20 @@ def one_step_start(full, X, y, w):
 class TestSharedBootstrap:
     @pytest.mark.parametrize("seed", [2, 11])
     def test_matches_row_copy_refits(self, toy_ds, seed):
-        shared = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=seed)
-        for name in ("CPR", "MPR"):
-            iv = shared[name].interval
-            point, se, lower, upper = row_copy_bootstrap(toy_ds, name, 100, seed)
-            assert iv.point == pytest.approx(point, rel=1e-9)
-            assert iv.se == pytest.approx(se, rel=1e-9)
-            assert iv.lower == pytest.approx(lower, rel=1e-9)
-            assert iv.upper == pytest.approx(upper, rel=1e-9)
+        # the toy data, and the same with its confounder cut at 0: an all-0/1
+        # design, whose resamples are its drawn patterns
+        binary = dataclasses.replace(toy_ds, X=np.column_stack([toy_ds.X[:, :2],
+                                                                toy_ds.X[:, 2] > 0.0]))
+        assert binary._patterns is not None
+        for ds in (toy_ds, binary):
+            shared = bootstrap_logistic(ds, ("CPR", "MPR"), 100, seed=seed)
+            for name in ("CPR", "MPR"):
+                iv = shared[name].interval
+                point, se, lower, upper = row_copy_bootstrap(ds, name, 100, seed)
+                assert iv.point == pytest.approx(point, rel=1e-9)
+                assert iv.se == pytest.approx(se, rel=1e-9)
+                assert iv.lower == pytest.approx(lower, rel=1e-9)
+                assert iv.upper == pytest.approx(upper, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_draws_are_the_public_points(self, toy_ds, seed):
@@ -487,7 +507,9 @@ class TestSharedBootstrap:
         for r in range(100):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
             counts = np.bincount(rng.integers(0, toy_ds.n, size=toy_ds.n), minlength=toy_ds.n)
-            data = toy_ds.frequency_weighted(counts)
+            block = _resample(toy_ds, counts)
+            data = Dataset(y=block.y[0], X=block.X[0], column_names=block.column_names,
+                           weights=block.weights[0])
             start = one_step_start(full, data.X, data.y, data.weights)
             newton = _irls(data.X[None], data.y[None], data.weights[None], "binomial-logit",
                            data.column_names, start[None])
@@ -510,8 +532,7 @@ class TestSharedBootstrap:
                                                           monkeypatch, one_worker):
         alone = bootstrap_logistic(toy_ds, ("MPR",), 100, seed=4)["MPR"]
         # call 1 is the full-data estimate; calls 3 and 8 are replicates
-        monkeypatch.setattr(ratios, "_conditioning_point",
-                            failing_after(ratios._conditioning_point, {3, 8}))
+        monkeypatch.setattr(ratios, "_points", failing_points("CPR", on_calls({3, 8})))
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert out["CPR"].metadata["failed_replicates"] == 2
         assert out["CPR"].metadata["failure_reasons"] == {
@@ -524,12 +545,10 @@ class TestSharedBootstrap:
                                                          monkeypatch, one_worker):
         calls = []
 
-        def flaky_refit(fit, ds):
+        def fifth(block):
             calls.append(None)
-            if len(calls) == 5:
-                raise NonConvergenceError("forced failure")
-            return _refit(fit, ds)
-        monkeypatch.setattr(ratios, "_refit", flaky_refit)
+            return len(calls) == 5
+        monkeypatch.setattr(ratios, "_refit", failing_refit(fifth))
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert len(calls) == 100
         for est in out.values():
@@ -538,8 +557,8 @@ class TestSharedBootstrap:
 
     def test_unstable_estimator_fails_alone(self, toy_ds, monkeypatch, one_worker):
         def patch():
-            monkeypatch.setattr(ratios, "_conditioning_point", failing_after(
-                ratios._conditioning_point, set(range(2, 102))))
+            monkeypatch.setattr(ratios, "_points", failing_points(
+                "CPR", on_calls(set(range(2, 102)))))
         patch()
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert isinstance(out["CPR"], NonConvergenceError)
@@ -555,8 +574,8 @@ class TestSharedBootstrap:
             self, toy_ds, monkeypatch, workers):
         workers(2)
         alone = bootstrap_logistic(toy_ds, ("MPR",), 100, seed=4)["MPR"]
-        monkeypatch.setattr(ratios, "_conditioning_point", failing_on(
-            ratios._conditioning_point, resample_of(toy_ds, 4, {1, 60})))
+        monkeypatch.setattr(ratios, "_points", failing_points(
+            "CPR", resample_of(toy_ds, 4, {1, 60})))
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert out["CPR"].metadata["failed_replicates"] == 2
         assert out["CPR"].metadata["failure_reasons"] == {
@@ -568,13 +587,7 @@ class TestSharedBootstrap:
     def test_failed_refit_counts_against_every_estimator_in_workers(
             self, toy_ds, monkeypatch, workers):
         workers(2)
-        bad = resample_of(toy_ds, 4, {77})
-
-        def flaky_refit(fit, ds):
-            if bad(ds):
-                raise NonConvergenceError("forced failure")
-            return _refit(fit, ds)
-        monkeypatch.setattr(ratios, "_refit", flaky_refit)
+        monkeypatch.setattr(ratios, "_refit", failing_refit(resample_of(toy_ds, 4, {77})))
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         for est in out.values():
             assert est.metadata["failed_replicates"] == 1
@@ -586,9 +599,8 @@ class TestSharedBootstrap:
 
         def patch():
             # the rows of a resample, not the block of toy_ds's own rows
-            monkeypatch.setattr(ratios, "_conditioning_point", failing_on(
-                ratios._conditioning_point,
-                lambda rows: not np.shares_memory(rows.weights, toy_ds.weights)))
+            monkeypatch.setattr(ratios, "_points", failing_points(
+                "CPR", lambda rows: not np.shares_memory(rows.weights, toy_ds.weights)))
         patch()
         out = bootstrap_logistic(toy_ds, ("CPR", "MPR"), 100, seed=4)
         assert isinstance(out["CPR"], NonConvergenceError)
@@ -615,12 +627,12 @@ class TestSharedBootstrap:
 
     def test_start_that_is_not_finite_falls_back_to_the_fit(self, toy_ds):
         full = fit_glm(toy_ds, "binomial-logit")
-        data = toy_ds.frequency_weighted(np.arange(toy_ds.n) % 3)
+        block = _resample(toy_ds, np.arange(toy_ds.n) % 3)
         broken = dataclasses.replace(full, vcov=np.full_like(full.vcov, np.inf))
-        from_fit = _irls(data.X[None], data.y[None], data.weights[None], "binomial-logit",
-                         data.column_names, full.beta[None])
-        assert np.array_equal(_refit(broken, data), from_fit.beta[0])
-        assert not np.array_equal(_refit(full, data), _refit(broken, data))
+        from_fit = _irls(block.X, block.y, block.weights, "binomial-logit", block.column_names,
+                         full.beta[None])
+        assert np.array_equal(_refit(broken, block).beta[0], from_fit.beta[0])
+        assert not np.array_equal(_refit(full, block).beta[0], _refit(broken, block).beta[0])
 
     def test_refits_take_three_newton_steps_and_no_covariance(self, toy_ds, monkeypatch,
                                                               one_worker):
