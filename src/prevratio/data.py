@@ -16,22 +16,21 @@ patterns themselves) read it. One scan of the design, block by block,
 is the 0/1 check; a design with any other value has no table, and those
 steps read the rows.
 
-:func:`load_csv` reads a numeric file with numpy's C parser, and a file
-that parser cannot settle exactly with the csv module, row by row. When
-empty fields were filled in memory and every record is one digit per
-field, as in 0/1- or 0-9-coded categorical data, it reads the filled
-body as a grid of bytes instead. The file's own shape selects the
-reader, and every reader gives the same arrays.
+:func:`load_csv` reads a file whose fields are each one digit or empty,
+as 0/1- or 0-9-coded categorical data are, as a grid of bytes once its
+empty fields are filled in memory; any other numeric file with numpy's C
+parser, as float64; and a file that parser cannot settle exactly with the
+csv module, row by row. The file's own shape selects the reader, and
+every reader gives the same arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -275,12 +274,13 @@ def load_csv(path, spec: ModelSpec, *, weight_column: str | None = None) -> Data
     exist. Empty fields are treated as missing and rows with any missing
     value in a referenced column are dropped (the count lands in ``n_dropped``).
 
-    numpy's C parser reads the referenced columns, as integers when the
-    file is integer-coded. When an empty referenced field stops it, the
-    empty fields are filled in memory, and a filled body whose every
-    record holds one digit per field, as many fields as the header has
-    names, is read as a grid of bytes, bit-identical to that parser's
-    values. Files the C parser cannot read exactly as the csv module
+    A body of at most two characters a field, as many fields as the header
+    has names, is read into memory with a 0 in each empty field. When each
+    record then holds one digit per field, it is read as a grid of bytes,
+    bit-identical to numpy's float parse; otherwise numpy's C parser reads
+    it as float64. That parser reads any other body
+    from disk, and once more from memory, filled, when an empty referenced
+    field stops it. Files the C parser cannot read exactly as the csv module
     would (quotes below a one-line header, short rows, whitespace-only,
     non-numeric or non-finite fields, a non-0/1 outcome, a blank first
     data line) are read row by row instead, which gives the same arrays
@@ -321,13 +321,15 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
     """The ``wanted`` columns via a byte grid or ``np.loadtxt``, or None to defer to the row loop.
 
     Returns ``(data, n_dropped)`` only when it equals what ``_parse_rows``
-    returns. The file is read once in chunks to count its records and look
-    for quotes, then parsed from disk, so a file without empty fields is
-    never held in memory whole. When that parse fails, the file is read once
-    more, a 0 written into each empty field (see ``_fill_empty_fields``), and
-    the filled body parsed as a grid of one-digit fields (see
-    ``_digit_grid``) or, when it is not one, from memory. Integer-coded
-    files parse as int32 (see ``_loadtxt``).
+    returns. The file is read once in chunks to count its records and
+    characters and look for quotes. A body of at most two characters a
+    field, as many fields as the header has names, holds one-digit and
+    empty fields only, unless some records are short, long or blank: it is
+    read into memory, a 0 written into each empty field (see
+    ``_fill_empty_fields``), and read as a grid of bytes (see
+    ``_digit_grid``) or, when it is not one, parsed from memory. Any other
+    body is parsed from disk, so a file without empty fields is never held
+    in memory whole, and filled and parsed from memory only when that fails.
     """
     with _open_text(path) as handle:  # universal newlines, as np.loadtxt reads the file
         first = handle.readline()  # np.loadtxt skips this line
@@ -338,17 +340,11 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
         # no records, or a blank first one (np.loadtxt warns on all-blank input)
         if not chunk or chunk[0] == "\n":
             return None
-        n_records, quoted, ascii_text, ints, last = 0, False, first.isascii(), True, ""
+        n_records, n_chars, quoted = 0, 0, False
         while chunk:
             n_records += chunk.count("\n")
+            n_chars += len(chunk)
             quoted = quoted or '"' in chunk
-            ascii_text = ascii_text and chunk.isascii()
-            # the int32 parse (see _loadtxt) would read a "-0", which may
-            # straddle two chunks, as +0; a "." is a float that would stop it,
-            # maybe only after most of the file. A search for "-0" takes
-            # 2 ms a MB in text full of 0s, one for "-" alone 0.02 ms.
-            ints = (ints and "." not in chunk and last + chunk[0] != "-0"
-                    and ("-" not in chunk or "-0" not in chunk))
             last = chunk[-1]
             chunk = handle.read(_SCAN_CHARS)
     n_records += last != "\n"
@@ -356,25 +352,23 @@ def _parse_columns(path, wanted: list[str]) -> tuple[np.ndarray, int] | None:
         return None
 
     usecols = [header.index(name) for name in wanted]
-    parse = partial(_loadtxt, usecols=usecols)
-    dtypes = (np.int32, np.float64) if ints and ascii_text else (np.float64,)
-    # the first dtype alone from disk: an empty referenced field fails it,
-    # and the file then goes to the fill, not to a float parse from disk
-    # that would fail at the same field
-    data, keep = parse(path, dtypes[:1]), None
-    if data is None:  # an empty field, a value int32 cannot hold, or a row-loop case
-        source, keep = _fill_empty_fields(path, usecols)
-        if source is not path:
-            data = _digit_grid(source, len(header), usecols)
-        if data is None:
-            # the path, returned when no referenced field is empty, has failed as dtypes[0]
-            data = parse(source, dtypes if source is not path else dtypes[1:])
-        del source  # a filled body is freed before the kept rows are copied
+    one_digit = n_chars <= 2 * len(header) * n_records
+    data = None if one_digit else _loadtxt(path, usecols)
+    keep = None
+    if data is None:  # a one-digit body, an empty referenced field or a row-loop case
+        body, keep = _fill_empty_fields(path, usecols)
+        data = _digit_grid(body, len(header), usecols)
+        # a body with nothing filled has failed from disk, unless it is one-digit
+        if data is None and (one_digit or keep is not None):
+            data = _loadtxt(body, usecols)
+        del body  # a filled body is freed before the kept rows are copied
     if data is None:
         return None
     if keep is not None:
         data = data[keep]
-    data = data.astype(np.float64, copy=False)
+    # row-major, as np.loadtxt gives it: a grid's usecols come column-major, and
+    # the design products would sum them in another order
+    data = data.astype(np.float64, order="C", copy=False)
     y = data[:, 0]
     if len(data) == 0 or not np.isfinite(data).all() or not np.all((y == 0.0) | (y == 1.0)):
         return None
@@ -388,7 +382,7 @@ def _digit_grid(body: bytes, n_fields: int, usecols: list[int]) -> np.ndarray | 
 
     Such a line is 2 * ``n_fields`` bytes, a digit and a comma a field with
     a newline for the last comma, so the body is a grid of byte pairs. The
-    values, as uint16, are those the int32 parse reads; any other body,
+    values, as uint16, are those the float parse reads; any other body,
     blank lines included, gives None.
     """
     if len(body) % (2 * n_fields):
@@ -400,43 +394,29 @@ def _digit_grid(body: bytes, n_fields: int, usecols: list[int]) -> np.ndarray | 
     return digits[:, usecols] if digits.max() <= 9 else None
 
 
-def _loadtxt(source, dtypes: tuple, usecols: list[int]) -> np.ndarray | None:
-    """The ``usecols`` of every non-blank line of ``source``, or None.
+def _loadtxt(source, usecols: list[int]) -> np.ndarray | None:
+    """The ``usecols`` of every non-blank line of ``source`` as float64, or None if numpy fails.
 
     ``source`` is a path, whose header line is skipped, or the UTF-8 bytes
     of a body, which hold no byte-order mark ("utf-8-sig" reads bytes 3-5x
-    slower). It is parsed as each of ``dtypes`` in turn, and the first parse
-    that reads it whole is returned. numpy rejects a float or an integer
-    outside int32, and every int32 is exact as a float64, so an int32
-    parse gives the float parse's values. ``np.int32`` must not be tried
-    on text that holds "-0", which parses as 0 where float gives -0.0, or
-    a non-ASCII character, some of which numpy's integer parser takes for
-    digits.
+    slower).
     """
-    for dtype in dtypes:
-        text = io.BytesIO(source) if isinstance(source, bytes) else source
-        try:
-            with warnings.catch_warnings():
-                # numpy releases from 1.23 until the deprecation expired read
-                # a float, or an integer outside int32, into an integer
-                # column through a float, cast, with a DeprecationWarning
-                warnings.simplefilter("error", DeprecationWarning)
-                return np.loadtxt(text, dtype=dtype, delimiter=",", usecols=usecols,
-                                  comments=None, ndmin=2, skiprows=int(text is source),
-                                  encoding="utf-8")
-        except (ValueError, DeprecationWarning):
-            pass
-    return None
+    text = io.BytesIO(source) if isinstance(source, bytes) else source
+    try:
+        return np.loadtxt(text, delimiter=",", usecols=usecols, comments=None, ndmin=2,
+                          skiprows=int(text is source), encoding="utf-8")
+    except ValueError:
+        return None
 
 
-def _fill_empty_fields(path, usecols: list[int]) -> tuple[bytes, np.ndarray] | tuple[str, None]:
+def _fill_empty_fields(path, usecols: list[int]) -> tuple[bytes, np.ndarray | None]:
     """The file's body with a 0 in every empty field, and which of its rows to keep.
 
     A row is a non-blank line of the body, as ``np.loadtxt`` returns them;
     it is kept unless one of its filled fields is in ``usecols``. When none
-    is, the file parses as it stands, since ``np.loadtxt`` converts only
-    ``usecols``: the result is then ``(path, None)``. The file is read
-    whole, once, and every step over its bytes is a numpy one.
+    is, the body is returned as it stands, with None for every row kept,
+    since ``np.loadtxt`` converts only ``usecols``. The file is read whole,
+    once, and every step over its bytes is a numpy one.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -472,7 +452,7 @@ def _fill_empty_fields(path, usecols: list[int]) -> tuple[bytes, np.ndarray] | t
     del comma
     referenced = np.isin(columns, usecols)
     if not referenced.any():
-        return path, None
+        return text[ends[0] + 1:].tobytes(), None
     blank = ends[1:][np.diff(ends) == 1]  # the ends of blank lines, which np.loadtxt skips
     keep = np.ones(len(ends) - 1 - len(blank), dtype=bool)
     keep[(line - 1 - np.searchsorted(blank, at))[referenced]] = False

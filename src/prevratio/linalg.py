@@ -32,14 +32,16 @@ _BLOCK_ROWS = 4096
 def gram_stack(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """X'WX for every problem of a stack: X (R, n, p), w (R, n) -> (R, p, p).
 
-    Each result is made exactly symmetric.
+    Each result is made exactly symmetric. An entry that overflows is inf
+    or NaN, with no warning; :func:`cholesky_stack` flags its column.
     """
     R, n, p = X.shape
     A = np.zeros((R, p, p))
-    for start in range(0, n, _BLOCK_ROWS):
-        block = X[:, start:start + _BLOCK_ROWS]
-        A += np.matmul(block.transpose(0, 2, 1), w[:, start:start + _BLOCK_ROWS, None] * block)
-    return (A + A.transpose(0, 2, 1)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _BLOCK_ROWS):
+            block = X[:, start:start + _BLOCK_ROWS]
+            A += np.matmul(block.transpose(0, 2, 1), w[:, start:start + _BLOCK_ROWS, None] * block)
+        return (A + A.transpose(0, 2, 1)) / 2.0
 
 
 def matvec_stack(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -80,20 +82,23 @@ def cholesky_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a (R, p, p) stack and each matrix's bad column.
 
     ``bad[i]`` is -1 when A[i] is positive definite with every squared
-    pivot above the threshold. Otherwise it is the first column whose
-    squared pivot is at most the threshold, or else the column at which
-    A[i] stops being positive definite, and its factor is the identity, a
-    stand-in so the stack solves. The stack is factored in one call; only
-    when that fails are the matrices factored one by one.
+    pivot above the threshold, a multiple of its largest finite diagonal
+    entry. Otherwise it is the first column whose diagonal entry is not
+    finite or whose squared pivot is at most the threshold, or else the
+    column at which A[i] stops being positive definite, and its factor is
+    the identity, a stand-in so the stack solves. The stack is factored in
+    one call; only when that fails are the matrices factored one by one.
     """
-    threshold = _PIVOT_REL * np.max(np.diagonal(A, axis1=1, axis2=2), axis=1, initial=0.0)
+    diagonal = np.diagonal(A, axis1=1, axis2=2)
+    finite = np.isfinite(diagonal)
+    threshold = _PIVOT_REL * np.max(diagonal, axis=1, where=finite, initial=0.0)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         L = np.stack([_leading_factor(a) for a in A])
     # unfactored columns have a zero pivot; not (> threshold) also catches
     # a NaN pivot from an infinite entry
-    weak = ~(np.diagonal(L, axis1=1, axis2=2) ** 2 > threshold[:, None])
+    weak = ~finite | ~(np.diagonal(L, axis1=1, axis2=2) ** 2 > threshold[:, None])
     bad = np.where(weak.any(axis=1), np.argmax(weak, axis=1), -1)
     L[bad >= 0] = np.eye(A.shape[-1])
     return L, bad

@@ -144,13 +144,14 @@ def _arms(beta: np.ndarray, X: np.ndarray, w: np.ndarray
 
     ``beta`` is (R, p), ``X`` (R, m, p) and the weights ``w`` (R, m).
     Gives (R,) averages, (R, m) rows and each problem's error: a
-    DegenerateDenominatorError when its unexposed average is below
-    ``_MIN_DENOMINATOR``, else None. A row's linear predictor with the
-    exposure set to a value is X beta shifted by the exposure's term, so X
-    is not copied.
+    DegenerateDenominatorError when a row's linear predictor overflows or
+    its unexposed average is below ``_MIN_DENOMINATOR``, else None. A row's
+    linear predictor with the exposure set to a value is X beta shifted by
+    the exposure's term, so X is not copied.
     """
     wsum = w.sum(axis=-1)
-    eta = matvec_stack(X, beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # failed below
+        eta = matvec_stack(X, beta)
     b = beta[:, EXPOSURE_COL, None]
     shift = X[..., EXPOSURE_COL] * b
     rows1 = expit(eta + (b - shift))
@@ -158,6 +159,8 @@ def _arms(beta: np.ndarray, X: np.ndarray, w: np.ndarray
     p1 = (w * rows1).sum(axis=-1) / wsum
     p0 = (w * rows0).sum(axis=-1) / wsum
     errors = [None] * len(p0)
+    _fail(errors, ~np.isfinite(eta).all(axis=-1),
+          lambda i: DegenerateDenominatorError("linear predictor is not finite"))
     _fail(errors, p0 < _MIN_DENOMINATOR,
           lambda i: DegenerateDenominatorError(f"average unexposed prevalence is {p0[i]:g}"))
     return p1, p0, rows1, rows0, errors

@@ -272,6 +272,24 @@ class TestEstimate:
         assert [r["status"] for r in rows] == ["failed", "ok"]
         assert "'z' must be finite" in rows[0]["notes"]
 
+    @pytest.mark.parametrize("boot", [(), ("--boot", "100")])
+    def test_overflowing_linear_predictor_fails_cpr_only(self, capsys, tmp_path, boot):
+        # z's logistic coefficient is 1.53, so at z = 1.7e308 the linear predictor is inf
+        cells = [(0, 0, 0, 6), (1, 0, 0, 1), (0, 1, 0, 5), (1, 1, 0, 2), (0, 0, 1, 3),
+                 (1, 0, 1, 3), (0, 1, 1, 2), (1, 1, 1, 4), (0, 0, 2, 1), (1, 0, 2, 5),
+                 (0, 1, 2, 1), (1, 1, 2, 6)]
+        path = tmp_path / "steep.csv"
+        path.write_text("y,x,z\n" + "".join(f"{y},{x},{z}\n" * k for y, x, z, k in cells))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_estimate(capsys, str(path), "--methods", "cpr,mpr",
+                                          "--at", "z=1.7e308", "--format", "json", *boot)
+        assert code == 0
+        assert err == ""
+        rows = json.loads(out)["rows"]
+        assert [r["status"] for r in rows] == ["failed", "ok"]
+        assert "linear predictor is not finite" in rows[0]["notes"]
+
     def test_programming_error_is_not_a_failed_row(self, capsys, toy_csv, monkeypatch):
         def broken(fit, ds, level, at):
             raise ValueError("a bug, not a property of the data")

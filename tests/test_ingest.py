@@ -172,7 +172,7 @@ CASES = {
     "missing column": "y,x\n1,1\n0,0\n",
     "duplicate header name": "y,x,z,z\n1,1,0.5,9\n0,0,1,8\n",
     "all rows dropped": "y,x,z\n1,1,\n0,,1.0\n",
-    # integer-coded files, which numpy parses as int32
+    # integer-coded files, at and beyond the int32 limits
     "int": "y,x,z\n1,1,0\n0,0,-3\n1,1,2\n",
     "int negative zero": "y,x,z\n1,-0,1\n0,0,-00\n1,1, -0 \n",
     "int negative zero with empty field": "y,x,z\n1,-0,1\n0,,1\n1,1,0\n",
@@ -210,6 +210,8 @@ CASES = {
     "digits, quoted header": '"y","x","z"\n1,,0\n0,0,1\n',
     # 8 bytes as it stands, a 4-field grid line, under a 5-name header
     "digits, grid width from the header": "y,x,note,z,w\n0,0,,,0\n",
+    "digits, empty field last": "y,x,z\n" + "1,0,1\n0,1,0\n" * 50 + "1,1,\n",
+    "digits crlf": "y,x,z\r\n1,1,0\r\n0,0,1\r\n1,1,9\r\n",
 }
 
 
@@ -234,7 +236,7 @@ def test_error_cites_the_line_its_record_starts_on(tmp_path, name, message):
 
 @pytest.mark.parametrize("chunk_chars", [1, 2, 3, 5])
 def test_small_scan_chunks_match_row_loop(tmp_path, monkeypatch, chunk_chars):
-    # a "-0", a quote or a line end split between two chunks of the text scan
+    # a quote or a line end split between two chunks of the text scan
     monkeypatch.setattr(data_module, "_SCAN_CHARS", chunk_chars)
     for name in sorted(CASES):
         try:
@@ -251,8 +253,8 @@ def test_small_scan_chunks_match_row_loop(tmp_path, monkeypatch, chunk_chars):
 def test_int_parse_through_a_float_falls_back(tmp_path, monkeypatch, text):
     # numpy releases from 1.23 until that deprecation expired read a float,
     # or an integer outside int32, into an int32 column through a float,
-    # cast, with a DeprecationWarning hidden by default; the int32 attempt
-    # must fail on it instead
+    # cast, with a DeprecationWarning hidden by default; the loader parses
+    # float64 alone, so such a release reads these files as any other does
     loadtxt = np.loadtxt
 
     def through_a_float(*args, dtype=np.float64, **kwargs):
@@ -309,22 +311,25 @@ def test_numeric_files_skip_the_row_loop(tmp_path, monkeypatch, name):
 
 @pytest.mark.parametrize("name, dtypes", [
     ("plain", ["float64"]),
-    ("int", ["int32"]),
-    ("int empty unreferenced", ["int32"]),  # np.loadtxt converts only usecols
-    ("int empty at line end", ["int32"]),  # the filled body is a grid
+    ("int", ["float64"]),
+    ("int empty unreferenced", ["float64"]),  # nothing filled, so the body as it stands
+    ("int empty at line end", []),  # the filled body is a grid
     ("empty referenced", ["float64", "float64"]),
-    ("int beyond int32", ["int32", "float64"]),  # no empty field, so parsed from disk again
-    ("digits", ["int32"]),  # no empty field, so parsed from disk
-    ("digits with empty field", ["int32"]),  # the filled body is a grid
-    ("digits, no trailing newline", ["int32"]),
-    ("digits, quoted header", ["int32"]),
-    ("int empty crlf", ["int32"]),  # the fill writes "\n" line ends
-    ("blank lines with empty fields", ["int32", "int32"]),  # a blank line is no grid line
+    ("int beyond int32", ["float64"]),
+    ("digits", []),  # no empty field, and the body is a grid as it stands
+    ("digits with empty field", []),
+    ("digits, no trailing newline", []),
+    ("digits, quoted header", []),
+    ("int empty crlf", []),  # the fill writes "\n" line ends
+    ("blank lines with empty fields", ["float64"]),  # a blank line is no grid line
+    ("digits, empty field last", []),
+    ("digits crlf", []),
 ])
 def test_one_failed_parse_before_the_fill(tmp_path, monkeypatch, name, dtypes):
-    # an empty field fails the parse from disk once; the file then goes to
-    # the fill and is not parsed from disk again as a float. A filled body
-    # of one-digit fields is read as a grid, not by np.loadtxt
+    # at most one parse fails before the fill. A body of at most two
+    # characters a field is filled and read as a grid, or parsed from memory
+    # when it is not one; any other body is parsed from disk, and once more
+    # from memory, filled, when an empty field fails it
     calls = []
     loadtxt = np.loadtxt
 
@@ -335,6 +340,14 @@ def test_one_failed_parse_before_the_fill(tmp_path, monkeypatch, name, dtypes):
     monkeypatch.setattr(np, "loadtxt", recording)
     load_csv(write(tmp_path / "d.csv", CASES[name]), SPEC)
     assert calls == dtypes
+
+
+@pytest.mark.parametrize("name", ["digits", "digits with empty field", "plain"])
+def test_design_is_row_major(tmp_path, name):
+    # BLAS sums a column-major design in another order, so the fits would
+    # round otherwise
+    ds = load_csv(write(tmp_path / "d.csv", CASES[name]), SPEC)
+    assert ds.X.strides == (8 * ds.X.shape[1], 8)
 
 
 # spreadsheet programs write a UTF-8 byte-order mark before the header
@@ -451,13 +464,13 @@ def numeric_csv_texts(draw):
     return "y,x,z,w\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
-# integer fields within int32, which numpy's integer parse reads
+# integer fields within int32
 INTEGER_FIELDS = st.one_of(
     st.integers(-3, 3).map(str),
     st.integers(-2**31, 2**31 - 1).map(str),
     st.sampled_from(["", "", "+1", "007", " 1 "]),
 )
-# at most one per file, as one field stops the integer parse of the whole file
+# at most one per file: the "-0" spellings, integers beyond int32 and non-integers
 SPECIAL_FIELDS = st.sampled_from(["-0", "-00", " -0 ", "2147483648", "-2147483649",
                                   str(2**53 + 1), str(2**63), "nan", "1.5"])
 

@@ -125,6 +125,20 @@ class TestSpdInverse:
         assert factor_inverse(np.array([[1.0, np.nan], [np.nan, 1.0]]))[1] == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_overflowing_gram_names_its_column(scale):
+    # the square of column 3 overflows X'WX, where the intercept's entry is 60
+    ds = degenerate_design("zero")
+    X = ds.X.copy()
+    X[:, 3] = scale * np.random.default_rng(0).standard_normal(ds.n)
+    ds = Dataset(y=ds.y, X=X, column_names=ds.column_names)
+    assert cholesky_stack(gram_stack(X[None], np.ones((1, ds.n))))[1].tolist() == [3]
+    with pytest.raises(NonIdentifiableError) as err:
+        fit_glm(ds, "binomial-logit")
+    assert str(err.value) == "design matrix is collinear (column 3, 'bad')"
+
+
 @pytest.mark.parametrize("kind", ["zero", "duplicate", "near-collinear"])
 class TestRankDeficiencyMatchesLoop:
     def test_same_column_as_loop(self, kind):

@@ -428,9 +428,10 @@ def test_no_instance_dict_writes():
 
 
 def test_one_csv_parse():
-    # np.loadtxt is called in one place, data._loadtxt: its int32 attempt and
-    # float fallback are the one parse of the disk and of the filled body alike
+    # np.loadtxt is called in one place, data._loadtxt: its float64 parse is
+    # the one parse of the disk and of the filled body alike
     assert referrers("loadtxt") == {"data._loadtxt"}
+    assert list(inspect.signature(prevratio.data._loadtxt).parameters) == ["source", "usecols"]
     calls = [node for path in Path(prevratio.__file__).parent.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text()))
              if "loadtxt" in (getattr(node, "id", None), getattr(node, "attr", None))]
